@@ -49,11 +49,6 @@ pub struct OdnetConfig {
     /// Travel-intention prototypes (the paper's §VII future-work extension;
     /// 0 disables the intent module).
     pub intents: usize,
-    /// Score candidates one at a time instead of stacking the group into
-    /// `n×d` batched matrices. The per-candidate path is the correctness
-    /// oracle for the batched forward; serving and training default to the
-    /// batched path, which runs one matmul per layer per group.
-    pub per_candidate_scoring: bool,
     /// Seed for parameter initialization and neighbor sampling.
     pub seed: u64,
 }
@@ -78,7 +73,6 @@ impl Default for OdnetConfig {
             grad_clip: 5.0,
             workers: default_workers(),
             intents: 0,
-            per_candidate_scoring: false,
             seed: 0x0D_0E7,
         }
     }

@@ -76,11 +76,11 @@ pub fn score_groups(scorer: &dyn OdScorer, groups: &[GroupInput]) -> Vec<Vec<(f3
             .collect();
     }
     let chunk = groups.len().div_ceil(workers);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = groups
             .chunks(chunk)
             .map(|shard| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut tape = Graph::new();
                     shard
                         .iter()
@@ -94,7 +94,6 @@ pub fn score_groups(scorer: &dyn OdScorer, groups: &[GroupInput]) -> Vec<Vec<(f3
             .flat_map(|h| h.join().expect("scoring worker must not panic"))
             .collect()
     })
-    .expect("crossbeam scope")
 }
 
 /// AUC over the O-labels and D-labels of labelled groups (the paper's

@@ -374,20 +374,26 @@ impl OdNetModel {
     /// Forward a group and attach the joint loss (Eq. 8 over Eqs. 9–10),
     /// returning the scalar loss node.
     pub fn group_loss(&self, g: &mut Graph, group: &GroupInput) -> Value {
+        let fwd = self.forward_group_batched(g, group);
+        self.loss_from_logits(g, group, fwd.logits_o, fwd.logits_d)
+    }
+
+    /// The joint loss over a group's stacked `n×1` logit columns — split
+    /// from [`group_loss`](Self::group_loss) so the equivalence tests can
+    /// feed it the per-candidate oracle's ([`forward_group`](Self::forward_group))
+    /// logits.
+    pub fn loss_from_logits(
+        &self,
+        g: &mut Graph,
+        group: &GroupInput,
+        logits_o: Value,
+        logits_d: Value,
+    ) -> Value {
         let labels_o: Vec<f32> = group.candidates.iter().map(|c| c.label_o).collect();
         let labels_d: Vec<f32> = group.candidates.iter().map(|c| c.label_d).collect();
         let n = labels_o.len();
-        let (stacked_o, stacked_d) = if self.config.per_candidate_scoring {
-            let fwd = self.forward_group(g, group);
-            let so = g.concat_rows(&fwd.logits_o);
-            let sd = g.concat_rows(&fwd.logits_d);
-            (so, sd)
-        } else {
-            let fwd = self.forward_group_batched(g, group);
-            (fwd.logits_o, fwd.logits_d)
-        };
-        let stacked_o = g.reshape(stacked_o, Shape::Vector(n));
-        let stacked_d = g.reshape(stacked_d, Shape::Vector(n));
+        let stacked_o = g.reshape(logits_o, Shape::Vector(n));
+        let stacked_d = g.reshape(logits_d, Shape::Vector(n));
         let loss_o = g.bce_with_logits(stacked_o, &Tensor::vector(&labels_o));
         let loss_d = g.bce_with_logits(stacked_d, &Tensor::vector(&labels_d));
         match self.theta_raw {
@@ -443,27 +449,13 @@ impl OdNetModel {
         if group.candidates.is_empty() {
             return Vec::new();
         }
-        if self.config.per_candidate_scoring {
-            let fwd = self.forward_group(g, group);
-            fwd.logits_o
-                .iter()
-                .zip(&fwd.logits_d)
-                .map(|(&lo, &ld)| {
-                    (
-                        stable_sigmoid(g.value(lo).as_slice()[0]),
-                        stable_sigmoid(g.value(ld).as_slice()[0]),
-                    )
-                })
-                .collect()
-        } else {
-            let fwd = self.forward_group_batched(g, group);
-            let lo = g.value(fwd.logits_o).as_slice();
-            let ld = g.value(fwd.logits_d).as_slice();
-            lo.iter()
-                .zip(ld)
-                .map(|(&a, &b)| (stable_sigmoid(a), stable_sigmoid(b)))
-                .collect()
-        }
+        let fwd = self.forward_group_batched(g, group);
+        let lo = g.value(fwd.logits_o).as_slice();
+        let ld = g.value(fwd.logits_d).as_slice();
+        lo.iter()
+            .zip(ld)
+            .map(|(&a, &b)| (stable_sigmoid(a), stable_sigmoid(b)))
+            .collect()
     }
 
     /// The serving score of Eq. 11: `θ·p^O + (1−θ)·p^D`.

@@ -407,17 +407,16 @@ fn process_batch<M: TrainableModel>(
         return vec![run_shard(batch)];
     }
     let chunk = batch.len().div_ceil(workers);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = batch
             .chunks(chunk)
-            .map(|shard| scope.spawn(move |_| run_shard(shard)))
+            .map(|shard| scope.spawn(move || run_shard(shard)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("worker must not panic"))
             .collect()
     })
-    .expect("crossbeam scope")
 }
 
 #[cfg(test)]

@@ -1,24 +1,26 @@
 //! The batched group forward must reproduce the per-candidate oracle.
 //!
-//! `per_candidate_scoring = true` selects the original one-candidate-at-a-
-//! time forward; the default batched path stacks the group into `n×d`
-//! matrices. Both paths share every parameter (the flag does not perturb
-//! initialization), so their scores must agree within float tolerance for
-//! any candidate set — across variants, with and without the HSGC, the
-//! MMoE head, and the intent extension.
+//! `OdNetModel::forward_group` is the original one-candidate-at-a-time
+//! forward; `score_group` / `group_loss` stack the group into `n×d`
+//! matrices. Both run on the same model, so their scores must agree within
+//! float tolerance for any candidate set — across variants, with and
+//! without the HSGC, the MMoE head, and the intent extension.
+
+mod oracle;
 
 use od_hsg::{CityId, HsgBuilder};
 use odnet_core::{
     CandidateInput, FeatureExtractor, GroupInput, OdNetModel, OdnetConfig, Variant, XST_DIM,
 };
+use oracle::oracle_scores;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
 const TOL: f32 = 1e-5;
 
 struct Fixture {
-    /// `(batched, per_candidate)` model pairs with identical parameters.
-    pairs: Vec<(OdNetModel, OdNetModel)>,
+    /// One model per variant under test.
+    models: Vec<OdNetModel>,
     /// A real group (with history) providing the user context.
     template: GroupInput,
     num_cities: usize,
@@ -37,25 +39,12 @@ fn fixture() -> &'static Fixture {
             b.build()
         };
         let build = |variant: Variant, intents: usize| {
-            let mut pair = Vec::new();
-            for per_candidate in [false, true] {
-                let mut cfg = OdnetConfig::tiny();
-                cfg.intents = intents;
-                cfg.per_candidate_scoring = per_candidate;
-                let g = variant.uses_graph().then(hsg);
-                pair.push(OdNetModel::new(
-                    variant,
-                    cfg,
-                    ds.world.num_users(),
-                    ds.world.num_cities(),
-                    g,
-                ));
-            }
-            let per_candidate = pair.pop().unwrap();
-            let batched = pair.pop().unwrap();
-            (batched, per_candidate)
+            let mut cfg = OdnetConfig::tiny();
+            cfg.intents = intents;
+            let g = variant.uses_graph().then(hsg);
+            OdNetModel::new(variant, cfg, ds.world.num_users(), ds.world.num_cities(), g)
         };
-        let pairs = vec![
+        let models = vec![
             build(Variant::Odnet, 0),
             build(Variant::StlG, 0),
             build(Variant::OdnetG, 3),
@@ -68,7 +57,7 @@ fn fixture() -> &'static Fixture {
             .expect("a group with history exists");
         let num_cities = ds.world.num_cities();
         Fixture {
-            pairs,
+            models,
             template,
             num_cities,
         }
@@ -108,15 +97,15 @@ proptest! {
         let fix = fixture();
         let mut group = fix.template.clone();
         group.candidates = cands;
-        for (batched, oracle) in &fix.pairs {
-            let fast = batched.score_group(&group);
-            let slow = oracle.score_group(&group);
+        for model in &fix.models {
+            let fast = model.score_group(&group);
+            let slow = oracle_scores(model, &group);
             prop_assert_eq!(fast.len(), slow.len());
             for (i, ((fo, fd), (so, sd))) in fast.iter().zip(&slow).enumerate() {
                 prop_assert!(
                     (fo - so).abs() <= TOL && (fd - sd).abs() <= TOL,
                     "{} candidate {i}: batched ({fo}, {fd}) vs oracle ({so}, {sd})",
-                    batched.variant.name()
+                    model.variant.name()
                 );
             }
         }
@@ -127,16 +116,20 @@ proptest! {
         let fix = fixture();
         let mut group = fix.template.clone();
         group.candidates = cands;
-        for (batched, oracle) in &fix.pairs {
+        for model in &fix.models {
             let mut g1 = od_tensor::Graph::new();
-            let l1 = batched.group_loss(&mut g1, &group);
+            let l1 = model.group_loss(&mut g1, &group);
+            // The oracle loss: the same joint loss over the per-candidate
+            // forward's logits, stacked into columns.
             let mut g2 = od_tensor::Graph::new();
-            let l2 = oracle.group_loss(&mut g2, &group);
+            let fwd = model.forward_group(&mut g2, &group);
+            let (lo, ld) = (g2.concat_rows(&fwd.logits_o), g2.concat_rows(&fwd.logits_d));
+            let l2 = model.loss_from_logits(&mut g2, &group, lo, ld);
             let (a, b) = (g1.value(l1).item(), g2.value(l2).item());
             prop_assert!(
                 (a - b).abs() <= TOL,
                 "{} loss: batched {a} vs oracle {b}",
-                batched.variant.name()
+                model.variant.name()
             );
         }
     }
@@ -149,9 +142,9 @@ fn single_candidate_group_matches() {
     let fix = fixture();
     let mut group = fix.template.clone();
     group.candidates.truncate(1);
-    for (batched, oracle) in &fix.pairs {
-        let fast = batched.score_group(&group);
-        let slow = oracle.score_group(&group);
+    for model in &fix.models {
+        let fast = model.score_group(&group);
+        let slow = oracle_scores(model, &group);
         assert_eq!(fast.len(), 1);
         assert!((fast[0].0 - slow[0].0).abs() <= TOL);
         assert!((fast[0].1 - slow[0].1).abs() <= TOL);
@@ -165,9 +158,9 @@ fn empty_candidate_group_scores_empty() {
     let fix = fixture();
     let mut group = fix.template.clone();
     group.candidates.clear();
-    for (batched, oracle) in &fix.pairs {
-        assert!(batched.score_group(&group).is_empty());
-        assert!(oracle.score_group(&group).is_empty());
+    for model in &fix.models {
+        assert!(model.score_group(&group).is_empty());
+        assert!(oracle_scores(model, &group).is_empty());
     }
 }
 
@@ -176,7 +169,7 @@ fn empty_candidate_group_scores_empty() {
 #[test]
 fn graph_reuse_is_stateless_across_groups() {
     let fix = fixture();
-    let (batched, _) = &fix.pairs[0];
+    let batched = &fix.models[0];
     let mut a = fix.template.clone();
     a.candidates.truncate(3.min(a.candidates.len()));
     let mut b = fix.template.clone();

@@ -7,22 +7,25 @@
 //! batched path and the original per-candidate path, for every variant,
 //! with and without the HSGC, the MMoE head, and the intent extension.
 
+mod oracle;
+
 use od_hsg::{CityId, HsgBuilder};
 use od_tensor::infer::Workspace;
 use odnet_core::{
     CandidateInput, CheckpointError, FeatureExtractor, FrozenOdNet, GroupInput, OdNetModel,
     OdnetConfig, Variant, XST_DIM,
 };
+use oracle::oracle_scores;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
 const TOL: f32 = 1e-5;
 
 struct Fixture {
-    /// `(frozen, batched live, per-candidate live)` triples sharing
-    /// identical parameters.
-    triples: Vec<(FrozenOdNet, OdNetModel, OdNetModel)>,
-    /// Per-triple reloads of the frozen artifact through every persistence
+    /// `(frozen, live)` pairs: the artifact and the model it was frozen
+    /// from.
+    pairs: Vec<(FrozenOdNet, OdNetModel)>,
+    /// Per-pair reloads of the frozen artifact through every persistence
     /// path: `[JSON round-trip, .odz owned read, .odz zero-copy mmap]`.
     /// All three must score bit-identically to the original.
     reloaded: Vec<[FrozenOdNet; 3]>,
@@ -45,34 +48,23 @@ fn fixture() -> &'static Fixture {
             b.build()
         };
         let build = |variant: Variant, intents: usize| {
-            let mut models = Vec::new();
-            for per_candidate in [false, true] {
-                let mut cfg = OdnetConfig::tiny();
-                cfg.intents = intents;
-                cfg.per_candidate_scoring = per_candidate;
-                let g = variant.uses_graph().then(hsg);
-                models.push(OdNetModel::new(
-                    variant,
-                    cfg,
-                    ds.world.num_users(),
-                    ds.world.num_cities(),
-                    g,
-                ));
-            }
-            let per_candidate = models.pop().unwrap();
-            let batched = models.pop().unwrap();
-            (batched.freeze(), batched, per_candidate)
+            let mut cfg = OdnetConfig::tiny();
+            cfg.intents = intents;
+            let g = variant.uses_graph().then(hsg);
+            let live =
+                OdNetModel::new(variant, cfg, ds.world.num_users(), ds.world.num_cities(), g);
+            (live.freeze(), live)
         };
-        let triples = vec![
+        let pairs = vec![
             build(Variant::Odnet, 0),
             build(Variant::StlG, 0),
             build(Variant::OdnetG, 3),
             build(Variant::StlPlusG, 0),
         ];
-        let reloaded = triples
+        let reloaded = pairs
             .iter()
             .enumerate()
-            .map(|(i, (frozen, _, _))| {
+            .map(|(i, (frozen, _))| {
                 let json = FrozenOdNet::load_json(&frozen.save_json()).expect("json round trip");
                 let path = std::env::temp_dir()
                     .join(format!("odnet_equiv_{}_{i}.odz", std::process::id()));
@@ -92,7 +84,7 @@ fn fixture() -> &'static Fixture {
             .find(|g| !g.lt_origins.is_empty())
             .expect("a group with history exists");
         Fixture {
-            triples,
+            pairs,
             reloaded,
             template,
             num_cities: ds.world.num_cities(),
@@ -136,10 +128,10 @@ proptest! {
         let fix = fixture();
         let mut group = fix.template.clone();
         group.candidates = cands;
-        for (frozen, batched, per_candidate) in &fix.triples {
+        for (frozen, live) in &fix.pairs {
             let cold = frozen.score_group(&group);
-            let live_b = batched.score_group(&group);
-            let live_p = per_candidate.score_group(&group);
+            let live_b = live.score_group(&group);
+            let live_p = oracle_scores(live, &group);
             prop_assert_eq!(cold.len(), live_b.len());
             for (i, ((fo, fd), ((bo, bd), (po, pd)))) in
                 cold.iter().zip(live_b.iter().zip(&live_p)).enumerate()
@@ -168,7 +160,7 @@ proptest! {
         let fix = fixture();
         let mut group = fix.template.clone();
         group.candidates = cands;
-        for ((frozen, _, _), reloaded) in fix.triples.iter().zip(&fix.reloaded) {
+        for ((frozen, _), reloaded) in fix.pairs.iter().zip(&fix.reloaded) {
             let expected = frozen.score_group(&group);
             for (path, other) in ["json", "bin", "mmap"].iter().zip(reloaded.iter()) {
                 let got = other.score_group(&group);
@@ -188,7 +180,7 @@ proptest! {
 #[test]
 fn persistence_paths_preserve_metadata() {
     let fix = fixture();
-    for ((frozen, _, _), reloaded) in fix.triples.iter().zip(&fix.reloaded) {
+    for ((frozen, _), reloaded) in fix.pairs.iter().zip(&fix.reloaded) {
         for other in reloaded {
             assert_eq!(other.variant(), frozen.variant());
             assert_eq!(other.theta().to_bits(), frozen.theta().to_bits());
@@ -205,7 +197,7 @@ fn persistence_paths_preserve_metadata() {
 fn frozen_matches_batched_bitwise_on_template() {
     let fix = fixture();
     let group = &fix.template;
-    for (frozen, batched, _) in &fix.triples {
+    for (frozen, batched) in &fix.pairs {
         assert_eq!(
             frozen.score_group(group),
             batched.score_group(group),
@@ -221,7 +213,7 @@ fn empty_candidate_group_scores_empty() {
     let fix = fixture();
     let mut group = fix.template.clone();
     group.candidates.clear();
-    for (frozen, _, _) in &fix.triples {
+    for (frozen, _) in &fix.pairs {
         assert!(frozen.score_group(&group).is_empty());
     }
 }
@@ -232,7 +224,7 @@ fn empty_candidate_group_scores_empty() {
 #[test]
 fn workspace_reuse_is_stateless_across_groups() {
     let fix = fixture();
-    let (frozen, _, _) = &fix.triples[0];
+    let (frozen, _) = &fix.pairs[0];
     let mut a = fix.template.clone();
     a.candidates.truncate(3.min(a.candidates.len()));
     let mut b = fix.template.clone();
@@ -250,7 +242,7 @@ fn workspace_reuse_is_stateless_across_groups() {
 #[test]
 fn save_load_round_trips_exactly() {
     let fix = fixture();
-    for (frozen, _, _) in &fix.triples {
+    for (frozen, _) in &fix.pairs {
         let json = frozen.save_json();
         let back = FrozenOdNet::load_json(&json).expect("round trip");
         assert_eq!(back.variant(), frozen.variant());
@@ -269,7 +261,7 @@ fn save_load_round_trips_exactly() {
 #[test]
 fn load_rejects_version_mismatch() {
     let fix = fixture();
-    let (frozen, _, _) = &fix.triples[0];
+    let (frozen, _) = &fix.pairs[0];
     let json = frozen.save_json();
     let tampered = json.replacen("\"format_version\":1", "\"format_version\":999", 1);
     assert_ne!(json, tampered, "version field not found in artifact JSON");
@@ -288,7 +280,7 @@ fn load_rejects_version_mismatch() {
 #[test]
 fn checkpoint_embeds_extractable_artifact() {
     let fix = fixture();
-    let (frozen, batched, _) = &fix.triples[0];
+    let (frozen, batched) = &fix.pairs[0];
     let ckpt = batched.save_json(fix.num_users, fix.num_cities);
     let extracted = FrozenOdNet::from_checkpoint_json(&ckpt).expect("v2 checkpoint embeds frozen");
     assert_eq!(

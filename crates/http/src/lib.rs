@@ -13,7 +13,7 @@
 //!   ([`Submit::Rejected`](od_serve::Submit)) surfaces as `429` with
 //!   `Retry-After`.
 //! - **Deadline propagation.** `X-Deadline-Ms` rides into
-//!   [`Engine::submit_with_deadline`](od_serve::Engine) — work still
+//!   [`Engine::submit_traced`](od_serve::Engine) — work still
 //!   queued past its deadline is dropped at drain and answered `504` —
 //!   and every read/write on the socket is deadline-bounded, so neither
 //!   a slow-loris client nor a stalled engine can hold a connection
@@ -39,10 +39,12 @@
 
 #![warn(missing_docs)]
 
+pub mod client;
 mod metrics;
 pub mod parser;
 mod server;
 pub mod wire;
 
+pub use client::{http_request, read_http_response, HttpResponse};
 pub use parser::{parse_request, ConnReader, Limits, ParseError, ParsedRequest, Phase};
 pub use server::{DrainReport, Featurizer, Server, ServerConfig};

@@ -19,7 +19,7 @@
 //! thread re-checks its wall-clock deadline and the drain flag a few
 //! times per second: a half-open client is dropped silently at the
 //! header window, a slow-loris writer gets `408`, and a parsed request's
-//! `X-Deadline-Ms` rides into [`Engine::submit_with_deadline`] — work
+//! `X-Deadline-Ms` rides into [`Engine::submit_traced`] — work
 //! still queued past the deadline is dropped at drain and answered
 //! `504`. Requests without the header get
 //! [`ServerConfig::default_max_wait`], so a connection thread is *never*

@@ -12,14 +12,12 @@
 //! - graceful drain answers all in-flight requests before the listener
 //!   closes.
 //!
-//! The minimal blocking client lives in `od_serve::loadgen` (shared with
-//! the throughput bench's HTTP experiment), so the same code path that
-//! measures the tier also verifies it.
+//! The minimal blocking client is `od_http::client` (shared with the
+//! CLI's `serve --smoke` and `trace`).
 
 use od_hsg::{HsgBuilder, UserId};
-use od_http::{Featurizer, Server, ServerConfig};
+use od_http::{http_request, read_http_response, Featurizer, HttpResponse, Server, ServerConfig};
 use od_retrieval::{RetrievalConfig, ScoredPair, Tier};
-use od_serve::loadgen::{http_request, read_http_response, HttpResponse};
 use od_serve::{score_all, EngineConfig, FailPoint, FailSite, Funnel, FunnelConfig};
 use odnet_core::{FeatureExtractor, FrozenOdNet, GroupInput, OdNetModel, OdnetConfig, Variant};
 use std::io::{Read, Write};
@@ -146,6 +144,16 @@ fn post_score(conn: &mut TcpStream, i: usize) -> HttpResponse {
     .expect("score request answered")
 }
 
+/// Assert a response the server wrote without a parsed request (edge
+/// 503, parse reject) still carries a server-minted `X-Request-Id`.
+fn assert_minted_request_id(resp: &HttpResponse) {
+    assert!(
+        resp.header("x-request-id").is_some_and(|id| !id.is_empty()),
+        "{} response carries no X-Request-Id",
+        resp.status
+    );
+}
+
 /// Assert a 200 score body is bit-for-bit the oracle's scores.
 fn assert_bit_exact(resp: &HttpResponse, i: usize) {
     assert_eq!(
@@ -255,50 +263,54 @@ fn malformed_requests_get_typed_statuses_not_hangs() {
         },
     );
 
+    // Every typed reject echoes the client's X-Request-Id — the handle
+    // that ties a failure on the wire to its trace.
+    let mut seq = 0;
+    let mut ask = |conn: &mut TcpStream, method: &str, path: &str, body: Option<&[u8]>| {
+        seq += 1;
+        let rid = format!("ladder-{seq}");
+        let resp = http_request(conn, method, path, &[("X-Request-Id", &rid)], body)
+            .expect("typed reject answered");
+        assert_eq!(
+            resp.header("x-request-id"),
+            Some(rid.as_str()),
+            "{method} {path} did not echo the request id"
+        );
+        resp
+    };
+
     // Routing errors keep the connection alive.
     let mut conn = connect(&server);
-    let resp = http_request(&mut conn, "GET", "/nope", &[], None).expect("404 answered");
+    let resp = ask(&mut conn, "GET", "/nope", None);
     assert_eq!(resp.status, 404);
-    let resp = http_request(&mut conn, "DELETE", "/v1/score", &[], None).expect("405 answered");
+    let resp = ask(&mut conn, "DELETE", "/v1/score", None);
     assert_eq!(resp.status, 405);
     assert_eq!(resp.header("allow"), Some("POST"));
-    let resp = http_request(&mut conn, "POST", "/healthz", &[], None).expect("405 answered");
+    let resp = ask(&mut conn, "POST", "/healthz", None);
     assert_eq!(resp.header("allow"), Some("GET"));
 
     // Semantic garbage in a well-formed envelope: 400, still keep-alive.
-    let resp =
-        http_request(&mut conn, "POST", "/v1/score", &[], Some(b"not json")).expect("400 answered");
+    let resp = ask(&mut conn, "POST", "/v1/score", Some(b"not json"));
     assert_eq!(resp.status, 400);
-    let resp = http_request(
-        &mut conn,
-        "POST",
-        "/v1/score",
-        &[],
-        Some(&[0xff, 0xfe, 0x80]),
-    )
-    .expect("utf-8 reject answered");
+    let resp = ask(&mut conn, "POST", "/v1/score", Some(&[0xff, 0xfe, 0x80]));
     assert_eq!(resp.status, 400);
-    let resp = http_request(
+    let resp = ask(
         &mut conn,
         "POST",
         "/v1/recommend",
-        &[],
         Some(b"{\"user\":1,\"k\":0}"),
-    )
-    .expect("k=0 answered");
+    );
     assert_eq!(resp.status, 400);
     let out_of_universe = format!(
         "{{\"user\":{},\"k\":3}}",
         fixture().model.num_users() as u64 + 7
     );
-    let resp = http_request(
+    let resp = ask(
         &mut conn,
         "POST",
         "/v1/recommend",
-        &[],
         Some(out_of_universe.as_bytes()),
-    )
-    .expect("unknown user answered");
+    );
     assert_eq!(
         resp.status, 400,
         "out-of-universe user must 400, not panic the retriever"
@@ -330,6 +342,9 @@ fn malformed_requests_get_typed_statuses_not_hangs() {
             "for {:?}",
             String::from_utf8_lossy(bytes)
         );
+        // No request was parsed, so there is no client id to echo: the
+        // reject still carries a server-minted one.
+        assert_minted_request_id(&resp);
         // The server closes after a parse reject: the next read is EOF.
         let mut rest = Vec::new();
         let _ = conn.read_to_end(&mut rest);
@@ -344,6 +359,7 @@ fn malformed_requests_get_typed_statuses_not_hangs() {
     conn.write_all(&big).expect("write oversized head");
     let resp = read_http_response(&mut conn).expect("431 answered");
     assert_eq!(resp.status, 431);
+    assert_minted_request_id(&resp);
 
     server.shutdown();
 }
@@ -426,6 +442,8 @@ fn connections_past_the_cap_get_an_immediate_edge_503() {
         let resp = read_http_response(&mut flood).expect("edge 503 answered");
         assert_eq!(resp.status, 503);
         assert_eq!(resp.header("retry-after"), Some("1"));
+        // Written before any request byte is read, so the id is minted.
+        assert_minted_request_id(&resp);
     }
 
     // The admitted connection is unaffected by the flood.
@@ -605,6 +623,7 @@ fn no_request_is_lost_under_load_with_injected_panics_and_hostile_peers() {
     let answered_500 = AtomicU64::new(0);
     let retries_429 = AtomicU64::new(0);
     let mismatches = AtomicU64::new(0);
+    let rid_mismatches = AtomicU64::new(0);
     let unexpected = AtomicU64::new(0);
     let stop_hostile = AtomicBool::new(false);
 
@@ -640,20 +659,27 @@ fn no_request_is_lost_under_load_with_injected_panics_and_hostile_peers() {
                 let answered_500 = &answered_500;
                 let retries_429 = &retries_429;
                 let mismatches = &mismatches;
+                let rid_mismatches = &rid_mismatches;
                 let unexpected = &unexpected;
                 s.spawn(move || {
                     let mut conn = TcpStream::connect(addr).expect("client connects");
                     for n in 0..PER_CLIENT {
                         let i = (c + n) % fix.templates.len();
+                        // Client-chosen id, unique per request: every
+                        // response — 200, 429 or 500 — must echo its own.
+                        let rid = format!("load-{c}-{n}");
                         loop {
                             let resp = http_request(
                                 &mut conn,
                                 "POST",
                                 "/v1/score",
-                                &[],
+                                &[("X-Request-Id", &rid)],
                                 Some(&score_body(i)),
                             )
                             .expect("closed-loop client must always get a response");
+                            if resp.header("x-request-id") != Some(rid.as_str()) {
+                                rid_mismatches.fetch_add(1, Ordering::Relaxed);
+                            }
                             match resp.status {
                                 200 => {
                                     let wire: od_http::wire::ScoreResponse = serde_json::from_str(
@@ -714,6 +740,11 @@ fn no_request_is_lost_under_load_with_injected_panics_and_hostile_peers() {
         mismatches.load(Ordering::Relaxed),
         0,
         "wire scores drifted from oracle"
+    );
+    assert_eq!(
+        rid_mismatches.load(Ordering::Relaxed),
+        0,
+        "a response under load carried another request's X-Request-Id (or none)"
     );
 
     // The faults actually fired, and the wire's 500s reconcile exactly

@@ -284,8 +284,8 @@ mod tests {
         )
         .inc();
         let json = reg.snapshot().to_json();
-        // Quick structural sanity; the full parse-back happens in the CLI
-        // (serde_json reads this output in `odnet serve-bench`).
+        // Quick structural sanity (od-obs is dependency-free, so there is
+        // no JSON parser here to read it back with).
         assert!(json.starts_with("{\"series\":["));
         assert!(json.ends_with("]}"));
         assert!(json.contains("\\\"quotes\\\""));

@@ -331,24 +331,6 @@ impl HistogramSnapshot {
         self.exemplars.sort_by_key(|e| e.bucket);
     }
 
-    /// The samples recorded between `earlier` (an older snapshot of the
-    /// same histogram) and `self` — bucket-wise subtraction. `max` is
-    /// carried from `self` (a lifetime max; an interval max is not
-    /// recoverable from two snapshots).
-    pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            counts: self
-                .counts
-                .iter()
-                .zip(&earlier.counts)
-                .map(|(&a, &b)| a.saturating_sub(b))
-                .collect(),
-            sum: self.sum.wrapping_sub(earlier.sum),
-            max: self.max,
-            exemplars: self.exemplars.clone(),
-        }
-    }
-
     /// The exemplars captured in this snapshot, in bucket order.
     pub fn exemplars(&self) -> &[Exemplar] {
         &self.exemplars
@@ -456,18 +438,6 @@ mod tests {
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged, both.snapshot());
-    }
-
-    #[test]
-    fn delta_since_isolates_the_window() {
-        let h = LatencyHistogram::new();
-        h.record(10);
-        h.record(20);
-        let early = h.snapshot();
-        h.record(30);
-        let delta = h.snapshot().delta_since(&early);
-        assert_eq!(delta.count(), 1);
-        assert_eq!(delta.sum, 30);
     }
 
     #[test]

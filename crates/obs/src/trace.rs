@@ -30,8 +30,8 @@
 //! stamps plus one push into the trace's pre-reserved span buffer under
 //! an uncontended per-trace lock (the spans of one trace are produced by
 //! a causal chain — conn worker, then engine worker — so the lock is
-//! never fought over in the steady state). The throughput_bench overhead
-//! gate holds tracing at 1/64 sampling to within 3% of tracing disabled.
+//! never fought over in the steady state). The cost of tracing at 1/64
+//! sampling is the `obs.trace_overhead_us` metric of `BENCHMARK.json`.
 //!
 //! # Concurrency and eviction semantics
 //!

@@ -117,25 +117,4 @@ proptest! {
         both.extend_from_slice(&b);
         prop_assert_eq!(merged, snapshot_of(&both));
     }
-
-    #[test]
-    fn delta_since_recovers_the_window(
-        before in vec(value(), 0..100),
-        after in vec(value(), 0..100),
-    ) {
-        let h = LatencyHistogram::new();
-        for &v in &before {
-            h.record(v);
-        }
-        let early = h.snapshot();
-        for &v in &after {
-            h.record(v);
-        }
-        let delta = h.snapshot().delta_since(&early);
-        prop_assert_eq!(delta.count(), after.len() as u64);
-        let window: u128 = after.iter().map(|&v| v as u128).sum();
-        if window <= u64::MAX as u128 {
-            prop_assert_eq!(delta.sum, window as u64);
-        }
-    }
 }

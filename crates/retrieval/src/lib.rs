@@ -112,7 +112,7 @@ pub struct ScoredPair {
 }
 
 /// Per-query cost accounting, fed into the `od_retrieval_*` metrics and
-/// the BENCH_retrieval gates.
+/// the `retrieval.*` layer metrics of `BENCHMARK.json`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RetrievalStats {
     /// Candidate pairs examined by the scan (the ≥5x pruning gate

@@ -47,9 +47,10 @@
 //! `od_tensor::infer` accumulates each output element in an order that
 //! does not depend on how many other rows are in the batch. The engine is
 //! one more link in the live → batched → frozen oracle chain, asserted by
-//! `tests/engine_equivalence.rs` and the `ci.sh` throughput smoke — and
-//! `tests/chaos.rs` asserts it *under injected faults*: responses that
-//! survive a panic-riddled run are still bit-identical to the oracle.
+//! `tests/engine_equivalence.rs` and, on every wire response, by
+//! `benchmark/run.sh` — and `tests/chaos.rs` asserts it *under injected
+//! faults*: responses that survive a panic-riddled run are still
+//! bit-identical to the oracle.
 
 use crate::error::{PublishError, ServeError};
 use crate::handle::{ArtifactVersion, ModelHandle, VersionSlot};
@@ -82,8 +83,8 @@ pub enum FailSite {
 
 /// Fault-injection hook, called by every worker around every batch with
 /// the site and the engine-global batch sequence number. Production
-/// configs leave it `None`; the chaos tests and `odnet serve-bench
-/// --inject-panics` use it to panic, stall, or poison on chosen batches.
+/// configs leave it `None`; the chaos tests use it to panic, stall, or
+/// poison on chosen batches.
 pub type FailPoint = Arc<dyn Fn(FailSite, u64) + Send + Sync>;
 
 /// Tuning knobs of the [`Engine`].
@@ -105,10 +106,10 @@ pub struct EngineConfig {
     /// call sites down to a branch on a never-taken `Option`.
     pub fail_point: Option<FailPoint>,
     /// Record the per-request stage clock (validate, queue wait, coalesce,
-    /// forward, scatter, end-to-end histograms). On by default — the
-    /// throughput gate in `ci.sh` holds its cost under 3%. When off, each
-    /// stage site is a single never-taken branch and no clock is read;
-    /// the accounting counters stay on either way.
+    /// forward, scatter, end-to-end histograms). On by default — its cost
+    /// is the `obs.stage_timing_overhead_us` metric of `BENCHMARK.json`.
+    /// When off, each stage site is a single never-taken branch and no
+    /// clock is read; the accounting counters stay on either way.
     pub stage_timing: bool,
     /// How long a generation retired by [`Engine::publish`] is kept alive
     /// before its memory is reclaimed. In-flight batches hold their own
@@ -202,17 +203,12 @@ impl Ticket {
         self.rx.recv().unwrap_or(Err(ServeError::Rejected))
     }
 
-    /// Like [`wait`](Self::wait), but give up after `timeout` with
-    /// [`ServeError::DeadlineExceeded`]. Bounded even if the engine is
-    /// wedged or already torn down; a response arriving after the timeout
-    /// is discarded harmlessly.
-    pub fn wait_timeout(self, timeout: Duration) -> Result<Vec<(f32, f32)>, ServeError> {
-        self.wait_versioned_timeout(timeout).map(|r| r.scores)
-    }
-
-    /// [`wait_versioned`](Self::wait_versioned) with a bound: the version
+    /// [`wait_versioned`](Self::wait_versioned) with a bound: give up
+    /// after `timeout` with [`ServeError::DeadlineExceeded`]. Bounded
+    /// even if the engine is wedged or already torn down; a response
+    /// arriving after the timeout is discarded harmlessly. The version
     /// stamp *and* a guarantee the caller is never parked longer than
-    /// `timeout` — the combination the HTTP tier needs (attribution
+    /// `timeout` is the combination the HTTP tier needs (attribution
     /// headers + a connection thread that must never hang).
     pub fn wait_versioned_timeout(self, timeout: Duration) -> Response {
         match self.rx.recv_timeout(timeout) {
@@ -477,22 +473,17 @@ impl Engine {
     /// straight back as [`Submit::Invalid`], and a full queue hands the
     /// group back as [`Submit::Rejected`].
     pub fn submit(&self, group: GroupInput) -> Submit {
-        self.submit_with_deadline(group, None)
+        self.submit_traced(group, None, TraceContext::NONE)
     }
 
-    /// [`submit`](Self::submit) with a worker-side deadline: if the
-    /// request is still queued when a worker drains it after `deadline`,
-    /// it is dropped and resolves with [`ServeError::DeadlineExceeded`]
-    /// instead of being scored late.
-    pub fn submit_with_deadline(&self, group: GroupInput, deadline: Option<Instant>) -> Submit {
-        self.submit_traced(group, deadline, TraceContext::NONE)
-    }
-
-    /// [`submit_with_deadline`](Self::submit_with_deadline) carrying a
-    /// trace context: the request's admission, queue wait, coalesce, and
-    /// forward stages record spans into `ctx`'s trace, and the forward
-    /// span is stamped with the batch sequence and artifact epoch that
-    /// scored it. Pass [`TraceContext::NONE`] when untraced.
+    /// [`submit`](Self::submit) with a worker-side deadline and a trace
+    /// context — the general form. If the request is still queued when a
+    /// worker drains it after `deadline`, it is dropped and resolves with
+    /// [`ServeError::DeadlineExceeded`] instead of being scored late. With
+    /// an active `ctx` the request's admission, queue wait, coalesce, and
+    /// forward stages record spans into its trace, and the forward span
+    /// is stamped with the batch sequence and artifact epoch that scored
+    /// it. Pass [`TraceContext::NONE`] when untraced.
     pub fn submit_traced(
         &self,
         group: GroupInput,
@@ -549,14 +540,6 @@ impl Engine {
         }
     }
 
-    /// Completed-request count alone — a handful of relaxed shard loads,
-    /// cheap enough to poll from a pacing loop. (`stats()` also snapshots
-    /// the batch-size histogram, which allocates; polling it at kHz rates
-    /// measurably competes with workers on small machines.)
-    pub fn completed(&self) -> u64 {
-        self.shared.metrics.completed.get()
-    }
-
     /// Snapshot the engine's counters.
     pub fn stats(&self) -> EngineStats {
         let m = &self.shared.metrics;
@@ -571,12 +554,6 @@ impl Engine {
             coalesced_requests: m.coalesced_requests.get(),
             batch_hist: HistSummary::from(&m.batch_size.snapshot()),
         }
-    }
-
-    /// Raw coalesced-batch-size histogram (this engine's only — the
-    /// registry merge never mixes other engines into this handle).
-    pub(crate) fn batch_hist_raw(&self) -> od_obs::HistogramSnapshot {
-        self.shared.metrics.batch_size.snapshot()
     }
 
     /// Snapshot the supervision state and fault counters.
@@ -662,17 +639,6 @@ impl Engine {
             std::thread::sleep(Duration::from_millis(1));
         }
         settled(m)
-    }
-
-    /// Worker threads this engine was configured with (the supervisor
-    /// keeps the pool at this size).
-    pub fn workers(&self) -> usize {
-        self.shared.configured_workers
-    }
-
-    /// Whether cross-request micro-batching is enabled.
-    pub fn coalescing(&self) -> bool {
-        self.shared.coalesce
     }
 }
 

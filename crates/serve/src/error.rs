@@ -25,7 +25,7 @@ pub enum ServeError {
     /// scored and is safe to retry.
     WorkerPanicked,
     /// The request's deadline passed before a worker picked it up (dropped
-    /// at drain time), or [`Ticket::wait_timeout`](crate::Ticket::wait_timeout)
+    /// at drain time), or [`Ticket::wait_versioned_timeout`](crate::Ticket::wait_versioned_timeout)
     /// gave up waiting.
     DeadlineExceeded,
 }

@@ -261,33 +261,21 @@ impl Funnel {
     where
         F: FnOnce(&[od_retrieval::ScoredPair]) -> GroupInput,
     {
-        self.recommend_with_deadline(user, k, None, make_group)
+        self.recommend_traced(user, k, None, TraceContext::NONE, make_group)
     }
 
-    /// [`recommend`](Self::recommend) with a deadline: the ranking submit
-    /// carries it into [`Engine::submit_with_deadline`] (still-queued
-    /// work is dropped at drain past the deadline) and the ticket wait is
-    /// bounded by it, so a caller — in particular an HTTP connection
-    /// thread — is never parked past `deadline` even when the engine is
-    /// stalled. `None` falls back to the unbounded wait.
-    pub fn recommend_with_deadline<F>(
-        &self,
-        user: UserId,
-        k: usize,
-        deadline: Option<std::time::Instant>,
-        make_group: F,
-    ) -> Result<Recommendation, ServeError>
-    where
-        F: FnOnce(&[od_retrieval::ScoredPair]) -> GroupInput,
-    {
-        self.recommend_traced(user, k, deadline, TraceContext::NONE, make_group)
-    }
-
-    /// [`recommend_with_deadline`](Self::recommend_with_deadline)
-    /// carrying a trace context: the retrieval stage records a
-    /// `retrieval` span with `route`/`scan`/`select` children synthesized
-    /// from [`RetrievalStats`], and the ranking submit threads the
-    /// context into the engine so one trace shows the whole funnel.
+    /// [`recommend`](Self::recommend) with a deadline and a trace context
+    /// — the general form the HTTP tier calls. The ranking submit carries
+    /// `deadline` into [`Engine::submit_traced`] (still-queued work is
+    /// dropped at drain past the deadline) and the ticket wait is bounded
+    /// by it, so a caller — in particular an HTTP connection thread — is
+    /// never parked past `deadline` even when the engine is stalled;
+    /// `None` falls back to the unbounded wait. With an active `ctx` the
+    /// retrieval stage records a `retrieval` span with
+    /// `route`/`scan`/`select` children synthesized from
+    /// [`RetrievalStats`], and the ranking submit threads the context
+    /// into the engine so one trace shows the whole funnel. Pass
+    /// [`TraceContext::NONE`] when untraced.
     pub fn recommend_traced<F>(
         &self,
         user: UserId,

@@ -31,8 +31,7 @@
 //!   [`ServeError::WorkerPanicked`], and is healed by a supervisor thread
 //!   that respawns the worker ([`Engine::health`] exposes the counters).
 //!   A [`FailPoint`] hook injects panics/stalls at chosen batches for the
-//!   chaos tests and `odnet serve-bench --inject-panics`. DESIGN.md §10
-//!   documents the full failure model.
+//!   chaos tests. DESIGN.md §10 documents the full failure model.
 //! - **Hot-swappable model.** [`Engine::publish`] atomically installs a
 //!   new [`FrozenOdNet`](odnet_core::FrozenOdNet) generation under live
 //!   traffic: workers load the model once per batch drain, so in-flight
@@ -54,10 +53,9 @@
 //!   generation for mid-swap attribution. DESIGN.md §14 documents the
 //!   retrieval tier.
 //!
-//! The [`loadgen`] module drives an engine closed-loop and reports
-//! requests/sec, latency percentiles, and coalesced-batch histograms; the
-//! `throughput_bench` in `od-bench` uses it to produce
-//! `BENCH_throughput.json`, and `odnet serve-bench` exposes it on the CLI.
+//! The [`loadgen`] module drives an engine closed-loop and verifies every
+//! response against direct scoring. Performance numbers come from
+//! `benchmark/` (see `benchmark/README.md`), not from this crate.
 
 #![warn(missing_docs)]
 
@@ -81,8 +79,5 @@ pub use engine::{
 pub use error::{PublishError, ServeError};
 pub use funnel::{Funnel, FunnelConfig, RankedPair, Recommendation};
 pub use handle::ArtifactVersion;
-pub use loadgen::{
-    drive, drive_http, drive_swapping, http_request, read_http_response, score_all, HttpLoadReport,
-    HttpResponse, LoadReport,
-};
+pub use loadgen::{drive, score_all, LoadReport};
 pub use metrics::{HistBucket, HistSummary};

@@ -1,589 +1,82 @@
-//! Closed-loop load generator for the [`Engine`](crate::Engine).
+//! Verifying closed-loop driver for the [`Engine`](crate::Engine).
 //!
 //! `clients` threads share one engine handle; each repeatedly claims the
 //! next request number, submits a clone of one of the template groups,
-//! and blocks on the ticket before submitting again. Offered concurrency
-//! therefore equals the client count — the standard closed-loop
-//! methodology (cf. wrk's threads × connections): scaling clients with
-//! workers shows how well the engine converts concurrency into coalesced
-//! batches.
-//!
-//! Backpressure is handled by retrying the handed-back group after a
-//! yield, counting every rejection. Typed failures
-//! ([`ServeError`](crate::ServeError), e.g. `WorkerPanicked` under fault
-//! injection) are counted as `faulted` without retry — the harness keeps
-//! driving load through injected faults, which is exactly what the chaos
-//! benchmark measures.
+//! and blocks on the ticket before submitting again, so offered
+//! concurrency equals the client count. Every response is compared
+//! bit-for-bit against the direct single-threaded scores — the
+//! engine-vs-oracle check of `tests/engine_equivalence.rs` and
+//! `odnet metrics`. Backpressure is handled by retrying the handed-back
+//! group after a yield. Throughput and latency are not measured here:
+//! `benchmark/` is the one place a performance number comes from.
 
 use crate::engine::{Engine, Submit};
-use crate::metrics::HistSummary;
-use od_obs::LatencyHistogram;
 use odnet_core::{FrozenOdNet, GroupInput};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// One load-generation run's results (serialized into
-/// `BENCH_throughput.json` by the throughput bench).
-#[derive(Clone, Debug, serde::Serialize)]
+/// Outcome of one [`drive`] run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LoadReport {
-    /// Worker threads in the engine under test.
-    pub workers: usize,
-    /// Closed-loop client threads driving it.
-    pub clients: usize,
-    /// Whether cross-request micro-batching was enabled.
-    pub coalesce: bool,
-    /// Requests completed (the measured work).
+    /// Responses bit-identical to the expected scores.
     pub requests: u64,
-    /// Backpressure rejections observed (each was retried).
-    pub rejected_retries: u64,
-    /// Responses that differed from the precomputed direct scores —
-    /// must be zero whenever verification is requested.
+    /// Responses that differed from the expected scores or resolved with
+    /// a typed error — must be zero.
     pub mismatches: u64,
-    /// Requests resolved with a typed error (worker panic under fault
-    /// injection); zero in a fault-free run.
-    pub faulted: u64,
-    /// Wall-clock span of the run in seconds.
-    pub elapsed_secs: f64,
-    /// Completed requests per second.
-    pub requests_per_sec: f64,
-    /// Median request latency (submit → scores) in microseconds —
-    /// conservative upper bound from the od-obs log-linear histogram
-    /// (≤ 6.25% relative bucket width).
-    pub p50_us: f64,
-    /// 99th-percentile request latency in microseconds (same bound).
-    pub p99_us: f64,
-    /// Worst observed request latency in microseconds (exact: the
-    /// histogram tracks the max outside the buckets).
-    pub max_us: f64,
-    /// Frozen forwards executed by the engine during the run.
-    pub forwards: u64,
-    /// Requests that shared a forward with at least one other request.
-    pub coalesced_requests: u64,
-    /// Mean requests merged per forward (1.0 = no coalescing).
-    pub mean_requests_per_forward: f64,
-    /// Distribution of requests merged per forward during this run
-    /// (engine-lifetime histogram differenced across the run window).
-    pub batch_hist: HistSummary,
-    /// Model generations published into the engine while the run was in
-    /// flight (0 for a pinned-artifact run).
-    pub publishes: u64,
 }
 
 /// Drive `engine` with `total` requests drawn round-robin from `groups`,
-/// from `clients` closed-loop threads.
-///
-/// When `expected` is given (aligned with `groups`, e.g. from
-/// [`score_all`]), every response is compared bit-for-bit against the
-/// direct single-threaded scores and mismatches are counted — the
-/// engine-vs-oracle check the CI smoke asserts on.
+/// from `clients` closed-loop threads, verifying every response against
+/// `expected` (aligned with `groups`, e.g. from [`score_all`]).
 pub fn drive(
     engine: &Engine,
     groups: &[GroupInput],
-    expected: Option<&[Vec<(f32, f32)>]>,
+    expected: &[Vec<(f32, f32)>],
     total: usize,
     clients: usize,
-) -> LoadReport {
-    drive_inner(engine, groups, expected, total, clients, None)
-}
-
-/// [`drive`], plus a publisher thread that hot-swaps a fresh model
-/// generation into the engine every `swap_every` completed requests,
-/// exercising the full publish path under closed-loop load.
-///
-/// `source` is called per publish and must return a model *bit-identical
-/// in content* to the one the engine started with (e.g. a deep clone of
-/// the same artifact): the oracle comparison against `expected` then stays
-/// valid across every generation, which is exactly the property
-/// `odnet serve-bench --swap-every N --check` gates on. (Distinct-content
-/// swap correctness — responses matching the generation that scored them —
-/// is the swap chaos test's job, via `Ticket::wait_versioned`.)
-pub fn drive_swapping(
-    engine: &Engine,
-    groups: &[GroupInput],
-    expected: Option<&[Vec<(f32, f32)>]>,
-    total: usize,
-    clients: usize,
-    swap_every: usize,
-    source: &(dyn Fn() -> Arc<FrozenOdNet> + Sync),
-) -> LoadReport {
-    assert!(swap_every >= 1, "swap_every must be at least 1");
-    drive_inner(
-        engine,
-        groups,
-        expected,
-        total,
-        clients,
-        Some((swap_every, source)),
-    )
-}
-
-fn drive_inner(
-    engine: &Engine,
-    groups: &[GroupInput],
-    expected: Option<&[Vec<(f32, f32)>]>,
-    total: usize,
-    clients: usize,
-    swap: Option<(usize, &(dyn Fn() -> Arc<FrozenOdNet> + Sync))>,
 ) -> LoadReport {
     assert!(!groups.is_empty(), "need at least one template group");
     assert!(clients >= 1, "need at least one client");
-    if let Some(exp) = expected {
-        assert_eq!(exp.len(), groups.len(), "expected scores out of sync");
-    }
+    assert_eq!(expected.len(), groups.len(), "expected scores out of sync");
     let next = AtomicUsize::new(0);
-    let rejected = AtomicU64::new(0);
+    let requests = AtomicU64::new(0);
     let mismatches = AtomicU64::new(0);
-    let faulted = AtomicU64::new(0);
-    let start_stats = engine.stats();
-    let start_batch_hist = engine.batch_hist_raw();
-    let publishes = AtomicU64::new(0);
-    let done = AtomicBool::new(false);
-    // One histogram per client, merged at join: recording is one relaxed
-    // fetch_add on a thread-private structure (no cross-client contention),
-    // and the merged snapshot gives exact max plus ≤ 6.25%-wide
-    // conservative percentiles without buffering one `u64` per request.
-    let started = Instant::now();
-    let latencies = std::thread::scope(|s| {
-        // The publisher paces itself on completed-request counts, so the
-        // swap cadence tracks offered load instead of wall time.
-        let publisher = swap.map(|(every, source)| {
-            let base = start_stats.completed;
-            let (publishes, done) = (&publishes, &done);
-            s.spawn(move || {
-                let mut next_mark = every as u64;
-                while !done.load(Ordering::Acquire) {
-                    // Poll only the completed counter (a full stats()
-                    // snapshot allocates a histogram merge), and poll
-                    // coarsely: on a single-core box every publisher
-                    // wakeup preempts a worker, so a kHz poll rate shows
-                    // up as measurable throughput loss in the swap
-                    // overhead gate.
-                    let completed = engine.completed() - base;
-                    if completed >= next_mark {
-                        engine
-                            .publish(source())
-                            .expect("swap-source artifact must be publish-compatible");
-                        publishes.fetch_add(1, Ordering::Relaxed);
-                        next_mark += every as u64;
-                    } else {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
+    std::thread::scope(|s| {
+        for _ in 0..clients {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= total {
+                    break;
                 }
-            })
-        });
-        let handles: Vec<_> = (0..clients)
-            .map(|_| {
-                s.spawn(|| {
-                    let lat = LatencyHistogram::new();
-                    let mut rid = String::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= total {
-                            break;
+                let gi = i % groups.len();
+                let mut group = groups[gi].clone();
+                let outcome = loop {
+                    match engine.submit(group) {
+                        Submit::Accepted(ticket) => break ticket.wait(),
+                        Submit::Rejected(back) => {
+                            group = back;
+                            std::thread::yield_now();
                         }
-                        let gi = i % groups.len();
-                        let mut group = groups[gi].clone();
-                        // The load generator is the root of the pipeline
-                        // here (no HTTP tier in front), so it opens the
-                        // trace — exactly what the overhead bench measures
-                        // when comparing tracing on/off. The id buffer is
-                        // reused so the bench prices the tracer, not the
-                        // harness's string formatting.
-                        let ctx = if od_obs::trace::enabled() {
-                            use std::fmt::Write as _;
-                            rid.clear();
-                            let _ = write!(rid, "lg-{i}");
-                            od_obs::trace::global().begin(&rid)
-                        } else {
-                            od_obs::trace::TraceContext::NONE
-                        };
-                        let t0 = ctx.is_active().then(od_obs::clock::now);
-                        let begin = Instant::now();
-                        let outcome = loop {
-                            match engine.submit_traced(group, None, ctx) {
-                                Submit::Accepted(ticket) => break ticket.wait(),
-                                Submit::Rejected(back) => {
-                                    rejected.fetch_add(1, Ordering::Relaxed);
-                                    group = back;
-                                    std::thread::yield_now();
-                                }
-                                Submit::Invalid { error, .. } => {
-                                    panic!("template group failed validation: {error}")
-                                }
-                            }
-                        };
-                        lat.record_duration(begin.elapsed());
-                        if let Some(t0) = t0 {
-                            od_obs::trace::global().end(
-                                ctx,
-                                "request",
-                                t0,
-                                od_obs::clock::now(),
-                                outcome.is_err(),
-                            );
-                        }
-                        match outcome {
-                            Ok(scores) => {
-                                if let Some(exp) = expected {
-                                    if scores != exp[gi] {
-                                        mismatches.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                            }
-                            // Typed failure (injected worker panic): count
-                            // it and keep the closed loop running.
-                            Err(_) => {
-                                faulted.fetch_add(1, Ordering::Relaxed);
-                            }
+                        Submit::Invalid { error, .. } => {
+                            panic!("template group failed validation: {error}")
                         }
                     }
-                    lat.snapshot()
-                })
-            })
-            .collect();
-        let mut merged = od_obs::HistogramSnapshot::empty();
-        for h in handles {
-            merged.merge(&h.join().expect("load client must not panic"));
+                };
+                let counter = match outcome {
+                    Ok(scores) if scores == expected[gi] => &requests,
+                    _ => &mismatches,
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+            });
         }
-        done.store(true, Ordering::Release);
-        if let Some(p) = publisher {
-            p.join().expect("swap publisher must not panic");
-        }
-        merged
     });
-    let elapsed = started.elapsed().as_secs_f64();
-    let stats = engine.stats();
-    let ns_to_us = |ns: u64| ns as f64 / 1_000.0;
-    let completed = stats.completed - start_stats.completed;
-    let forwards = stats.forwards - start_stats.forwards;
     LoadReport {
-        workers: engine.workers(),
-        clients,
-        coalesce: engine.coalescing(),
-        requests: completed,
-        rejected_retries: rejected.load(Ordering::Relaxed),
-        mismatches: mismatches.load(Ordering::Relaxed),
-        faulted: faulted.load(Ordering::Relaxed),
-        elapsed_secs: elapsed,
-        requests_per_sec: completed as f64 / elapsed.max(1e-9),
-        p50_us: ns_to_us(latencies.quantile(0.50)),
-        p99_us: ns_to_us(latencies.quantile(0.99)),
-        max_us: ns_to_us(latencies.max),
-        forwards,
-        coalesced_requests: stats.coalesced_requests - start_stats.coalesced_requests,
-        mean_requests_per_forward: if forwards == 0 {
-            0.0
-        } else {
-            completed as f64 / forwards as f64
-        },
-        batch_hist: HistSummary::from(&engine.batch_hist_raw().delta_since(&start_batch_hist)),
-        publishes: publishes.load(Ordering::Relaxed),
+        requests: requests.into_inner(),
+        mismatches: mismatches.into_inner(),
     }
 }
 
 /// Direct single-threaded scores of every template group — the oracle the
 /// engine's concurrent output is compared against.
-pub fn score_all(model: &odnet_core::FrozenOdNet, groups: &[GroupInput]) -> Vec<Vec<(f32, f32)>> {
+pub fn score_all(model: &FrozenOdNet, groups: &[GroupInput]) -> Vec<Vec<(f32, f32)>> {
     groups.iter().map(|g| model.score_group(g)).collect()
-}
-
-// ---- Real-socket client mode -------------------------------------------
-//
-// The same closed-loop methodology pointed at the HTTP tier instead of an
-// in-process engine handle: each client holds one keep-alive connection
-// and blocks on the wire response before submitting again. Lives here
-// (not in od-http) so the throughput bench can put wire and in-process
-// numbers side by side without a dependency cycle — od-http depends on
-// od-serve for the funnel.
-
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-
-/// One parsed HTTP response from the minimal blocking client.
-#[derive(Clone, Debug)]
-pub struct HttpResponse {
-    /// Status code from the status line.
-    pub status: u16,
-    /// Response headers, lowercased names, in wire order.
-    pub headers: Vec<(String, String)>,
-    /// The body bytes (Content-Length framing only — the tier under test
-    /// never chunks responses).
-    pub body: Vec<u8>,
-}
-
-impl HttpResponse {
-    /// First header value with the given (lowercase) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// Issue one request on an open connection and read the response.
-/// `headers` are extra request headers (`Content-Length` is added for
-/// `body` automatically).
-pub fn http_request(
-    stream: &mut TcpStream,
-    method: &str,
-    path: &str,
-    headers: &[(&str, &str)],
-    body: Option<&[u8]>,
-) -> std::io::Result<HttpResponse> {
-    let mut head = format!("{method} {path} HTTP/1.1\r\n");
-    for (name, value) in headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    if let Some(b) = body {
-        head.push_str(&format!("Content-Length: {}\r\n", b.len()));
-    }
-    head.push_str("\r\n");
-    // One buffer, one write: head and body split across two segments
-    // would hand a Nagle + delayed-ACK stall (~40ms) to every request.
-    let mut wire = head.into_bytes();
-    if let Some(b) = body {
-        wire.extend_from_slice(b);
-    }
-    stream.write_all(&wire)?;
-    stream.flush()?;
-    read_http_response(stream)
-}
-
-/// Read one `Content-Length`-framed response off the stream.
-pub fn read_http_response(stream: &mut TcpStream) -> std::io::Result<HttpResponse> {
-    let bad = |what: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, what.to_string());
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let head_end = loop {
-        if let Some(at) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break at;
-        }
-        let mut chunk = [0u8; 1024];
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(bad("connection closed before response head"));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| bad("non-utf8 head"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().ok_or_else(|| bad("empty head"))?;
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("bad status line"))?;
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    for line in lines {
-        let (name, value) = line.split_once(':').ok_or_else(|| bad("bad header"))?;
-        let name = name.to_ascii_lowercase();
-        let value = value.trim().to_string();
-        if name == "content-length" {
-            content_length = value.parse().map_err(|_| bad("bad content-length"))?;
-        }
-        headers.push((name, value));
-    }
-    let mut body = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(bad("connection closed mid-body"));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
-    Ok(HttpResponse {
-        status,
-        headers,
-        body,
-    })
-}
-
-/// Client-side mirror of the tier's `/v1/score` 200 body (field-name
-/// compatible with `od_http::wire::ScoreResponse`; duplicated here to
-/// keep the dependency arrow pointing od-http → od-serve).
-#[derive(serde::Deserialize)]
-struct WireScores {
-    scores: Vec<(f32, f32)>,
-    #[allow(dead_code)]
-    epoch: u64,
-    #[allow(dead_code)]
-    checksum: u32,
-}
-
-/// One wire-tier load run's results (the HTTP experiment in
-/// `BENCH_throughput.json`).
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct HttpLoadReport {
-    /// Closed-loop client connections driving the tier.
-    pub clients: usize,
-    /// Requests answered 200.
-    pub requests: u64,
-    /// 429 backpressure responses observed (each was retried).
-    pub rejected_retries: u64,
-    /// Reconnects after a server-closed connection.
-    pub reconnects: u64,
-    /// 200 bodies that differed bit-wise from the precomputed direct
-    /// scores — must be zero whenever verification is requested.
-    pub mismatches: u64,
-    /// Request ids of the first few mismatched responses — the handle an
-    /// operator needs to pull the matching trace from `/debug/traces`.
-    pub mismatch_request_ids: Vec<String>,
-    /// Responses that failed to echo the client's `X-Request-Id` — must
-    /// be zero (every response carries the id, even rejections).
-    pub request_id_mismatches: u64,
-    /// Non-200/429 responses (typed failures surface as statuses).
-    pub failed: u64,
-    /// Wall-clock span of the run in seconds.
-    pub elapsed_secs: f64,
-    /// 200-answered requests per second.
-    pub requests_per_sec: f64,
-    /// Median request latency (write → full response) in microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile request latency in microseconds.
-    pub p99_us: f64,
-    /// Worst observed request latency in microseconds.
-    pub max_us: f64,
-}
-
-/// Drive the HTTP tier at `addr` with `total` `/v1/score` requests drawn
-/// round-robin from `groups`, from `clients` closed-loop connections.
-/// Mirrors [`drive`]: with `expected` given, every 200 body is decoded
-/// and compared bit-for-bit against the direct single-threaded scores —
-/// the vendored JSON encoder round-trips `f32` exactly, so equality here
-/// means the *wire* is bit-exact, not just the engine.
-pub fn drive_http(
-    addr: SocketAddr,
-    groups: &[GroupInput],
-    expected: Option<&[Vec<(f32, f32)>]>,
-    total: usize,
-    clients: usize,
-) -> HttpLoadReport {
-    assert!(!groups.is_empty(), "need at least one template group");
-    assert!(clients >= 1, "need at least one client");
-    if let Some(exp) = expected {
-        assert_eq!(exp.len(), groups.len(), "expected scores out of sync");
-    }
-    let bodies: Vec<String> = groups
-        .iter()
-        .map(|g| serde_json::to_string(g).expect("group serializes"))
-        .collect();
-    let next = AtomicUsize::new(0);
-    let rejected = AtomicU64::new(0);
-    let reconnects = AtomicU64::new(0);
-    let mismatches = AtomicU64::new(0);
-    let mismatch_ids: std::sync::Mutex<Vec<String>> = std::sync::Mutex::new(Vec::new());
-    let rid_mismatches = AtomicU64::new(0);
-    let failed = AtomicU64::new(0);
-    let completed = AtomicU64::new(0);
-    let started = Instant::now();
-    let latencies = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let mismatch_ids = &mismatch_ids;
-                let (next, bodies) = (&next, &bodies);
-                let (rejected, reconnects, mismatches) = (&rejected, &reconnects, &mismatches);
-                let (rid_mismatches, failed, completed) = (&rid_mismatches, &failed, &completed);
-                s.spawn(move || {
-                    let lat = LatencyHistogram::new();
-                    let mut conn = TcpStream::connect(addr).expect("connect load client");
-                    let _ = conn.set_nodelay(true);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= total {
-                            break;
-                        }
-                        let gi = i % groups.len();
-                        // Client-chosen id, echoed back by the tier on
-                        // every response — the correlation handle for
-                        // mismatch reports and captured traces.
-                        let rid = format!("lg-{c}-{i}");
-                        let begin = Instant::now();
-                        loop {
-                            let resp = match http_request(
-                                &mut conn,
-                                "POST",
-                                "/v1/score",
-                                &[("Content-Type", "application/json"), ("X-Request-Id", &rid)],
-                                Some(bodies[gi].as_bytes()),
-                            ) {
-                                Ok(r) => r,
-                                Err(_) => {
-                                    // Server closed the connection (e.g.
-                                    // mid-drain in a swap run): reconnect
-                                    // and re-issue.
-                                    reconnects.fetch_add(1, Ordering::Relaxed);
-                                    conn = TcpStream::connect(addr).expect("reconnect load client");
-                                    let _ = conn.set_nodelay(true);
-                                    continue;
-                                }
-                            };
-                            if resp.header("x-request-id") != Some(rid.as_str()) {
-                                rid_mismatches.fetch_add(1, Ordering::Relaxed);
-                            }
-                            match resp.status {
-                                200 => {
-                                    completed.fetch_add(1, Ordering::Relaxed);
-                                    if let Some(exp) = expected {
-                                        let ok = std::str::from_utf8(&resp.body)
-                                            .ok()
-                                            .and_then(|s| {
-                                                serde_json::from_str::<WireScores>(s).ok()
-                                            })
-                                            .is_some_and(|w| w.scores == exp[gi]);
-                                        if !ok {
-                                            mismatches.fetch_add(1, Ordering::Relaxed);
-                                            let mut ids = mismatch_ids
-                                                .lock()
-                                                .unwrap_or_else(|e| e.into_inner());
-                                            if ids.len() < 8 {
-                                                ids.push(rid.clone());
-                                            }
-                                        }
-                                    }
-                                    break;
-                                }
-                                429 => {
-                                    rejected.fetch_add(1, Ordering::Relaxed);
-                                    std::thread::yield_now();
-                                }
-                                _ => {
-                                    failed.fetch_add(1, Ordering::Relaxed);
-                                    break;
-                                }
-                            }
-                        }
-                        lat.record_duration(begin.elapsed());
-                    }
-                    lat.snapshot()
-                })
-            })
-            .collect();
-        let mut merged = od_obs::HistogramSnapshot::empty();
-        for h in handles {
-            merged.merge(&h.join().expect("http load client must not panic"));
-        }
-        merged
-    });
-    let elapsed = started.elapsed().as_secs_f64();
-    let ns_to_us = |ns: u64| ns as f64 / 1_000.0;
-    let completed = completed.load(Ordering::Relaxed);
-    HttpLoadReport {
-        clients,
-        requests: completed,
-        rejected_retries: rejected.load(Ordering::Relaxed),
-        reconnects: reconnects.load(Ordering::Relaxed),
-        mismatches: mismatches.load(Ordering::Relaxed),
-        mismatch_request_ids: mismatch_ids.into_inner().unwrap_or_else(|e| e.into_inner()),
-        request_id_mismatches: rid_mismatches.load(Ordering::Relaxed),
-        failed: failed.load(Ordering::Relaxed),
-        elapsed_secs: elapsed,
-        requests_per_sec: completed as f64 / elapsed.max(1e-9),
-        p50_us: ns_to_us(latencies.quantile(0.50)),
-        p99_us: ns_to_us(latencies.quantile(0.99)),
-        max_us: ns_to_us(latencies.max),
-    }
 }

@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn send_after_timeout_does_not_leak_or_panic() {
-        // The drain-time race: the caller's wait_timeout expires and drops
+        // The drain-time race: the caller's bounded wait expires and drops
         // the receiver, then the worker answers anyway. The late value must
         // park in the slot and be freed with it — no panic, no leak.
         let (tx, rx) = channel::<Vec<u32>>();

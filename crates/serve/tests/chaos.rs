@@ -335,7 +335,11 @@ fn expired_requests_are_dropped_at_drain_time() {
     gate.wait_entered();
     // ...so B is guaranteed to still be queued when its deadline (now)
     // passes; the worker must drop it at the next drain.
-    let tb = match engine.submit_with_deadline(fix.groups[1].clone(), Some(Instant::now())) {
+    let tb = match engine.submit_traced(
+        fix.groups[1].clone(),
+        Some(Instant::now()),
+        od_obs::trace::TraceContext::NONE,
+    ) {
         Submit::Accepted(t) => t,
         _ => panic!("submit B"),
     };
@@ -348,7 +352,7 @@ fn expired_requests_are_dropped_at_drain_time() {
     assert_eq!(engine.health().expired, 1);
 }
 
-/// `wait_timeout` bounds the caller even when nothing will ever answer
+/// `wait_versioned_timeout` bounds the caller even when nothing will ever answer
 /// (a stalled/workerless engine), and tearing the engine down afterwards
 /// neither hangs nor panics.
 #[test]
@@ -373,16 +377,17 @@ fn wait_timeout_bounds_waiting_on_a_stalled_engine() {
     };
     let begin = Instant::now();
     assert_eq!(
-        t.wait_timeout(Duration::from_millis(20)),
+        t.wait_versioned_timeout(Duration::from_millis(20))
+            .map(|r| r.scores),
         Err(ServeError::DeadlineExceeded)
     );
     assert!(
         begin.elapsed() < Duration::from_secs(5),
-        "wait_timeout must be bounded"
+        "wait_versioned_timeout must be bounded"
     );
 }
 
-/// A caller whose `wait_timeout` expires while the worker is mid-batch:
+/// A caller whose `wait_versioned_timeout` expires while the worker is mid-batch:
 /// the late response lands in a dropped receiver harmlessly, and the
 /// engine keeps serving.
 #[test]
@@ -409,7 +414,8 @@ fn late_response_after_wait_timeout_is_harmless() {
     gate.wait_entered();
     // The worker is parked before scoring; the caller gives up first.
     assert_eq!(
-        t.wait_timeout(Duration::from_millis(1)),
+        t.wait_versioned_timeout(Duration::from_millis(1))
+            .map(|r| r.scores),
         Err(ServeError::DeadlineExceeded)
     );
     gate.release();

@@ -56,14 +56,14 @@ fn row_partitioned(
         return;
     }
     let rows_per = m.div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
+    // The scope joins every stripe and re-raises a worker's panic.
+    std::thread::scope(|scope| {
         for (i, stripe) in out.chunks_mut(rows_per * n).enumerate() {
             let lo = i * rows_per;
             let hi = (lo + stripe.len() / n).min(m);
-            scope.spawn(move |_| kernel(lo, hi, stripe));
+            scope.spawn(move || kernel(lo, hi, stripe));
         }
-    })
-    .expect("matmul worker must not panic");
+    });
 }
 
 /// `y += alpha · x`, accumulated in 8-lane chunks so the compiler can keep

@@ -41,7 +41,6 @@ fn main() -> ExitCode {
         "recommend" => cmd_recommend(&flags),
         "freeze" => cmd_freeze(&flags),
         "serve" => cmd_serve(&flags),
-        "serve-bench" => cmd_serve_bench(&flags),
         "metrics" => cmd_metrics(&flags),
         "trace" => cmd_trace(&flags),
         "online" => cmd_online(&flags),
@@ -73,10 +72,6 @@ USAGE:
                   [--variant V] [--users N] [--cities N] [--embed-dim D])
   odnet serve     [--artifact FILE] [--users N] [--cities N] [--addr H:P]
                   [--shards N] [--workers N] [--trace] [--smoke]
-  odnet serve-bench [--artifact FILE] [--users N] [--cities N] [--workers N]
-                  [--requests N] [--clients N] [--batch N] [--no-coalesce]
-                  [--check] [--inject-panics N] [--swap-every N] [--trace]
-                  [--no-stage-timing] [--metrics-json FILE] [--funnel [--top-k K]]
   odnet metrics   [--artifact FILE] [--json] [--out FILE] [--requests N]
   odnet trace     --addr H:P [--min-ms N] [--errors] [--limit N]
                   [--chrome FILE]
@@ -109,23 +104,14 @@ a real socket, asserts scores are bit-exact with direct scoring and both
 version stamps match the loaded artifact, then drains and verifies the
 drain settled cleanly — the ci.sh serving gate.
 
-`serve-bench` and `metrics` accept --artifact to serve a frozen artifact
-from disk (mmap'd when the file ends in .odz) instead of building a model
-in process; the dataset defaults to the artifact's universe sizes. With
---swap-every N, serve-bench hot-publishes a fresh model generation into
-the live engine every N completed requests; --check then additionally
-asserts the publish history reconciled and no ticket was lost across any
-swap. With --funnel, serve-bench drives the retrieve -> rank funnel
-instead of raw engine groups and reports end-to-end throughput; --check
-then asserts every response came back full, in rank order, with both
-stage stamps on the same generation.
+`metrics` accepts --artifact to serve a frozen artifact from disk (mmap'd
+when the file ends in .odz) instead of building a model in process; the
+dataset defaults to the artifact's universe sizes.
 
 `serve --trace` turns on request-scoped tracing (DESIGN.md S16): every
 request gets an X-Request-Id (client-supplied or minted) echoed on the
 response, and the tail sampler keeps slow/error traces (plus 1/64 of the
-rest) in an in-memory ring served by GET /debug/traces. `serve-bench
---trace` drives the closed loop with tracing on and, with --check,
-asserts the ring is populated with well-formed span trees. `trace` pulls
+rest) in an in-memory ring served by GET /debug/traces. `trace` pulls
 the ring from a running server: default prints the JSON document,
 --chrome FILE writes Chrome trace_event JSON loadable in
 chrome://tracing or Perfetto.
@@ -198,7 +184,7 @@ fn build_hsg(ds: &FliggyDataset) -> od_hsg::Hsg {
 
 /// 1-candidate-heavy request templates from a few distinct user contexts —
 /// the workload cross-request micro-batching exists for. Shared by
-/// `serve-bench` and `metrics`.
+/// `serve --smoke` and `metrics`.
 fn serving_templates(ds: &FliggyDataset, fx: &FeatureExtractor) -> Result<Vec<GroupInput>, String> {
     let day = ds.train_end_day();
     let mut groups = Vec::new();
@@ -396,93 +382,6 @@ fn cmd_freeze(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `serve-bench --funnel`: drive the retrieve → rank funnel end to end
-/// (every request runs retrieval over the frozen tables, featurizes the
-/// winners, and ranks them through the live engine) and report
-/// throughput. With `--check`, assert every response came back full
-/// (`--top-k` pairs), in descending rank order, with both stage stamps
-/// on the same generation — the CI smoke gate for the funnel path.
-#[allow(clippy::too_many_arguments)]
-fn run_funnel_bench(
-    flags: &HashMap<String, String>,
-    ds: &FliggyDataset,
-    model: std::sync::Arc<FrozenOdNet>,
-    checksum: u32,
-    fx: &FeatureExtractor,
-    requests: usize,
-    workers: usize,
-    check: bool,
-) -> Result<(), String> {
-    use od_serve::{EngineConfig, Funnel, FunnelConfig};
-
-    let n = ds.world.num_cities();
-    let top_k = get_usize(flags, "top-k", 16)?.min(n * n.saturating_sub(1));
-    let funnel = Funnel::new(
-        model,
-        checksum,
-        EngineConfig {
-            workers,
-            ..EngineConfig::default()
-        },
-        FunnelConfig::default(),
-    );
-    let day = ds.train_end_day();
-    let users: Vec<UserId> = (0..ds.world.num_users() as u32)
-        .map(UserId)
-        .take(16)
-        .collect();
-    eprintln!(
-        "funnel bench: {requests} requests, top-{top_k}, tier {:?}, {workers} workers…",
-        funnel.config().tier
-    );
-    let t = std::time::Instant::now();
-    for i in 0..requests {
-        let user = users[i % users.len()];
-        let rec = funnel
-            .recommend(user, top_k, |pairs| {
-                let tuples: Vec<(CityId, CityId)> =
-                    pairs.iter().map(|p| (p.origin, p.dest)).collect();
-                fx.group_for_serving(ds, user, day, &tuples)
-            })
-            .map_err(|e| format!("request {i}: {e}"))?;
-        if check {
-            if rec.pairs.len() != top_k {
-                return Err(format!(
-                    "request {i}: got {} pairs, want {top_k}",
-                    rec.pairs.len()
-                ));
-            }
-            if !rec
-                .pairs
-                .windows(2)
-                .all(|w| w[0].rank_score.total_cmp(&w[1].rank_score) != std::cmp::Ordering::Less)
-            {
-                return Err(format!("request {i}: pairs not in descending rank order"));
-            }
-            if (rec.retrieved_by.epoch, rec.retrieved_by.checksum)
-                != (rec.ranked_by.epoch, rec.ranked_by.checksum)
-            {
-                return Err(format!(
-                    "request {i}: stage stamps diverged without a publish \
-                     (retrieved by gen {}, ranked by gen {})",
-                    rec.retrieved_by.epoch, rec.ranked_by.epoch
-                ));
-            }
-        }
-    }
-    let secs = t.elapsed().as_secs_f64();
-    funnel.shutdown();
-    println!(
-        "funnel: {requests} requests in {secs:.2}s ({:.0} req/s, {:.0}us/request)",
-        requests as f64 / secs,
-        secs * 1e6 / requests as f64
-    );
-    if check {
-        println!("check: all responses full, rank-ordered, and stamp-consistent");
-    }
-    Ok(())
-}
-
 /// Load `--artifact` for serving commands through the one shared
 /// extension→mode table ([`od_serve::load_frozen_auto`]): mmap'd for
 /// `.odz`, parsed for JSON, with cold-start gauges recorded into the
@@ -668,7 +567,7 @@ fn serve_smoke(
     fx: &FeatureExtractor,
     checksum: u32,
 ) -> Result<(), String> {
-    use od_serve::loadgen::http_request;
+    use od_http::http_request;
 
     let groups = serving_templates(ds, fx)?;
     let group = &groups[0];
@@ -905,344 +804,6 @@ fn serve_smoke(
     Ok(())
 }
 
-/// Stress the concurrent serving engine against an untrained frozen model
-/// and report throughput/latency. With `--check`, assert that every
-/// response matched direct single-threaded scoring bit-for-bit and that
-/// cross-request coalescing actually engaged — the CI smoke gate. With
-/// `--inject-panics N`, kill N worker batches through the fault-injection
-/// hook; `--check` then additionally asserts that the run survived —
-/// zero lost tickets, surviving responses still bit-exact, and the
-/// supervisor's health counters reconciling with the injected fault count.
-fn cmd_serve_bench(flags: &HashMap<String, String>) -> Result<(), String> {
-    use od_serve::{drive, drive_swapping, score_all, Engine, EngineConfig, FailPoint, FailSite};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    let workers = get_usize(flags, "workers", 2)?.max(1);
-    let requests = get_usize(flags, "requests", 1000)?;
-    let clients = get_usize(flags, "clients", workers * 2)?.max(1);
-    let max_batch = get_usize(flags, "batch", 64)?.max(1);
-    let coalesce = !flags.contains_key("no-coalesce");
-    let stage_timing = !flags.contains_key("no-stage-timing");
-    let check = flags.contains_key("check");
-    let inject = get_usize(flags, "inject-panics", 0)? as u64;
-    let swap_every = get_usize(flags, "swap-every", 0)?;
-    let trace_on = flags.contains_key("trace");
-    if trace_on {
-        // Default policy: keep slow (≥10ms) and 1/64 of the rest — the
-        // same configuration the throughput bench's overhead gate runs.
-        od_obs::trace::global().enable(od_obs::trace::TraceConfig::default());
-    }
-
-    let artifact = load_artifact_flag(flags)?;
-    let (default_users, default_cities) = artifact
-        .as_ref()
-        .map(|a| (a.frozen.num_users(), a.frozen.num_cities()))
-        .unwrap_or((60, 15));
-    let data_config = FliggyConfig {
-        num_users: get_usize(flags, "users", default_users)?,
-        num_cities: get_usize(flags, "cities", default_cities)?,
-        seed: get_usize(flags, "seed", 0xF11667)? as u64,
-        ..FliggyConfig::tiny()
-    };
-    eprintln!(
-        "generating dataset ({} users, {} cities)…",
-        data_config.num_users, data_config.num_cities
-    );
-    let ds = build_dataset(&data_config);
-    let (model, checksum) = match artifact {
-        Some(loaded) => {
-            check_artifact_universe(&loaded.frozen, &ds)?;
-            (Arc::new(loaded.frozen), loaded.checksum)
-        }
-        None => {
-            let cfg = OdnetConfig::tiny();
-            let model = OdNetModel::new(
-                Variant::Odnet,
-                cfg,
-                ds.world.num_users(),
-                ds.world.num_cities(),
-                Some(build_hsg(&ds)),
-            );
-            let frozen = model.freeze();
-            let checksum = frozen.fingerprint();
-            (Arc::new(frozen), checksum)
-        }
-    };
-    let fx = FeatureExtractor::new(model.config().max_long_seq, model.config().max_short_seq);
-    if flags.contains_key("funnel") {
-        return run_funnel_bench(flags, &ds, model, checksum, &fx, requests, workers, check);
-    }
-    let groups = serving_templates(&ds, &fx)?;
-    let expected = score_all(&model, &groups);
-
-    // Deterministic fault seed: kill batches 3, 7, 11, … (every 4th) at
-    // the BeforeBatch site until the budget is spent. Spacing guarantees
-    // healthy batches interleave with the faulted ones; even a maximally
-    // coalesced run (requests / max_batch drains) reaches the last seed.
-    let injected = Arc::new(AtomicU64::new(0));
-    let fail_point: Option<FailPoint> = (inject > 0).then(|| {
-        let counter = Arc::clone(&injected);
-        let budget = inject;
-        Arc::new(move |site: FailSite, seq: u64| {
-            if site == FailSite::BeforeBatch
-                && seq >= 3
-                && (seq - 3).is_multiple_of(4)
-                && counter
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |c| {
-                        (c < budget).then_some(c + 1)
-                    })
-                    .is_ok()
-            {
-                panic!("injected fault at batch {seq}");
-            }
-        }) as FailPoint
-    });
-
-    if inject > 0 {
-        // Injected worker panics are expected here; keep each report to a
-        // single line instead of the default multi-line backtrace dump.
-        std::panic::set_hook(Box::new(|info| eprintln!("worker fault: {info}")));
-    }
-    let engine = Engine::new_versioned(
-        Arc::clone(&model),
-        checksum,
-        EngineConfig {
-            workers,
-            queue_capacity: 1024,
-            max_batch,
-            coalesce,
-            fail_point,
-            stage_timing,
-            ..EngineConfig::default()
-        },
-    );
-    eprintln!(
-        "driving {requests} requests through {workers} worker(s) from {clients} client(s) \
-         (coalescing {}, injecting {inject} panic(s), swapping every {swap_every})…",
-        if coalesce { "on" } else { "off" }
-    );
-    let r = if swap_every > 0 {
-        // Hot-swap under load: publish content-identical generations so
-        // the oracle comparison stays valid across every swap (see
-        // `drive_swapping`).
-        let source_model = Arc::clone(&model);
-        let source = move || Arc::new((*source_model).clone());
-        drive_swapping(
-            &engine,
-            &groups,
-            Some(&expected),
-            requests,
-            clients,
-            swap_every,
-            &source,
-        )
-    } else {
-        drive(&engine, &groups, Some(&expected), requests, clients)
-    };
-    let health = engine.health();
-    // Snapshot the registry while the engine is still alive: dropping the
-    // engine zeroes its gauges (queue depth, live workers, hit-rate).
-    let snap = od_obs::global().snapshot();
-    if let Some(path) = flags.get("metrics-json") {
-        if path.is_empty() {
-            return Err("--metrics-json expects a file path".into());
-        }
-        std::fs::write(path, snap.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {} metric series to {path}", snap.series.len());
-    }
-    println!(
-        "requests      {}\nthroughput    {:.0} req/s\np50 latency   {:.0} us\n\
-         p99 latency   {:.0} us\nforwards      {}\nreq/forward   {:.2}\n\
-         coalesced     {}\nrejected      {}\nmismatches    {}\nfaulted       {}\n\
-         worker panics {}\nrespawns      {}\nlive workers  {}/{}\n\
-         artifact epoch {}\nartifact fnv  {:08x}\npublishes     {}\nretired gens  {}",
-        r.requests,
-        r.requests_per_sec,
-        r.p50_us,
-        r.p99_us,
-        r.forwards,
-        r.mean_requests_per_forward,
-        r.coalesced_requests,
-        r.rejected_retries,
-        r.mismatches,
-        r.faulted,
-        health.worker_panics,
-        health.respawns,
-        health.live_workers,
-        health.configured_workers,
-        health.artifact_epoch,
-        health.artifact_checksum,
-        r.publishes,
-        health.retired_artifacts,
-    );
-    if check {
-        if r.mismatches != 0 {
-            return Err(format!(
-                "{} engine responses diverged from direct scoring",
-                r.mismatches
-            ));
-        }
-        if r.requests + r.faulted != requests as u64 {
-            return Err(format!(
-                "lost tickets: {} scored + {} faulted != {requests} submitted",
-                r.requests, r.faulted
-            ));
-        }
-        if coalesce && r.coalesced_requests == 0 {
-            return Err("coalescing never engaged under concurrent load".into());
-        }
-        if swap_every > 0 {
-            // The swap path must actually have engaged, and the engine's
-            // health view of the publish history must reconcile with the
-            // load generator's count.
-            if r.publishes == 0 {
-                return Err(format!(
-                    "publisher never swapped ({requests} requests, --swap-every {swap_every})"
-                ));
-            }
-            if health.publishes != r.publishes {
-                return Err(format!(
-                    "health counted {} publishes, load generator {}",
-                    health.publishes, r.publishes
-                ));
-            }
-            if health.artifact_epoch != r.publishes {
-                return Err(format!(
-                    "artifact epoch {} does not match {} publishes",
-                    health.artifact_epoch, r.publishes
-                ));
-            }
-        } else if health.publishes != 0 {
-            return Err(format!(
-                "{} publishes recorded in a pinned-artifact run",
-                health.publishes
-            ));
-        }
-        // Stage clock: a loaded run must have populated the lifecycle
-        // histograms end to end, and the engine-level hit-rate gauge must
-        // agree that coalescing engaged.
-        if stage_timing {
-            for name in [
-                "od_request_queue_wait_ns",
-                "od_request_e2e_ns",
-                "od_engine_batch_size",
-            ] {
-                if snap.histogram(name).count() == 0 {
-                    return Err(format!("{name} has no samples after a loaded run"));
-                }
-            }
-            let forward_samples: u64 = snap
-                .series
-                .iter()
-                .filter(|s| s.name == "od_request_forward_ns")
-                .map(|s| match &s.value {
-                    od_obs::Value::Histogram(h) => h.count(),
-                    _ => 0,
-                })
-                .sum();
-            if forward_samples == 0 {
-                return Err("od_request_forward_ns has no samples after a loaded run".into());
-            }
-        }
-        if coalesce {
-            let hit_rate = match snap.find("od_engine_coalesce_hit_rate").map(|s| &s.value) {
-                Some(od_obs::Value::Float(v)) => *v,
-                _ => 0.0,
-            };
-            if hit_rate <= 0.0 {
-                return Err("od_engine_coalesce_hit_rate stayed at zero".into());
-            }
-        }
-        if inject > 0 {
-            if injected.load(Ordering::SeqCst) != inject {
-                return Err(format!(
-                    "fault harness only fired {} of {inject} injected panics",
-                    injected.load(Ordering::SeqCst)
-                ));
-            }
-            if health.worker_panics != inject {
-                return Err(format!(
-                    "health counted {} worker panics, expected {inject}",
-                    health.worker_panics
-                ));
-            }
-            if r.faulted < inject {
-                return Err(format!(
-                    "{} faulted responses for {inject} killed batches",
-                    r.faulted
-                ));
-            }
-            // The supervisor must have healed the pool by the time the
-            // closed loop drained (give it a beat in case the last fault
-            // was near the end of the run).
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            loop {
-                let h = engine.health();
-                if h.respawns == inject && h.live_workers == h.configured_workers {
-                    break;
-                }
-                if std::time::Instant::now() >= deadline {
-                    return Err(format!(
-                        "worker pool never recovered: {} respawns, {}/{} live",
-                        h.respawns, h.live_workers, h.configured_workers
-                    ));
-                }
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-        } else if r.faulted != 0 {
-            return Err(format!("{} faulted responses without injection", r.faulted));
-        }
-        eprintln!(
-            "check passed: bit-exact responses{}{}{}",
-            if coalesce { ", coalescing engaged" } else { "" },
-            if inject > 0 {
-                ", survived injected faults with zero lost tickets"
-            } else {
-                ""
-            },
-            if swap_every > 0 {
-                ", hot-swapped generations under load"
-            } else {
-                ""
-            }
-        );
-    }
-    if trace_on {
-        let tracer = od_obs::trace::global();
-        let ts = tracer.stats();
-        println!(
-            "traces kept   {}/{} (slowest {} at {:.0} us)",
-            ts.kept,
-            ts.started,
-            od_obs::trace::hex_id(ts.slowest_id),
-            ts.slowest_ns as f64 / 1e3
-        );
-        if check {
-            if ts.kept == 0 {
-                return Err(format!(
-                    "--trace run kept no traces ({} started)",
-                    ts.started
-                ));
-            }
-            let ring = tracer.snapshot(0, false, 0);
-            if ring.is_empty() {
-                return Err("--trace run left an empty trace ring".into());
-            }
-            for t in &ring {
-                od_obs::trace::check_well_formed(t).map_err(|e| {
-                    format!("malformed trace {}: {e}", od_obs::trace::hex_id(t.trace_id))
-                })?;
-            }
-            eprintln!(
-                "trace check passed: {} ring traces are well-formed span trees",
-                ring.len()
-            );
-        }
-    }
-    Ok(())
-}
-
 /// Exercise the full pipeline briefly — a tiny training run, then a loaded
 /// drive of the serving engine on the freshly frozen model — and render
 /// every series in the process-global od-obs registry. The quickest way to
@@ -1323,14 +884,14 @@ fn cmd_metrics(flags: &HashMap<String, String>) -> Result<(), String> {
     // score counters for epochs 0 *and* 1 (and the oracle comparison stays
     // valid, since both generations score identically).
     let half = requests / 2;
-    let r1 = drive(&engine, &templates, Some(&expected), half.max(1), 4);
+    let r1 = drive(&engine, &templates, &expected, half.max(1), 4);
     engine
         .publish(Arc::new((*frozen).clone()))
         .map_err(|e| e.to_string())?;
     let r2 = drive(
         &engine,
         &templates,
-        Some(&expected),
+        &expected,
         requests.saturating_sub(half).max(1),
         4,
     );
@@ -1401,7 +962,7 @@ fn cmd_metrics(flags: &HashMap<String, String>) -> Result<(), String> {
 /// default prints the native JSON document; `--chrome FILE` writes Chrome
 /// `trace_event` JSON (open in `chrome://tracing` or Perfetto).
 fn cmd_trace(flags: &HashMap<String, String>) -> Result<(), String> {
-    use od_serve::loadgen::http_request;
+    use od_http::http_request;
 
     let addr = flags
         .get("addr")
