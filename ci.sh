@@ -14,9 +14,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test --workspace (every test binary, once)"
 # One run covers the named suites earlier revisions re-ran one by one:
+#   od-tensor    kernel_equivalence (GEMM tiles bit-exact vs an ascending-
+#                index triple loop at every SimdLevel; seeded continuation
+#                == one-shot product)
 #   odnet-core   frozen_equivalence (artifact vs live tape; JSON/bin/mmap
-#                bit-identity), batched_equivalence, artifact_corruption
-#                (.odz loader rejects tampered files)
+#                bit-identity), batched_equivalence, head_equivalence
+#                (fused, prefix-seeded MMoE head vs the per-layer forward),
+#                artifact_corruption (.odz loader rejects tampered files)
 #   od-retrieval retrieval_equivalence (SIMD top-k bit-exact vs the scalar
 #                oracle, owned == mmap), recall_gate (recall@64 >= 0.99 at
 #                >= 5x scan reduction)

@@ -22,7 +22,7 @@
 use crate::artifact::Table;
 use crate::config::OdnetConfig;
 use crate::eval::OdScorer;
-use crate::features::{GroupInput, XST_DIM};
+use crate::features::GroupInput;
 use crate::intent::FrozenIntent;
 use crate::mmoe::{FrozenMmoeHead, FrozenSingleHead};
 use crate::model::{CheckpointError, Variant};
@@ -145,59 +145,69 @@ impl FrozenOdNet {
         let e_user_d = self.dest.users.row(group.user.index());
         let e_lbs_d = self.dest.cities.row(group.current_city.index());
 
-        // Assemble the per-candidate task representations. Joint variants
-        // build q⊕ = concat(q^O, q^D) rows directly (plain copies, so this
-        // equals the live path's nested concats exactly).
+        // Assemble the per-candidate task representations (plain copies in
+        // the live forward's column order, so they equal its nested concats
+        // exactly).
+        let (intent_o, intent_d) = (trunk_o.intent(), trunk_d.intent());
         let (logits_o, logits_d) = match &self.head {
             FrozenHead::Joint(mmoe) => {
-                let mut q_cat = ws.take(n * 2 * q_dim);
-                for (i, cand) in group.candidates.iter().enumerate() {
-                    let row = &mut q_cat[i * 2 * q_dim..(i + 1) * 2 * q_dim];
-                    let (row_o, row_d) = row.split_at_mut(q_dim);
-                    fill_q(
-                        row_o,
-                        &trunk_o.v_l,
-                        e_user_o,
-                        e_lbs_o,
-                        self.origin.cities.row(cand.origin.index()),
-                        &cand.xst_o,
-                        trunk_o.intent.as_deref(),
-                    );
-                    fill_q(
-                        row_d,
-                        &trunk_d.v_l,
-                        e_user_d,
-                        e_lbs_d,
-                        self.dest.cities.row(cand.dest.index()),
-                        &cand.xst_d,
-                        trunk_d.intent.as_deref(),
+                // q⊕ = [v_L^O | e_u^O | e_lbs^O | e_c^O | x_st^O (| intent^O)
+                // | q^D]: the three leading parts are the same for every
+                // candidate *and* lead the first layer's summation order, so
+                // they are handed over once, not copied into `n` rows. The
+                // destination half's invariant parts sit mid-sum and stay in
+                // the per-candidate tail (DESIGN.md §8).
+                let shared = [&trunk_o.v_l[..], e_user_o, e_lbs_o];
+                let mut prefix = ws.take(shared.iter().map(|p| p.len()).sum());
+                concat_into(&mut prefix, &shared);
+                let tail_dim = 2 * q_dim - prefix.len();
+                let mut tail = ws.take(n * tail_dim);
+                for (cand, row) in group.candidates.iter().zip(tail.chunks_exact_mut(tail_dim)) {
+                    concat_into(
+                        row,
+                        &[
+                            self.origin.cities.row(cand.origin.index()),
+                            &cand.xst_o,
+                            intent_o,
+                            &trunk_d.v_l,
+                            e_user_d,
+                            e_lbs_d,
+                            self.dest.cities.row(cand.dest.index()),
+                            &cand.xst_d,
+                            intent_d,
+                        ],
                     );
                 }
-                let out = mmoe.forward_batched(ws, &q_cat, n);
-                ws.give(q_cat);
+                let out = mmoe.forward_batched(ws, &prefix, &tail, n);
+                ws.give(prefix);
+                ws.give(tail);
                 out
             }
             FrozenHead::Single(stl) => {
                 let mut q_o = ws.take(n * q_dim);
                 let mut q_d = ws.take(n * q_dim);
                 for (i, cand) in group.candidates.iter().enumerate() {
-                    fill_q(
+                    concat_into(
                         &mut q_o[i * q_dim..(i + 1) * q_dim],
-                        &trunk_o.v_l,
-                        e_user_o,
-                        e_lbs_o,
-                        self.origin.cities.row(cand.origin.index()),
-                        &cand.xst_o,
-                        trunk_o.intent.as_deref(),
+                        &[
+                            &trunk_o.v_l,
+                            e_user_o,
+                            e_lbs_o,
+                            self.origin.cities.row(cand.origin.index()),
+                            &cand.xst_o,
+                            intent_o,
+                        ],
                     );
-                    fill_q(
+                    concat_into(
                         &mut q_d[i * q_dim..(i + 1) * q_dim],
-                        &trunk_d.v_l,
-                        e_user_d,
-                        e_lbs_d,
-                        self.dest.cities.row(cand.dest.index()),
-                        &cand.xst_d,
-                        trunk_d.intent.as_deref(),
+                        &[
+                            &trunk_d.v_l,
+                            e_user_d,
+                            e_lbs_d,
+                            self.dest.cities.row(cand.dest.index()),
+                            &cand.xst_d,
+                            intent_d,
+                        ],
                     );
                 }
                 let out = stl.forward_batched(ws, &q_o, &q_d, n);
@@ -407,6 +417,11 @@ struct FrozenTrunk {
 }
 
 impl FrozenTrunk {
+    /// The intent columns of `q` (none when the module is disabled).
+    fn intent(&self) -> &[f32] {
+        self.intent.as_deref().unwrap_or(&[])
+    }
+
     fn give_back(self, ws: &mut Workspace) {
         ws.give(self.v_l);
         if let Some(i) = self.intent {
@@ -451,26 +466,16 @@ impl FrozenBranch {
     }
 }
 
-/// Copy one candidate's task representation into `row` (length `q_dim`):
-/// `[v_L | e_user | e_lbs | e_cand | x_st (| intent)]` — the same part
-/// order as the live forward's column concat.
-fn fill_q(
-    row: &mut [f32],
-    v_l: &[f32],
-    e_user: &[f32],
-    e_lbs: &[f32],
-    e_cand: &[f32],
-    xst: &[f32; XST_DIM],
-    intent: Option<&[f32]>,
-) {
+/// Copy `parts` back to back into `row`, whose length is their total — one
+/// task representation `[v_L | e_user | e_lbs | e_cand | x_st (| intent)]`
+/// or a run of its parts, in the live forward's column-concat order.
+fn concat_into(row: &mut [f32], parts: &[&[f32]]) {
     let mut o = 0;
-    for part in [v_l, e_user, e_lbs, e_cand, xst.as_slice()] {
+    for part in parts {
         row[o..o + part.len()].copy_from_slice(part);
         o += part.len();
     }
-    if let Some(it) = intent {
-        row[o..o + it.len()].copy_from_slice(it);
-    }
+    debug_assert_eq!(o, row.len(), "parts do not fill the row");
 }
 
 impl OdScorer for FrozenOdNet {

@@ -8,9 +8,10 @@
 
 use od_tensor::infer::{self, Workspace};
 use od_tensor::nn::{Activation, FrozenLinear, FrozenMlp, Linear, Mlp};
-use od_tensor::{Graph, ParamStore, Value};
+use od_tensor::{Graph, ParamStore, SimdLevel, Value};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// The MMoE joint-learning head: `experts` expert networks shared by both
 /// tasks, two softmax gates (one per task), two tower networks.
@@ -187,6 +188,7 @@ impl MmoeHead {
             tower_o: self.tower_o.freeze(store),
             tower_d: self.tower_d.freeze(store),
             expert_dim: self.expert_dim,
+            panel: OnceLock::new(),
         }
     }
 }
@@ -200,6 +202,12 @@ pub struct FrozenMmoeHead {
     tower_o: FrozenMlp,
     tower_d: FrozenMlp,
     expert_dim: usize,
+    /// The experts' and gates' weights packed column-wise into one
+    /// `2d_q × (E·d_r + 2E)` GEMM operand, `[expert₀ | … | gate_O | gate_D]`
+    /// per row. Derived from the layers above on first use and never
+    /// serialized: they stay the one stored form.
+    #[serde(skip)]
+    panel: OnceLock<Vec<f32>>,
 }
 
 impl FrozenMmoeHead {
@@ -213,6 +221,13 @@ impl FrozenMmoeHead {
         expert_dim: usize,
     ) -> Result<(), od_tensor::nn::FrozenCheckError> {
         use od_tensor::nn::FrozenCheckError;
+        // The fused forward walks `E·d_r + 2E`-column rows in `d_r`- and
+        // `E`-wide blocks; an empty pool or zero-width experts has neither.
+        if experts == 0 || expert_dim == 0 {
+            return Err(FrozenCheckError::Shape(format!(
+                "{what}: {experts} experts of width {expert_dim}; both must be non-zero"
+            )));
+        }
         if self.experts.len() != experts {
             return Err(FrozenCheckError::Shape(format!(
                 "{what}: {} experts but the config declares {experts}",
@@ -251,52 +266,105 @@ impl FrozenMmoeHead {
             .check(&format!("{what}.tower_d"), expert_dim, 1)
     }
 
-    /// Tape-free counterpart of [`MmoeHead::forward_batched`]: `q_cat` is
-    /// `n×2d_q`; returns the `(logit_O, logit_D)` columns as length-`n`
-    /// workspace buffers. The gate mix accumulates experts in ascending
-    /// order with separate multiply-then-add per element — the same f32
-    /// accumulation order as the live path, so the logits are bit-identical.
+    fn panel(&self) -> &[f32] {
+        self.panel.get_or_init(|| {
+            let layers = || self.experts.iter().chain([&self.gate_o, &self.gate_d]);
+            let cols: usize = layers().map(FrozenLinear::out_dim).sum();
+            let in_dim = self.gate_o.in_dim();
+            let mut panel = Vec::with_capacity(in_dim * cols);
+            for p in 0..in_dim {
+                for layer in layers() {
+                    let n = layer.out_dim();
+                    panel.extend_from_slice(&layer.weight()[p * n..(p + 1) * n]);
+                }
+            }
+            panel
+        })
+    }
+
+    /// Tape-free counterpart of [`MmoeHead::forward_batched`] over `n`
+    /// candidates whose `q⊕` rows are `prefix ⊕ tail[i]`: `prefix` holds the
+    /// leading columns every row shares (possibly none), `tail` is
+    /// `n × (2d_q − prefix.len())`. Returns the `(logit_O, logit_D)` columns
+    /// as length-`n` workspace buffers.
+    ///
+    /// All experts and both gates are one GEMM against the packed panel,
+    /// seeded with the prefix's partial product (computed once, not per
+    /// row). Panel columns are independent and a seeded sum continues in
+    /// the same ascending order, so every pre-activation is bit-identical
+    /// to the live path's per-layer matmuls; the gate mix accumulates
+    /// experts in ascending order with separate multiply-then-add per
+    /// element, as the live path does.
     pub fn forward_batched(
         &self,
         ws: &mut Workspace,
-        q_cat: &[f32],
+        prefix: &[f32],
+        tail: &[f32],
         n: usize,
     ) -> (Vec<f32>, Vec<f32>) {
         let dr = self.expert_dim;
         let num = self.experts.len();
-        let mut outs: Vec<Vec<f32>> = Vec::with_capacity(num);
-        for e in &self.experts {
-            let mut o = e.forward(ws, q_cat, n);
-            infer::relu_in_place(&mut o);
-            outs.push(o);
-        }
-        let mut mix = |gate: &FrozenLinear, tower: &FrozenMlp| -> Vec<f32> {
-            let mut weights = gate.forward(ws, q_cat, n); // n×experts
-            infer::softmax_rows_in_place(&mut weights, num);
-            let mut r = ws.take(n * dr);
-            for (e, out_e) in outs.iter().enumerate() {
-                for i in 0..n {
-                    let w = weights[i * num + e];
-                    let row = &mut r[i * dr..(i + 1) * dr];
-                    for (acc, &x) in row.iter_mut().zip(&out_e[i * dr..(i + 1) * dr]) {
-                        if e == 0 {
-                            *acc = w * x;
-                        } else {
-                            *acc += w * x;
-                        }
+        let gates = num * dr;
+        let cols = gates + 2 * num;
+        let s = prefix.len();
+        let tail_dim = self.gate_o.in_dim() - s;
+        let panel = self.panel();
+        let level = SimdLevel::detect();
+
+        let mut seed = ws.take(cols);
+        infer::matmul_seeded_into(level, prefix, s, 1, s, panel, cols, None, &mut seed);
+        let mut y = ws.take(n * cols);
+        infer::matmul_seeded_into(
+            level,
+            tail,
+            tail_dim,
+            n,
+            tail_dim,
+            &panel[s * cols..],
+            cols,
+            Some(&seed),
+            &mut y,
+        );
+        ws.give(seed);
+
+        let mut r_o = ws.take(n * dr);
+        let mut r_d = ws.take(n * dr);
+        for (i, row) in y.chunks_exact_mut(cols).enumerate() {
+            let (outs, gate_logits) = row.split_at_mut(gates);
+            for (expert, out) in self.experts.iter().zip(outs.chunks_exact_mut(dr)) {
+                if let Some(b) = expert.bias() {
+                    infer::add_row_in_place(out, dr, b);
+                }
+                infer::relu_in_place(out);
+            }
+            let (w_o, w_d) = gate_logits.split_at_mut(num);
+            for (weights, gate, r) in [(w_o, &self.gate_o, &mut r_o), (w_d, &self.gate_d, &mut r_d)]
+            {
+                if let Some(b) = gate.bias() {
+                    infer::add_row_in_place(weights, num, b);
+                }
+                infer::softmax_rows_in_place(weights, num);
+                // Sum pooling with gate weights (Fig. 5): the first expert
+                // sets the row, the rest accumulate onto it.
+                let r = &mut r[i * dr..(i + 1) * dr];
+                let mut experts = weights.iter().zip(outs.chunks_exact(dr));
+                if let Some((&w, out)) = experts.next() {
+                    for (acc, &x) in r.iter_mut().zip(out) {
+                        *acc = w * x;
+                    }
+                }
+                for (&w, out) in experts {
+                    for (acc, &x) in r.iter_mut().zip(out) {
+                        *acc += w * x;
                     }
                 }
             }
-            ws.give(weights);
-            let logits = tower.forward(ws, &r, n); // n×1
-            ws.give(r);
-            logits
-        };
-        let logit_o = mix(&self.gate_o, &self.tower_o);
-        let logit_d = mix(&self.gate_d, &self.tower_d);
-        for o in outs {
-            ws.give(o);
         }
+        ws.give(y);
+        let logit_o = self.tower_o.forward(ws, &r_o, n); // n×1
+        let logit_d = self.tower_d.forward(ws, &r_d, n);
+        ws.give(r_o);
+        ws.give(r_d);
         (logit_o, logit_d)
     }
 }
@@ -530,9 +598,18 @@ mod tests {
         let xv = g.input(x.clone());
         let (lo, ld) = h.forward_batched(&mut g, &store, xv);
         let mut ws = Workspace::new();
-        let (fo, fd) = frozen.forward_batched(&mut ws, x.as_slice(), 4);
+        let (fo, fd) = frozen.forward_batched(&mut ws, &[], x.as_slice(), 4);
         assert_eq!(fo.as_slice(), g.value(lo).as_slice());
         assert_eq!(fd.as_slice(), g.value(ld).as_slice());
+    }
+
+    #[test]
+    fn frozen_check_rejects_an_empty_expert_pool() {
+        let mut store = ParamStore::new();
+        let mut frozen = head(&mut store).freeze(&store);
+        frozen.check("head", Q2, 3, 6).expect("fresh head is valid");
+        frozen.experts.clear();
+        assert!(frozen.check("head", Q2, 0, 6).is_err());
     }
 
     #[test]

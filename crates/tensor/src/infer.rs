@@ -6,16 +6,23 @@
 //! caller-provided buffers drawn from a [`Workspace`] pool, so a hot serving
 //! loop reaches a steady state with **zero allocations per request**.
 //!
-//! Numerical contract: each kernel mirrors the corresponding tape op
-//! *exactly* — same kernel, same accumulation order, same rounding.
-//! [`matmul_into`] runs the identical `gemm_nn_stripe` micro-kernel as
-//! [`crate::linalg::matmul`] (sequentially; the parallel path is
-//! bit-identical to sequential by construction), [`mean_rows_into`] mirrors
-//! `sum_rows`-then-divide, and the elementwise ops apply the same scalar
-//! functions. Frozen forwards built on these kernels are therefore
-//! bit-identical to the live tape forward, not merely close.
+//! Numerical contract: each kernel produces the corresponding tape op's
+//! bits. For the matrix product that means every output element is the
+//! sequential sum `((0 + a₀b₀) + a₁b₁) + …` in ascending inner index, one
+//! multiply and one add per term — the order `gemm_nn_stripe` keeps for the
+//! tape's [`crate::linalg::matmul`] and for [`matmul_into`] alike, in every
+//! tile shape and at every [`SimdLevel`]. What preserves that order is free:
+//! packing several right-hand sides column-wise into one product (columns
+//! are independent), starting the sum from a shared partial product
+//! ([`matmul_seeded_into`]), wider vector lanes. A fused multiply-add would
+//! not (one rounding instead of two), so `fma` is never enabled.
+//! [`mean_rows_into`] mirrors `sum_rows`-then-divide, and the elementwise
+//! ops apply the same scalar functions. Frozen forwards built on these
+//! kernels are therefore bit-identical to the live tape forward, not merely
+//! close.
 
 use crate::linalg;
+use crate::simd::SimdLevel;
 
 /// Pool of reusable scratch buffers for tape-free forwards.
 ///
@@ -60,18 +67,67 @@ impl Workspace {
 }
 
 /// `out = a · b` where `a` is `m×k`, `b` is `k×n`, and `out` has room for
-/// `m·n` values. Runs the same tiled micro-kernel as
+/// `m·n` values, all of which are overwritten. Runs the same tiled kernel as
 /// [`crate::linalg::matmul`], so results are bit-identical to the tape path.
 ///
 /// # Panics
 /// Panics when a buffer is shorter than its stated shape requires.
 pub fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    assert!(a.len() >= m * k, "matmul_into: lhs buffer too short");
-    assert!(b.len() >= k * n, "matmul_into: rhs buffer too short");
-    assert!(out.len() >= m * n, "matmul_into: output buffer too short");
-    // Edge tiles of the stripe kernel accumulate; start from zero.
-    out[..m * n].fill(0.0);
-    linalg::gemm_nn_stripe(0, m, k, n, a, b, out);
+    matmul_seeded_into(SimdLevel::detect(), a, k, m, k, b, n, None, out);
+}
+
+/// The general form of [`matmul_into`]: `out = seed + a · b`, where row `i`
+/// of `a` is `a[i·lda .. i·lda + k]` and `seed` is one length-`n` row that
+/// every output row starts from (zero when `None`).
+///
+/// Each output element is `((seed + a₀b₀) + a₁b₁) + …` in ascending inner
+/// index, so seeding with the product over the first `s` columns and running
+/// over the remaining `k − s` (`&a[s..]`, `lda` unchanged, `&b[s·n..]`) is
+/// bit-identical to the one-shot product — how a caller shares a partial
+/// product between rows whose leading columns agree. `level` pins the
+/// instruction set for tests and benchmarks, as in [`crate::simd`]: every
+/// level gives the same bits, and an unsupported one degrades to scalar.
+///
+/// # Panics
+/// Panics when `lda < k` or a buffer is shorter than its shape requires.
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_seeded_into(
+    level: SimdLevel,
+    a: &[f32],
+    lda: usize,
+    m: usize,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    seed: Option<&[f32]>,
+    out: &mut [f32],
+) {
+    assert!(
+        lda >= k,
+        "matmul_seeded_into: lhs stride shorter than a row"
+    );
+    assert!(
+        m == 0 || a.len() >= (m - 1) * lda + k,
+        "matmul_seeded_into: lhs buffer too short"
+    );
+    assert!(b.len() >= k * n, "matmul_seeded_into: rhs buffer too short");
+    assert!(
+        seed.is_none_or(|s| s.len() >= n),
+        "matmul_seeded_into: seed row too short"
+    );
+    assert!(
+        out.len() >= m * n,
+        "matmul_seeded_into: output buffer too short"
+    );
+    let g = linalg::GemmNn {
+        a,
+        lda,
+        k,
+        b,
+        n,
+        seed,
+    };
+    linalg::gemm_nn_stripe(level, g, 0, m, out);
 }
 
 /// `out = aᵀ` where `a` is `r×c` row-major; `out` receives `c×r`.

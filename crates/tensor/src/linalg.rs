@@ -3,19 +3,23 @@
 //! Kernels take matrix *views* (`rows/cols` of [`Tensor`]), so vectors are
 //! treated as `1×n` rows throughout.
 //!
-//! The matmul family is cache-blocked and register-tiled: the inner
-//! micro-kernel accumulates an `MR×NR` output tile in stack arrays that the
-//! compiler keeps in vector registers, streaming one row of `b` per `k`
-//! step. Above [`PAR_MIN_FLOPS`] multiply-adds the output rows are
-//! partitioned across threads; every output element is still produced by
-//! exactly one thread with the same sequential accumulation order, so the
-//! parallel path is bit-identical to the sequential one.
+//! The matmul family is register-tiled: the inner micro-kernel accumulates
+//! an `MR×NR` output tile in stack arrays that the compiler keeps in vector
+//! registers, streaming one row of `b` per `k` step. `a · b` walks ragged
+//! edges with narrower tiles of the same kind and runs a second, AVX2
+//! compilation of the same body where the host has it. Above
+//! [`PAR_MIN_FLOPS`] multiply-adds the output rows are partitioned across
+//! threads. None of this is visible in the result: every output element is
+//! produced by exactly one thread as a sequential sum in ascending inner
+//! index, one multiply and one add per term, so tile shape, instruction set
+//! and thread count all give the same bits.
 //!
 //! Fused passes ([`softmax_rows`], [`sigmoid`], [`softmax_rows_backward`])
 //! compute their result in a single sweep over one output buffer instead of
 //! chaining elementwise ops through intermediate tensors.
 
 use crate::shape::Shape;
+use crate::simd::SimdLevel;
 use crate::tensor::Tensor;
 
 /// Output-tile height of the register micro-kernel.
@@ -67,9 +71,10 @@ fn row_partitioned(
 }
 
 /// `y += alpha · x`, accumulated in 8-lane chunks so the compiler can keep
-/// the edge-tile paths of the gemm stripes vectorized. Each output element
-/// still receives exactly one multiply-add per call, so widening does not
-/// change rounding — the result is bit-identical to the scalar loop.
+/// the edge tiles of [`gemm_tn_stripe`] and the row sums of
+/// [`crate::infer::mean_rows_into`] vectorized. Each output element still
+/// receives exactly one multiply-add per call, so widening does not change
+/// rounding — the result is bit-identical to the scalar loop.
 pub(crate) fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
     let mut xc = x.chunks_exact(8);
@@ -86,58 +91,131 @@ pub(crate) fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// Tiled `out[lo..hi, :] = a[lo..hi, :] · b` where `a` is `m×k` row-major and
-/// `b` is `k×n`. `out` holds only the stripe's rows.
+/// The read-only operands of `seed + a · b`: `a`'s rows are `k` wide and
+/// `lda` floats apart (so a product can run over a column range of a wider
+/// matrix without copying it out), `b` is `k×n`, and `seed`, when given, is
+/// one length-`n` row every output row's accumulators start from instead of
+/// zero — the partial product of leading columns all rows share.
+#[derive(Clone, Copy)]
+pub(crate) struct GemmNn<'a> {
+    pub(crate) a: &'a [f32],
+    pub(crate) lda: usize,
+    pub(crate) k: usize,
+    pub(crate) b: &'a [f32],
+    pub(crate) n: usize,
+    pub(crate) seed: Option<&'a [f32]>,
+}
+
+/// One `R×C` register tile of rows `i0..i0+R`, columns `j0..j0+C`:
+/// `out[r][c] = seed[c] + Σ_p a[r][p]·b[p][c]`, the sum taken in ascending
+/// `p` with a separate multiply and add per term. `out` starts at row `i0`.
+/// The accumulators live in a stack array the compiler keeps in vector
+/// registers and are stored exactly once, so nothing is read back from
+/// `out`.
+#[inline(always)]
+fn tile<const R: usize, const C: usize>(g: GemmNn<'_>, i0: usize, j0: usize, out: &mut [f32]) {
+    let n = g.n;
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &g.a[(i0 + r) * g.lda..][..g.k]);
+    let first: [f32; C] = match g.seed {
+        Some(s) => s[j0..j0 + C].try_into().unwrap(),
+        None => [0.0; C],
+    };
+    let mut acc = [first; R];
+    for (p, brow) in g.b.chunks_exact(n).take(g.k).enumerate() {
+        let brow: &[f32; C] = brow[j0..j0 + C].try_into().unwrap();
+        for r in 0..R {
+            let av = rows[r][p];
+            for c in 0..C {
+                acc[r][c] += av * brow[c];
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        out[r * n + j0..r * n + j0 + C].copy_from_slice(acc_row);
+    }
+}
+
+/// All column tiles of one `R`-row block: [`NR`]-wide tiles while they fit,
+/// then one each of 8, 4, 2 and 1 columns for the remainder.
+#[inline(always)]
+fn row_block<const R: usize>(g: GemmNn<'_>, i0: usize, out: &mut [f32]) {
+    let mut j0 = 0;
+    while g.n - j0 >= NR {
+        tile::<R, NR>(g, i0, j0, out);
+        j0 += NR;
+    }
+    if g.n - j0 >= 8 {
+        tile::<R, 8>(g, i0, j0, out);
+        j0 += 8;
+    }
+    if g.n - j0 >= 4 {
+        tile::<R, 4>(g, i0, j0, out);
+        j0 += 4;
+    }
+    if g.n - j0 >= 2 {
+        tile::<R, 2>(g, i0, j0, out);
+        j0 += 2;
+    }
+    if g.n - j0 >= 1 {
+        tile::<R, 1>(g, i0, j0, out);
+    }
+}
+
+/// The stripe walk behind [`gemm_nn_stripe`]: [`MR`]-row blocks while they
+/// fit, then one each of 2 and 1 rows. `#[inline(always)]` so that each
+/// caller compiles its own copy under its own target features.
+#[inline(always)]
+fn gemm_nn_body(g: GemmNn<'_>, lo: usize, hi: usize, out: &mut [f32]) {
+    let mut i0 = lo;
+    while hi - i0 >= MR {
+        row_block::<MR>(g, i0, &mut out[(i0 - lo) * g.n..]);
+        i0 += MR;
+    }
+    if hi - i0 >= 2 {
+        row_block::<2>(g, i0, &mut out[(i0 - lo) * g.n..]);
+        i0 += 2;
+    }
+    if hi - i0 >= 1 {
+        row_block::<1>(g, i0, &mut out[(i0 - lo) * g.n..]);
+    }
+}
+
+/// [`gemm_nn_body`] compiled with 256-bit registers available: an 8-column
+/// accumulator row is one `ymm` instead of two `xmm`, so the [`MR`]`×`[`NR`]
+/// tile fits the register file. `fma` is deliberately *not* enabled — the
+/// multiply and the add stay two roundings, which is what makes this copy
+/// bit-identical to the portable one.
 ///
-/// Edge (non-full) tiles *accumulate* into `out`, so callers outside
-/// [`matmul`] must zero the stripe first. `pub(crate)` so the tape-free
-/// inference kernels in [`crate::infer`] share the exact accumulation order
-/// (and therefore rounding) of the tape's matmul.
+/// # Safety
+/// Caller guarantees AVX2 is available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_nn_avx2(g: GemmNn<'_>, lo: usize, hi: usize, out: &mut [f32]) {
+    gemm_nn_body(g, lo, hi, out)
+}
+
+/// Tiled `out[lo..hi, :] = seed + a[lo..hi, :] · b`; `out` holds only the
+/// stripe's rows.
+///
+/// Every output element is `((seed + a₀b₀) + a₁b₁) + …` in ascending `p`,
+/// whatever tile it falls in and whichever `level` runs, so results are
+/// bit-identical across shapes, stripes and instruction sets. Every element
+/// of the stripe is stored from registers; prior contents of `out` are never
+/// read. `pub(crate)` so the tape-free inference kernels in [`crate::infer`]
+/// share the tape matmul's kernel (and therefore its rounding).
 pub(crate) fn gemm_nn_stripe(
+    level: SimdLevel,
+    g: GemmNn<'_>,
     lo: usize,
     hi: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
     out: &mut [f32],
 ) {
-    let mut i0 = lo;
-    while i0 < hi {
-        let ir = (hi - i0).min(MR);
-        let mut j0 = 0;
-        while j0 < n {
-            let jr = (n - j0).min(NR);
-            if ir == MR && jr == NR {
-                let mut acc = [[0.0f32; NR]; MR];
-                for p in 0..k {
-                    let brow: &[f32; NR] = b[p * n + j0..p * n + j0 + NR].try_into().unwrap();
-                    for r in 0..MR {
-                        let av = a[(i0 + r) * k + p];
-                        for c in 0..NR {
-                            acc[r][c] += av * brow[c];
-                        }
-                    }
-                }
-                for (r, acc_row) in acc.iter().enumerate() {
-                    let o = (i0 + r - lo) * n + j0;
-                    out[o..o + NR].copy_from_slice(acc_row);
-                }
-            } else {
-                for i in i0..i0 + ir {
-                    let orow = &mut out[(i - lo) * n + j0..(i - lo) * n + j0 + jr];
-                    for p in 0..k {
-                        let av = a[i * k + p];
-                        if av == 0.0 {
-                            continue;
-                        }
-                        axpy(av, &b[p * n + j0..p * n + j0 + jr], orow);
-                    }
-                }
-            }
-            j0 += NR;
-        }
-        i0 += MR;
+    match level.effective() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `effective()` returns Avx2 only after
+        // `is_x86_feature_detected!("avx2")`; the body itself is safe Rust.
+        SimdLevel::Avx2 => unsafe { gemm_nn_avx2(g, lo, hi, out) },
+        _ => gemm_nn_body(g, lo, hi, out),
     }
 }
 
@@ -226,8 +304,17 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     let (ad, bd) = (a.as_slice(), b.as_slice());
     let threads = par_threads(m, n, k);
+    let level = SimdLevel::detect();
+    let g = GemmNn {
+        a: ad,
+        lda: k,
+        k,
+        b: bd,
+        n,
+        seed: None,
+    };
     row_partitioned(m, n, threads, &mut out, &|lo, hi, stripe| {
-        gemm_nn_stripe(lo, hi, k, n, ad, bd, stripe)
+        gemm_nn_stripe(level, g, lo, hi, stripe)
     });
     Tensor::new(Shape::Matrix(m, n), out)
 }

@@ -375,6 +375,17 @@ impl FrozenLinear {
         self.out_dim
     }
 
+    /// The `in_dim×out_dim` weight matrix, row-major — for callers that
+    /// pack several layers over one input into a single GEMM operand.
+    pub fn weight(&self) -> &[f32] {
+        self.w.as_slice()
+    }
+
+    /// The length-`out_dim` bias row, if the layer has one.
+    pub fn bias(&self) -> Option<&[f32]> {
+        self.b.as_ref().map(Tensor::as_slice)
+    }
+
     /// `x` is `rows×in_dim`; returns a `rows×out_dim` buffer drawn from the
     /// workspace (the caller gives it back when done). Mirrors
     /// [`Linear::forward`]: matmul, then broadcast bias add.

@@ -103,7 +103,7 @@ impl SimdLevel {
     /// The level actually dispatched for a request: `self` when the host
     /// supports it, scalar otherwise. This is what makes the public
     /// kernels safe — an unsupported level degrades, it never faults.
-    fn effective(self) -> SimdLevel {
+    pub(crate) fn effective(self) -> SimdLevel {
         if self.supported() {
             self
         } else {
