@@ -281,6 +281,16 @@ impl FrozenOdNet {
         Ok(ckpt.artifact)
     }
 
+    /// Build the state the forward derives from the stored weights (the MMoE
+    /// head's packed first-layer panel) on the calling thread. A serving
+    /// engine calls this before a generation becomes visible to readers, so
+    /// no request pays for it; without the call the first forward does.
+    pub fn prepare(&self) {
+        if let FrozenHead::Joint(mmoe) = &self.head {
+            mmoe.prepare();
+        }
+    }
+
     /// Structural validation of a (possibly untrusted) artifact: every
     /// weight matrix must match the geometry the config declares, geometry
     /// must be mutually consistent across components, and no tensor may

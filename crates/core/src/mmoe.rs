@@ -204,8 +204,9 @@ pub struct FrozenMmoeHead {
     expert_dim: usize,
     /// The experts' and gates' weights packed column-wise into one
     /// `2d_q × (E·d_r + 2E)` GEMM operand, `[expert₀ | … | gate_O | gate_D]`
-    /// per row. Derived from the layers above on first use and never
-    /// serialized: they stay the one stored form.
+    /// per row. Derived from the layers above — by [`Self::prepare`] before
+    /// the head serves, else on first use — and never serialized: they stay
+    /// the one stored form.
     #[serde(skip)]
     panel: OnceLock<Vec<f32>>,
 }
@@ -264,6 +265,12 @@ impl FrozenMmoeHead {
             .check(&format!("{what}.tower_o"), expert_dim, 1)?;
         self.tower_d
             .check(&format!("{what}.tower_d"), expert_dim, 1)
+    }
+
+    /// Pack the panel now, on the calling thread, so the first forward does
+    /// not pay for it.
+    pub(crate) fn prepare(&self) {
+        self.panel();
     }
 
     fn panel(&self) -> &[f32] {

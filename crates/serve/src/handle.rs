@@ -95,6 +95,7 @@ pub(crate) struct ModelHandle {
 
 impl ModelHandle {
     pub(crate) fn new(initial: Arc<VersionSlot>, grace: Duration) -> ModelHandle {
+        initial.model.prepare();
         ModelHandle {
             current: Mutex::new(initial),
             retired: Mutex::new(Vec::new()),
@@ -124,6 +125,10 @@ impl ModelHandle {
         model: Arc<FrozenOdNet>,
         checksum: u32,
     ) -> Result<ArtifactVersion, PublishError> {
+        // The publisher builds the artifact's derived forward state, before
+        // the lock: readers never meet a half-warm generation and the
+        // critical section stays a pointer swap.
+        model.prepare();
         let mut cur = sync::lock(&self.current);
         check_compatible(&cur.model, &model)?;
         let slot = VersionSlot::register(model, cur.version.epoch + 1, checksum);
