@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# CI gate: formatting, lints, every test binary once, the CLI end-to-end
+# CI gate: formatting, lints, every test binary once, the CLI operator-path
 # gates, and the serving benchmark at smoke scale (the one perf/e2e smoke;
 # see benchmark/README.md).
 set -eu
@@ -17,8 +17,9 @@ echo "==> cargo test --workspace (every test binary, once)"
 #   od-tensor    kernel_equivalence (GEMM tiles bit-exact vs an ascending-
 #                index triple loop at every SimdLevel; seeded continuation
 #                == one-shot product)
-#   odnet-core   frozen_equivalence (artifact vs live tape; JSON/bin/mmap
-#                bit-identity), batched_equivalence, head_equivalence
+#   odnet-core   frozen_equivalence (artifact vs live tape; .odz owned/mmap
+#                bit-identity; checkpoint JSON -> artifact), batched_equivalence,
+#                head_equivalence
 #                (fused, prefix-seeded MMoE head vs the per-layer forward),
 #                artifact_corruption (.odz loader rejects tampered files)
 #   od-retrieval retrieval_equivalence (SIMD top-k bit-exact vs the scalar
@@ -30,18 +31,21 @@ echo "==> cargo test --workspace (every test binary, once)"
 #                engaged, stage clock populated), chaos (panic isolation,
 #                deadlines, supervision, hot swaps under load), funnel,
 #                trace_spans (well-formed span trees)
-#   od-http      parser fuzz table, socket chaos suite (hostile peers,
-#                overload ladder, X-Request-Id echo, graceful drain)
+#   od-http      parser fuzz table, socket chaos suite (every route bit-exact
+#                and version-stamped, hostile peers, overload ladder,
+#                unbounded k, X-Request-Id echo, graceful drain, a gated slow
+#                request tail-captured with its span chain + Chrome export)
 cargo test -q --workspace
 
-echo "==> http serving e2e smoke (freeze -> serve --artifact -> drain)"
-# Freezes an untrained artifact in both formats, boots the real HTTP tier
-# over the mmap'd .odz and drives every route over a socket: scores
-# bit-exact with direct scoring, both funnel stages stamped with the
-# loaded artifact's generation, readiness + od_http_* exposition, a
-# tail-captured trace, then a clean drain.
-cargo run --release --bin odnet -- freeze --out target/ci_artifact
-cargo run --release --bin odnet -- serve --artifact target/ci_artifact.odz --smoke
+echo "==> operator path (freeze -> serve --artifact -> drain)"
+# The commands an operator runs, nothing else: freeze an untrained artifact
+# to .odz, boot the HTTP tier over it (mmap load, universe check, bind an
+# ephemeral port), and let stdin EOF start the graceful drain — exit 0 only
+# if it settled cleanly. What the routes answer is the chaos suite's job
+# above and, over a real socket on an mmap'd .odz, benchmark/run.sh's below.
+cargo run --release --bin odnet -- freeze --out target/ci_artifact.odz
+cargo run --release --bin odnet -- serve --artifact target/ci_artifact.odz \
+    --addr 127.0.0.1:0 </dev/null
 
 echo "==> online loop smoke (drift -> retrain -> freeze -> publish)"
 # Two simulated days through a live engine: serve, fold the click stream

@@ -1,11 +1,12 @@
-//! The `.odz` binary serving artifact — paper-scale cold start.
+//! The `.odz` binary serving artifact — the one serving format, built for
+//! paper-scale cold start.
 //!
-//! The JSON artifact ([`FrozenOdNet::save_json`]) is the debuggable,
-//! self-describing interchange format, but loading it costs a full text
-//! parse plus an owned copy of every table — at the paper's deployment
-//! scale (2.6M users, PAPER.md §2) that is seconds of cold start and a
-//! resident copy per serving process. The `.odz` format stores the
-//! embedding tables as 64-byte-aligned little-endian `f32` rows that
+//! A text artifact costs a full parse plus an owned copy of every table —
+//! at the paper's deployment scale (2.6M users, PAPER.md §2) that is
+//! seconds of cold start and a resident copy per serving process (the
+//! training checkpoint still embeds the artifact as JSON;
+//! [`FrozenOdNet::from_checkpoint_json`] is the only JSON route to one).
+//! The `.odz` format stores the embedding tables as 64-byte-aligned little-endian `f32` rows that
 //! [`FrozenOdNet`] can score **directly out of an mmap'd file**: load time
 //! becomes page-fault time, and N serving processes mapping the same
 //! artifact share one physical copy of the tables.
@@ -24,16 +25,15 @@
 //!
 //! The embedding tables dominate the artifact (99.9% of bytes at paper
 //! scale); the PEC/MMoE/tower weights are a few hundred KB and ride in the
-//! meta block, where they are loaded eagerly on every path. Three load
+//! meta block, where they are loaded eagerly on both paths. Two load
 //! paths exist:
 //!
-//! - [`FrozenOdNet::load_json`]: parse + copy (oracle format),
 //! - [`FrozenOdNet::load_bin`]: binary read + copy, every table checksum
 //!   verified, full finiteness validation — the trust-establishing path,
 //! - [`FrozenOdNet::load_bin_mmap`]: zero-copy. Header, directory, and
 //!   meta checksums are verified and the geometry is validated, but table
 //!   bytes are *not* scanned (that would fault in every page and defeat
-//!   lazy loading). Mapped scoring is bit-identical to the JSON path
+//!   lazy loading). Mapped scoring is bit-identical to the owned path
 //!   because both serve the same IEEE-754 bit patterns.
 //!
 //! Safety: the mmap wrapper calls raw `mmap(2)`/`munmap(2)` through
@@ -55,8 +55,7 @@ use std::io::{BufWriter, Read as _, Seek, SeekFrom, Write as _};
 use std::path::Path;
 use std::sync::Arc;
 
-/// `.odz` format version. Independent of the JSON artifact's
-/// `FROZEN_FORMAT_VERSION` and the training checkpoint version.
+/// `.odz` format version. Independent of the training checkpoint version.
 pub const ODZ_VERSION: u32 = 1;
 
 const ODZ_MAGIC: [u8; 4] = *b"ODZ1";
@@ -82,13 +81,6 @@ fn fnv1a(mut h: u32, bytes: &[u8]) -> u32 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
-}
-
-/// FNV-1a (32-bit) checksum of arbitrary bytes — the same hash the `.odz`
-/// header fields use, exposed so other layers can derive artifact
-/// identities comparable with the on-disk checksums.
-pub fn fnv1a_checksum(bytes: &[u8]) -> u32 {
-    fnv1a(FNV_OFFSET, bytes)
 }
 
 /// Read only the 64-byte header of an `.odz` file and return its stored
@@ -299,8 +291,8 @@ impl Drop for MmapRegion {
 // ---------------------------------------------------------------------------
 // Table: the borrowed/owned storage behind FrozenOdNet's embedding tables.
 
-/// A row-major `rows × cols` f32 table that is either owned (JSON and
-/// binary-read paths) or borrowed from an [`MmapRegion`] (zero-copy path).
+/// A row-major `rows × cols` f32 table that is either owned (checkpoint
+/// and binary-read paths) or borrowed from an [`MmapRegion`] (zero-copy path).
 /// The scoring hot path only ever asks for [`Table::row`], which both
 /// variants serve as a plain slice — the enum never shows up per-element.
 #[derive(Clone)]
@@ -416,8 +408,9 @@ impl Table {
 }
 
 impl serde::Serialize for Table {
-    /// Serializes exactly like the `Tensor` it stands in for, so the JSON
-    /// artifact format is unchanged by the borrowed/owned split.
+    /// Serializes exactly like the `Tensor` it stands in for, so the
+    /// checkpoint's embedded artifact is unchanged by the borrowed/owned
+    /// split.
     fn to_content(&self) -> serde::Content {
         match self {
             Table::Owned(t) => serde::Serialize::to_content(t),

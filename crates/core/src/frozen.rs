@@ -33,14 +33,10 @@ use od_tensor::stable_sigmoid;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
-/// Format version of the standalone frozen artifact (independent of the
-/// full training checkpoint's version).
-const FROZEN_FORMAT_VERSION: u32 = 1;
-
 /// One frozen branch: dense embedding tables (already depth-`K` aggregated
 /// for graph variants) plus the frozen PEC and optional intent module.
-/// The tables are [`Table`]s so they can be owned (JSON / binary read) or
-/// borrowed zero-copy from an mmap'd `.odz` file — scoring never copies.
+/// The tables are [`Table`]s so they can be owned (checkpoint / binary read)
+/// or borrowed zero-copy from an mmap'd `.odz` file — scoring never copies.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub(crate) struct FrozenBranch {
     /// `num_users×d` final user embeddings.
@@ -252,35 +248,6 @@ impl FrozenOdNet {
         }
     }
 
-    /// Serialize the artifact to standalone JSON (self-contained: no HSG or
-    /// dataset needed to load it back).
-    pub fn save_json(&self) -> String {
-        // Built as a Content map by hand: the vendored serde derive cannot
-        // handle a borrowing (generic) wrapper struct.
-        let ckpt = serde::Content::Map(vec![
-            (
-                "format_version".to_string(),
-                serde::Serialize::to_content(&FROZEN_FORMAT_VERSION),
-            ),
-            ("artifact".to_string(), serde::Serialize::to_content(self)),
-        ]);
-        serde_json::to_string(&ckpt).expect("frozen artifact serialization cannot fail")
-    }
-
-    /// Restore an artifact from [`FrozenOdNet::save_json`] output. The
-    /// artifact is structurally validated before it is handed out: mutually
-    /// inconsistent matrix dimensions or non-finite weights are rejected
-    /// with a typed [`CheckpointError`] instead of panicking (or silently
-    /// serving NaN scores) at request time.
-    pub fn load_json(json: &str) -> Result<Self, CheckpointError> {
-        let ckpt: FrozenCheckpoint = serde_json::from_str(json).map_err(CheckpointError::Parse)?;
-        if ckpt.format_version != FROZEN_FORMAT_VERSION {
-            return Err(CheckpointError::Version(ckpt.format_version));
-        }
-        ckpt.artifact.validate_artifact()?;
-        Ok(ckpt.artifact)
-    }
-
     /// Build the state the forward derives from the stored weights (the MMoE
     /// head's packed first-layer panel) on the calling thread. A serving
     /// engine calls this before a generation becomes visible to readers, so
@@ -294,8 +261,9 @@ impl FrozenOdNet {
     /// Structural validation of a (possibly untrusted) artifact: every
     /// weight matrix must match the geometry the config declares, geometry
     /// must be mutually consistent across components, and no tensor may
-    /// carry NaN/±∞. Runs automatically inside [`FrozenOdNet::load_json`]
-    /// and [`FrozenOdNet::from_checkpoint_json`].
+    /// carry NaN/±∞. Runs automatically inside
+    /// [`FrozenOdNet::from_checkpoint_json`], [`FrozenOdNet::save_bin`] and
+    /// [`FrozenOdNet::load_bin`].
     pub fn validate_artifact(&self) -> Result<(), CheckpointError> {
         self.validate_impl(true)
     }
@@ -414,12 +382,6 @@ impl EmbeddingView<'_> {
     }
 }
 
-#[derive(Deserialize)]
-struct FrozenCheckpoint {
-    format_version: u32,
-    artifact: FrozenOdNet,
-}
-
 /// Candidate-independent per-branch scratch results.
 struct FrozenTrunk {
     v_l: Vec<f32>,
@@ -534,11 +496,10 @@ mod tests {
     }
 
     #[test]
-    fn fresh_artifact_validates_and_round_trips() {
-        let frozen = tiny_frozen();
-        frozen.validate_artifact().expect("fresh artifact is valid");
-        let back = FrozenOdNet::load_json(&frozen.save_json()).expect("round trip");
-        assert_eq!(back.num_users(), frozen.num_users());
+    fn fresh_artifact_validates() {
+        tiny_frozen()
+            .validate_artifact()
+            .expect("fresh artifact is valid");
     }
 
     #[test]
@@ -560,22 +521,47 @@ mod tests {
             Err(CheckpointError::Inconsistent(what)) => assert!(what.contains("users")),
             other => panic!("expected Inconsistent, got {other:?}"),
         }
-        // The same corruption arriving through the JSON path is caught by
-        // load_json instead of panicking on a later row lookup.
-        match FrozenOdNet::load_json(&frozen.save_json()) {
-            Err(CheckpointError::Inconsistent(_)) => {}
-            other => panic!("expected Inconsistent from load_json, got {other:?}"),
-        }
+    }
+
+    /// A training checkpoint (the one JSON route to a frozen artifact)
+    /// around `frozen`, as `OdNetModel::save_json` lays it out.
+    fn checkpoint_json_embedding(frozen: &FrozenOdNet) -> String {
+        let model = OdNetModel::new(
+            Variant::OdnetG,
+            OdnetConfig::tiny(),
+            frozen.num_users,
+            frozen.num_cities,
+            None,
+        );
+        let ckpt = model.save_json(frozen.num_users, frozen.num_cities);
+        let mut content: serde::Content = serde_json::from_str(&ckpt).expect("checkpoint parses");
+        let serde::Content::Map(fields) = &mut content else {
+            panic!("checkpoint is a map");
+        };
+        let slot = fields
+            .iter_mut()
+            .find(|(k, _)| k == "frozen")
+            .expect("checkpoint embeds an artifact");
+        slot.1 = serde::Serialize::to_content(frozen);
+        serde_json::to_string(&content).expect("checkpoint serializes")
     }
 
     #[test]
-    fn json_injected_infinity_is_rejected() {
+    fn corrupt_embedded_artifact_is_rejected_on_the_json_route() {
+        // The same corruption arriving through a checkpoint is caught by
+        // from_checkpoint_json instead of panicking on a later row lookup.
+        let mut frozen = tiny_frozen();
+        frozen.num_users += 1;
+        match FrozenOdNet::from_checkpoint_json(&checkpoint_json_embedding(&frozen)) {
+            Err(CheckpointError::Inconsistent(_)) => {}
+            other => panic!("expected Inconsistent, got {other:?}"),
+        }
         // JSON cannot carry NaN, but an overflowing literal like 1e999
-        // parses to ∞ — load_json must refuse to serve it.
+        // parses to ∞ — the loader must refuse to serve it.
         let mut frozen = tiny_frozen();
         frozen.origin.users.as_mut_slice()[0] = 12345.5;
-        let json = frozen.save_json().replacen("12345.5", "1e999", 1);
-        match FrozenOdNet::load_json(&json) {
+        let json = checkpoint_json_embedding(&frozen).replacen("12345.5", "1e999", 1);
+        match FrozenOdNet::from_checkpoint_json(&json) {
             Err(CheckpointError::NonFinite(_)) => {}
             other => panic!("expected NonFinite, got {other:?}"),
         }

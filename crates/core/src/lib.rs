@@ -63,7 +63,7 @@ mod trainer;
 
 pub mod hsgc;
 
-pub use artifact::{fnv1a_checksum, read_odz_checksum, MmapRegion, ODZ_VERSION};
+pub use artifact::{read_odz_checksum, MmapRegion, ODZ_VERSION};
 pub use config::OdnetConfig;
 pub use eval::{
     evaluate_auc, evaluate_on_checkin, evaluate_on_fliggy, evaluate_ranking,

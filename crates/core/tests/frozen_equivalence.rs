@@ -25,10 +25,10 @@ struct Fixture {
     /// `(frozen, live)` pairs: the artifact and the model it was frozen
     /// from.
     pairs: Vec<(FrozenOdNet, OdNetModel)>,
-    /// Per-pair reloads of the frozen artifact through every persistence
-    /// path: `[JSON round-trip, .odz owned read, .odz zero-copy mmap]`.
-    /// All three must score bit-identically to the original.
-    reloaded: Vec<[FrozenOdNet; 3]>,
+    /// Per-pair reloads of the frozen artifact through both `.odz` load
+    /// modes: `[owned read, zero-copy mmap]`. Both must score
+    /// bit-identically to the original.
+    reloaded: Vec<[FrozenOdNet; 2]>,
     /// A real group (with history) providing the user context.
     template: GroupInput,
     num_cities: usize,
@@ -65,7 +65,6 @@ fn fixture() -> &'static Fixture {
             .iter()
             .enumerate()
             .map(|(i, (frozen, _))| {
-                let json = FrozenOdNet::load_json(&frozen.save_json()).expect("json round trip");
                 let path = std::env::temp_dir()
                     .join(format!("odnet_equiv_{}_{i}.odz", std::process::id()));
                 frozen.save_bin(&path).expect("save .odz");
@@ -74,7 +73,7 @@ fn fixture() -> &'static Fixture {
                 // Unlink immediately: on unix the mapping stays valid, and
                 // the fixture leaves no temp litter behind.
                 let _ = std::fs::remove_file(&path);
-                [json, bin, mapped]
+                [bin, mapped]
             })
             .collect();
         let fx = FeatureExtractor::new(6, 4);
@@ -150,11 +149,11 @@ proptest! {
         }
     }
 
-    /// Every persistence path — JSON round-trip, `.odz` owned read, and
-    /// `.odz` zero-copy mmap — scores **bit-identically** to the original
-    /// in-memory artifact, for every variant and arbitrary candidate sets.
-    /// Exact equality (not tolerance): all four serve the same IEEE-754
-    /// bit patterns through the same kernels.
+    /// Both `.odz` load modes — owned read and zero-copy mmap — score
+    /// **bit-identically** to the original in-memory artifact, for every
+    /// variant and arbitrary candidate sets. Exact equality (not
+    /// tolerance): all three serve the same IEEE-754 bit patterns through
+    /// the same kernels.
     #[test]
     fn persistence_paths_score_bit_identically(cands in candidates(fixture().num_cities)) {
         let fix = fixture();
@@ -162,7 +161,7 @@ proptest! {
         group.candidates = cands;
         for ((frozen, _), reloaded) in fix.pairs.iter().zip(&fix.reloaded) {
             let expected = frozen.score_group(&group);
-            for (path, other) in ["json", "bin", "mmap"].iter().zip(reloaded.iter()) {
+            for (path, other) in ["bin", "mmap"].iter().zip(reloaded.iter()) {
                 let got = other.score_group(&group);
                 prop_assert_eq!(
                     &expected,
@@ -237,14 +236,17 @@ fn workspace_reuse_is_stateless_across_groups() {
     assert_eq!(first, frozen.score_group_with(&mut Workspace::new(), &a));
 }
 
-/// The standalone artifact JSON round-trips with exactly-equal scores and
-/// metadata.
+/// v2 training checkpoints embed the frozen artifact; extracting it needs
+/// no HSG and — for every variant — round-trips metadata and scores exactly
+/// as freezing the live model directly. This is the one JSON route to an
+/// artifact.
 #[test]
-fn save_load_round_trips_exactly() {
+fn checkpoint_embeds_extractable_artifact() {
     let fix = fixture();
-    for (frozen, _) in &fix.pairs {
-        let json = frozen.save_json();
-        let back = FrozenOdNet::load_json(&json).expect("round trip");
+    let mut ckpt = String::new();
+    for (frozen, live) in &fix.pairs {
+        ckpt = live.save_json(fix.num_users, fix.num_cities);
+        let back = FrozenOdNet::from_checkpoint_json(&ckpt).expect("v2 checkpoint embeds frozen");
         assert_eq!(back.variant(), frozen.variant());
         assert_eq!(back.theta(), frozen.theta());
         assert_eq!(back.num_users(), fix.num_users);
@@ -254,39 +256,10 @@ fn save_load_round_trips_exactly() {
             frozen.score_group(&fix.template)
         );
     }
-}
-
-/// A frozen artifact with an unknown format version is rejected with
-/// `CheckpointError::Version`, not a parse error.
-#[test]
-fn load_rejects_version_mismatch() {
-    let fix = fixture();
-    let (frozen, _) = &fix.pairs[0];
-    let json = frozen.save_json();
-    let tampered = json.replacen("\"format_version\":1", "\"format_version\":999", 1);
-    assert_ne!(json, tampered, "version field not found in artifact JSON");
-    match FrozenOdNet::load_json(&tampered) {
-        Err(CheckpointError::Version(999)) => {}
-        other => panic!("expected Version(999), got {other:?}"),
-    }
     assert!(matches!(
-        FrozenOdNet::load_json("not json"),
+        FrozenOdNet::from_checkpoint_json("not json"),
         Err(CheckpointError::Parse(_))
     ));
-}
-
-/// v2 training checkpoints embed the frozen artifact; extracting it needs
-/// no HSG and scores identically to freezing the live model directly.
-#[test]
-fn checkpoint_embeds_extractable_artifact() {
-    let fix = fixture();
-    let (frozen, batched) = &fix.pairs[0];
-    let ckpt = batched.save_json(fix.num_users, fix.num_cities);
-    let extracted = FrozenOdNet::from_checkpoint_json(&ckpt).expect("v2 checkpoint embeds frozen");
-    assert_eq!(
-        extracted.score_group(&fix.template),
-        frozen.score_group(&fix.template)
-    );
 
     // A previous-version checkpoint reports its version, not a parse error.
     let tampered = ckpt.replacen("\"format_version\":2", "\"format_version\":1", 1);

@@ -2,8 +2,8 @@
 //! wire grammar [`parser`](crate::parser) accepts and
 //! [`wire`](crate::wire) answers with. One request per call on an open
 //! connection, `Content-Length` framing only — enough for the CLI
-//! (`odnet serve --smoke`, `odnet trace`) and the socket chaos suite to
-//! talk to the tier without a second grammar living elsewhere.
+//! (`odnet trace`) and the socket chaos suite to talk to the tier without
+//! a second grammar living elsewhere.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

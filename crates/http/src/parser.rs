@@ -84,10 +84,6 @@ pub struct ParsedRequest {
     /// truncated to 64 bytes). `None` when absent or entirely illegal —
     /// the server then mints one.
     pub request_id: Option<String>,
-    /// Parsed `X-Debug-Stall-Ms` header — honored only when the server
-    /// was started with stall injection enabled (smoke/bench runs use it
-    /// to manufacture a tail-sampled slow request).
-    pub debug_stall_ms: Option<u64>,
     /// The (de-chunked) body bytes.
     pub body: Vec<u8>,
 }
@@ -272,7 +268,6 @@ struct Headers {
     keep_alive: Option<bool>,
     deadline_ms: Option<u64>,
     request_id: Option<String>,
-    debug_stall_ms: Option<u64>,
 }
 
 /// Keep only request-id token characters (RFC 7230 token minus quoting
@@ -294,7 +289,6 @@ fn parse_headers(block: &str) -> Result<Headers, ParseError> {
         keep_alive: None,
         deadline_ms: None,
         request_id: None,
-        debug_stall_ms: None,
     };
     let mut saw_te = false;
     for line in block.split("\r\n") {
@@ -350,11 +344,6 @@ fn parse_headers(block: &str) -> Result<Headers, ParseError> {
             }
             "x-request-id" => {
                 h.request_id = sanitize_request_id(value);
-            }
-            "x-debug-stall-ms" => {
-                // Best-effort debug knob: a bad value is ignored, not a
-                // 400 — it must never take a production request down.
-                h.debug_stall_ms = value.parse().ok();
             }
             _ => {}
         }
@@ -443,7 +432,6 @@ pub fn parse_request<R: Read>(
         keep_alive,
         deadline_ms: headers.deadline_ms,
         request_id: headers.request_id,
-        debug_stall_ms: headers.debug_stall_ms,
         body,
     })
 }
@@ -455,7 +443,6 @@ fn parse_headers_empty() -> Headers {
         keep_alive: None,
         deadline_ms: None,
         request_id: None,
-        debug_stall_ms: None,
     }
 }
 

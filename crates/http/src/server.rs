@@ -88,10 +88,6 @@ pub struct ServerConfig {
     /// Grace window [`Server::shutdown`] gives the engine shards to
     /// finish in-flight work before force-rejecting.
     pub drain_grace: Duration,
-    /// Honor the `X-Debug-Stall-Ms` header (sleep before dispatch).
-    /// Smoke and bench harnesses use it to manufacture a tail-sampled
-    /// slow request; never enable on a real listener.
-    pub allow_debug_stall: bool,
 }
 
 impl Default for ServerConfig {
@@ -109,7 +105,6 @@ impl Default for ServerConfig {
             max_body_bytes: 1024 * 1024,
             default_max_wait: Duration::from_secs(10),
             drain_grace: Duration::from_secs(2),
-            allow_debug_stall: false,
         }
     }
 }
@@ -459,19 +454,12 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
         let ctx = tracer.begin(&rid);
         tracer.record(ctx, "parse", t0, t_read);
 
-        if inner.config.allow_debug_stall {
-            if let Some(ms) = req.debug_stall_ms {
-                let s0 = ctx.is_active().then(od_obs::clock::now);
-                std::thread::sleep(Duration::from_millis(ms.min(1_000)));
-                if let Some(s0) = s0 {
-                    tracer.record(ctx, "debug_stall", s0, od_obs::clock::now());
-                }
-            }
-        }
-
-        let route = route_of(&req);
+        // The query is stripped once: routing and the metrics route label
+        // are decided on the same path.
+        let path = req.path.split('?').next().unwrap_or("");
+        let route = route_of(path);
         m.requests[route].inc();
-        let resp = dispatch(inner, &req, ctx).with_header("X-Request-Id", &rid);
+        let resp = dispatch(inner, &req, path, ctx).with_header("X-Request-Id", &rid);
         let t_handled = od_obs::clock::now();
         m.handle_ns[route].record(od_obs::clock::ns_between(t_read, t_handled));
 
@@ -502,9 +490,9 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
     }
 }
 
-/// The metrics route label of a request.
-fn route_of(req: &ParsedRequest) -> &'static str {
-    match req.path.as_str() {
+/// The metrics route label of a (query-stripped) request path.
+fn route_of(path: &str) -> &'static str {
+    match path {
         "/v1/score" => "score",
         "/v1/recommend" => "recommend",
         "/healthz" => "healthz",
@@ -600,9 +588,14 @@ fn write_response(stream: &mut TcpStream, resp: &Response, closing: bool) -> std
     stream.flush()
 }
 
-/// Route one parsed request to its handler.
-fn dispatch(inner: &Arc<Inner>, req: &ParsedRequest, ctx: od_obs::trace::TraceContext) -> Response {
-    let path = req.path.split('?').next().unwrap_or("");
+/// Route one parsed request to its handler; `path` is its target without
+/// the query string.
+fn dispatch(
+    inner: &Arc<Inner>,
+    req: &ParsedRequest,
+    path: &str,
+    ctx: od_obs::trace::TraceContext,
+) -> Response {
     match (req.method.as_str(), path) {
         ("GET", "/healthz") => healthz(inner),
         ("GET", "/metrics") => Response::text(200, &od_obs::global().snapshot().to_prometheus()),

@@ -12,8 +12,12 @@
 //! - graceful drain answers all in-flight requests before the listener
 //!   closes.
 //!
+//! - a request held slow by the engine's fail point is tail-captured with
+//!   its full span chain and exports as valid Chrome `trace_event` JSON.
+//!
 //! The minimal blocking client is `od_http::client` (shared with the
-//! CLI's `serve --smoke` and `trace`).
+//! CLI's `trace`). The engine's [`FailPoint`] is the one way a fault —
+//! panic or stall — is injected.
 
 use od_hsg::{HsgBuilder, UserId};
 use od_http::{http_request, read_http_response, Featurizer, HttpResponse, Server, ServerConfig};
@@ -154,8 +158,9 @@ fn assert_minted_request_id(resp: &HttpResponse) {
     );
 }
 
-/// Assert a 200 score body is bit-for-bit the oracle's scores.
-fn assert_bit_exact(resp: &HttpResponse, i: usize) {
+/// Assert a 200 score body is bit-for-bit the oracle's scores; hands back
+/// the decoded body for further checks.
+fn assert_bit_exact(resp: &HttpResponse, i: usize) -> od_http::wire::ScoreResponse {
     assert_eq!(
         resp.status,
         200,
@@ -179,6 +184,21 @@ fn assert_bit_exact(resp: &HttpResponse, i: usize) {
             "dest score drifted on the wire"
         );
     }
+    wire
+}
+
+/// Scrape `/metrics` over `conn` and return the exposition text.
+fn scrape(conn: &mut TcpStream) -> String {
+    let resp = http_request(conn, "GET", "/metrics", &[], None).expect("metrics answered");
+    assert_eq!(resp.status, 200);
+    String::from_utf8(resp.body).expect("exposition is utf-8")
+}
+
+/// The integer sample of the one series line starting with `series`.
+fn sample(text: &str, series: &str) -> u64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(series)?.trim().parse().ok())
+        .unwrap_or_else(|| panic!("{series} missing from /metrics"))
 }
 
 // ---- End-to-end happy path ---------------------------------------------
@@ -190,12 +210,16 @@ fn one_keepalive_connection_serves_every_route_bit_exact() {
     let mut conn = connect(&server);
 
     // Every template group over the wire, all on one keep-alive
-    // connection, every score bit-exact with the direct oracle.
+    // connection, every score bit-exact with the direct oracle and stamped
+    // — body and headers — with the generation the shards loaded.
+    let loaded = 0xF00D_u32.to_string();
     for i in 0..fix.templates.len() {
         let resp = post_score(&mut conn, i);
-        assert_bit_exact(&resp, i);
+        let wire = assert_bit_exact(&resp, i);
+        assert_eq!((wire.epoch, wire.checksum), (0, 0xF00D));
         assert_eq!(resp.header("x-artifact-epoch"), Some("0"));
-        assert!(resp.header("x-artifact-checksum").is_some());
+        assert_eq!(resp.header("x-artifact-checksum"), Some(loaded.as_str()));
+        assert_minted_request_id(&resp);
     }
 
     // The full funnel on the same connection: ranked pairs carry both
@@ -220,8 +244,11 @@ fn one_keepalive_connection_serves_every_route_bit_exact() {
         serde_json::from_str(std::str::from_utf8(&resp.body).expect("recommend response is utf-8"))
             .expect("recommend response decodes");
     assert_eq!(rec.pairs.len(), 4);
-    assert_eq!(rec.retrieved_by.epoch, 0);
-    assert_eq!(rec.ranked_by.epoch, 0);
+    // Both funnel stages agree on the loaded generation.
+    for stamp in [&rec.retrieved_by, &rec.ranked_by] {
+        assert_eq!((stamp.epoch, stamp.checksum), (0, 0xF00D));
+    }
+    assert_eq!(resp.header("x-artifact-checksum"), Some(loaded.as_str()));
     for p in &rec.pairs {
         assert_ne!(p.origin, p.dest);
         assert_eq!(
@@ -230,18 +257,26 @@ fn one_keepalive_connection_serves_every_route_bit_exact() {
         );
     }
 
-    // Readiness and exposition ride the same connection too.
-    let health = http_request(&mut conn, "GET", "/healthz", &[], None).expect("healthz");
-    assert_eq!(health.status, 200);
-    assert_eq!(health.body, b"ok\n");
-    let metrics = http_request(&mut conn, "GET", "/metrics", &[], None).expect("metrics");
-    assert_eq!(metrics.status, 200);
-    let text = String::from_utf8(metrics.body).expect("exposition is utf-8");
+    // Readiness and exposition ride the same connection too. A probe
+    // with a query string is routed *and counted* as healthz.
+    const HEALTHZ: &str = "od_http_requests_total{route=\"healthz\"}";
+    let before = sample(&scrape(&mut conn), HEALTHZ);
+    for path in ["/healthz", "/healthz?probe=1", "/healthz?probe=2"] {
+        let health = http_request(&mut conn, "GET", path, &[], None).expect("healthz");
+        assert_eq!(health.status, 200);
+        assert_eq!(health.body, b"ok\n");
+    }
+    let text = scrape(&mut conn);
+    assert!(
+        sample(&text, HEALTHZ) >= before + 3,
+        "a healthz probe with a query was not counted under route=\"healthz\""
+    );
     for series in [
         "od_http_requests_total",
         "od_http_responses_total",
         "od_http_active_connections",
         "od_http_e2e_ns",
+        "od_engine_",
     ] {
         assert!(text.contains(series), "{series} missing from /metrics");
     }
@@ -314,6 +349,27 @@ fn malformed_requests_get_typed_statuses_not_hangs() {
     assert_eq!(
         resp.status, 400,
         "out-of-universe user must 400, not panic the retriever"
+    );
+
+    // An absurd `k` is clamped to the pairs that exist: a 200 carrying all
+    // of them — not an allocation the size of the ask, which used to panic
+    // the connection thread or abort the process — and the same keep-alive
+    // connection serves the next request.
+    let n = fixture().model.num_cities();
+    for k in ["18446744073709551615", "1000000000000"] {
+        let body = format!("{{\"user\":0,\"k\":{k}}}");
+        let resp = ask(&mut conn, "POST", "/v1/recommend", Some(body.as_bytes()));
+        assert_eq!(resp.status, 200, "k = {k}");
+        let rec: od_http::wire::RecommendResponse =
+            serde_json::from_str(std::str::from_utf8(&resp.body).expect("utf-8"))
+                .expect("recommend response decodes");
+        assert_eq!(rec.pairs.len(), n * (n - 1), "k = {k}");
+        let resp = ask(&mut conn, "GET", "/healthz", None);
+        assert_eq!(resp.status, 200);
+    }
+    assert_eq!(
+        sample(&scrape(&mut conn), "od_http_connection_panics_total"),
+        0
     );
 
     // Wire-level violations answer typed and close. Fresh connection per
@@ -877,4 +933,111 @@ fn graceful_drain_answers_in_flight_requests_before_the_listener_closes() {
     let report = drainer.join().expect("shutdown must not panic");
     assert!(report.clean, "in-flight work resolved: the drain is clean");
     assert_eq!(report.drain_rejected, 0);
+}
+
+// ---- Tracing --------------------------------------------------------------
+
+#[test]
+fn gated_slow_request_is_tail_captured_with_its_span_chain_and_exports_to_chrome() {
+    // The tracer is process-global and this is the one test that turns it
+    // on: a 40 ms floor with no 1/N keeps, so only slow traffic is kept.
+    od_obs::trace::global().enable(od_obs::trace::TraceConfig {
+        slow_ns: 40_000_000,
+        sample_every: 0,
+    });
+    let gate = Gate::new();
+    let shard = funnel_with(EngineConfig {
+        workers: 1,
+        fail_point: Some(gate.fail_point()),
+        ..EngineConfig::default()
+    });
+    let server = Server::start(vec![shard], featurizer(), ServerConfig::default())
+        .expect("bind http server");
+    let addr = server.addr();
+
+    // The worker holds the request's batch at the gate past the slow
+    // floor; the client is parked on a real socket meanwhile.
+    let user = fixture().templates[0].user.0;
+    let slow = std::thread::spawn(move || {
+        let mut conn = TcpStream::connect(addr).expect("slow client connects");
+        let ask = format!("{{\"user\":{user},\"k\":5}}");
+        let resp = http_request(
+            &mut conn,
+            "POST",
+            "/v1/recommend",
+            &[("X-Request-Id", "gated-slow-1")],
+            Some(ask.as_bytes()),
+        )
+        .expect("slow request answered");
+        (conn, resp)
+    });
+    gate.wait_entered();
+    std::thread::sleep(Duration::from_millis(60));
+    gate.release();
+    let (mut conn, resp) = slow.join().expect("slow client must not panic");
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.header("x-request-id"), Some("gated-slow-1"));
+
+    // Same connection, so the root span closed before this is parsed.
+    let json_of = |conn: &mut TcpStream, path: &str| -> serde_json::Value {
+        let resp = http_request(conn, "GET", path, &[], None).expect("traces answered");
+        assert_eq!(resp.status, 200, "{path}");
+        serde_json::from_str(std::str::from_utf8(&resp.body).expect("utf-8"))
+            .unwrap_or_else(|e| panic!("{path} is not valid JSON: {e}"))
+    };
+    let doc = json_of(&mut conn, "/debug/traces?min_ms=40");
+    fn str_of<'a>(v: &'a serde_json::Value, key: &str) -> Option<&'a str> {
+        v.get(key)?.as_str()
+    }
+    let captured = doc
+        .get("traces")
+        .and_then(|t| t.as_array())
+        .expect("traces array")
+        .iter()
+        .find(|t| str_of(t, "request_id") == Some("gated-slow-1"))
+        .expect("the gated request was not tail-captured");
+    let spans = captured
+        .get("spans")
+        .and_then(|s| s.as_array())
+        .expect("captured spans");
+    let names: Vec<&str> = spans.iter().filter_map(|s| str_of(s, "name")).collect();
+    for want in [
+        "request",
+        "parse",
+        "admission",
+        "queue_wait",
+        "forward",
+        "retrieval",
+        "write",
+    ] {
+        assert!(
+            names.contains(&want),
+            "span chain missing {want:?}: {names:?}"
+        );
+    }
+    // The gate held batch 0 of the construction-time generation.
+    let forward = spans
+        .iter()
+        .find(|s| str_of(s, "name") == Some("forward"))
+        .expect("forward span");
+    for attr in ["batch", "epoch"] {
+        assert_eq!(
+            forward.get(attr).and_then(|v| v.as_f64()),
+            Some(0.0),
+            "forward span lost {attr:?}: {forward:?}"
+        );
+    }
+
+    let chrome = json_of(&mut conn, "/debug/traces?min_ms=40&format=chrome");
+    assert_eq!(str_of(&chrome, "displayTimeUnit"), Some("ns"));
+    assert!(
+        chrome
+            .get("traceEvents")
+            .and_then(|e| e.as_array())
+            .is_some_and(|events| events.len() >= names.len()),
+        "Chrome export carries fewer events than the trace has spans"
+    );
+
+    drop(conn);
+    assert!(server.shutdown().clean);
 }

@@ -222,20 +222,11 @@ impl Retriever {
         self.index.ncentroids()
     }
 
-    /// Clusters probed per pruned query.
-    pub fn nprobe(&self) -> usize {
-        self.nprobe
-    }
-
-    /// Refinement cut of the pruned tier (`0` = disabled).
-    pub fn refine(&self) -> usize {
-        self.refine
-    }
-
     /// Best `k` OD pairs for `user` over the whole universe (self-pairs
     /// `o == d` excluded), best first. Deterministic: the result is the
     /// prefix of the total order (score desc, pair index asc), identical
-    /// across SIMD levels and table modes.
+    /// across SIMD levels and table modes. `k` is clamped to the `n·(n−1)`
+    /// pairs that exist, so asking for more returns all of them.
     ///
     /// Panics if `user` is outside the artifact's universe — callers on
     /// the serving path (the `Funnel`) validate ids at admission.
@@ -260,6 +251,8 @@ impl Retriever {
             ev.num_users
         );
         let mut stats = RetrievalStats::default();
+        // `k` arrives from the wire; the heap allocates for it.
+        let k = k.min(n * n.saturating_sub(1));
         if k == 0 {
             return Retrieved {
                 pairs: Vec::new(),

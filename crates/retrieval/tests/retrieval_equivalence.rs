@@ -226,6 +226,37 @@ fn pruned_pairs_carry_exact_scores_in_canonical_order() {
     }
 }
 
+#[test]
+fn k_beyond_the_universe_returns_every_pair_there_is() {
+    // `k` reaches the retriever from the wire unbounded; it must size its
+    // heap by the pairs that exist, not by the number asked for.
+    let (cities, all) = (12usize, 12 * 11);
+    let frozen = Arc::new(frozen_at(4, cities, 8));
+    let r = Retriever::build(
+        Arc::clone(&frozen),
+        RetrievalConfig {
+            ncentroids: 4,
+            nprobe: 2,
+            ..RetrievalConfig::default()
+        },
+    );
+    let user = UserId(1);
+    for tier in [Tier::Exact, Tier::Pruned] {
+        let capped = r.top_k(user, all, tier);
+        for k in [all + 1, 1_000_000_000_000, usize::MAX] {
+            let got = r.top_k(user, k, tier);
+            assert_same(&got.pairs, &capped.pairs, &format!("{} k={k}", tier.name()));
+        }
+    }
+    let exact = r.top_k(user, usize::MAX, Tier::Exact);
+    assert_same(
+        &exact.pairs,
+        &oracle_top_k(&frozen, user, all),
+        "exact vs oracle",
+    );
+    assert_eq!(exact.pairs.len(), all);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 24,

@@ -1,32 +1,30 @@
-//! Serving-side artifact loading: one entry point for every artifact
-//! format, instrumented for cold-start observability.
+//! Serving-side artifact loading: `.odz` is the one serving format,
+//! loaded owned or mmap'd, instrumented for cold-start observability.
 //!
 //! The serving cold-start path is the time between "process starts" and
 //! "first request scored" — at paper scale it is dominated by artifact
 //! loading, which is exactly what the `.odz` mmap path collapses (see
 //! `odnet_core::artifact` and DESIGN.md §12). [`load_frozen`] wraps the
-//! three load paths and records what happened into the process-global
+//! two load modes and records what happened into the process-global
 //! [`od_obs`] registry:
 //!
 //! | series | kind | meaning |
 //! |---|---|---|
 //! | `od_artifact_load_ns` | gauge | wall time of the last artifact load |
 //! | `od_artifact_bytes` | gauge | on-disk size of the last loaded artifact |
-//! | `od_artifact_loads_total{mode=…}` | counter | loads by mode (json/bin/mmap) |
+//! | `od_artifact_loads_total{mode=…}` | counter | loads by mode (bin/mmap) |
 //!
 //! `odnet metrics --artifact` renders these next to the engine series, so
 //! a deployment can tell at a glance whether a replica cold-started from
-//! the zero-copy path or fell back to a parse.
+//! the zero-copy path or from the audited owned read.
 
-use odnet_core::{fnv1a_checksum, read_odz_checksum, CheckpointError, FrozenOdNet};
+use odnet_core::{read_odz_checksum, CheckpointError, FrozenOdNet};
 use std::path::Path;
 use std::time::Instant;
 
-/// Which load path [`load_frozen`] takes.
+/// How [`load_frozen`] brings an `.odz` file into memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ArtifactMode {
-    /// Parse a `FrozenOdNet::save_json` artifact (owned tables).
-    Json,
     /// Read an `.odz` binary with full checksum + finiteness audit
     /// (owned tables).
     Bin,
@@ -38,19 +36,8 @@ impl ArtifactMode {
     /// Metric label / CLI name of the mode.
     pub fn name(self) -> &'static str {
         match self {
-            ArtifactMode::Json => "json",
             ArtifactMode::Bin => "bin",
             ArtifactMode::Mmap => "mmap",
-        }
-    }
-
-    /// Infer the mode from a path's extension — the single extension→mode
-    /// table every load path in the repo (library and CLI) goes through:
-    /// `.odz` maps zero-copy, anything else parses as JSON.
-    pub fn infer(path: &Path) -> ArtifactMode {
-        match path.extension().and_then(|e| e.to_str()) {
-            Some("odz") => ArtifactMode::Mmap,
-            _ => ArtifactMode::Json,
         }
     }
 }
@@ -63,17 +50,18 @@ impl ArtifactMode {
 pub struct LoadedArtifact {
     /// The artifact, ready to serve (wrap in an `Arc` for the engine).
     pub frozen: FrozenOdNet,
-    /// FNV-1a content checksum: the `.odz` header's meta checksum for
-    /// binary artifacts (covers config/θ/weights and the table directory
-    /// with its per-table FNVs — read without faulting a single table
-    /// page), or a hash of the raw file bytes for JSON.
+    /// FNV-1a content checksum: the `.odz` header's meta checksum (covers
+    /// config/θ/weights and the table directory with its per-table FNVs —
+    /// read without faulting a single table page).
     pub checksum: u32,
-    /// Which load path produced it.
+    /// Which load mode produced it.
     pub mode: ArtifactMode,
 }
 
-/// Load a frozen artifact for serving, recording cold-start gauges and
-/// deriving the artifact's content checksum.
+/// Load an `.odz` artifact for serving, recording cold-start gauges and
+/// deriving the artifact's content checksum. Anything that is not an
+/// `.odz` file fails the magic check with a typed
+/// [`CheckpointError::Binary`].
 ///
 /// The returned artifact is ready to hand to
 /// [`Engine::new_versioned`](crate::Engine::new_versioned) behind an
@@ -81,18 +69,11 @@ pub struct LoadedArtifact {
 /// demand, which is the point.
 pub fn load_frozen(path: &Path, mode: ArtifactMode) -> Result<LoadedArtifact, CheckpointError> {
     let start = Instant::now();
-    let (frozen, checksum) = match mode {
-        ArtifactMode::Json => {
-            let json = std::fs::read_to_string(path)
-                .map_err(|e| CheckpointError::Io(format!("reading {path:?}: {e}")))?;
-            (
-                FrozenOdNet::load_json(&json)?,
-                fnv1a_checksum(json.as_bytes()),
-            )
-        }
-        ArtifactMode::Bin => (FrozenOdNet::load_bin(path)?, read_odz_checksum(path)?),
-        ArtifactMode::Mmap => (FrozenOdNet::load_bin_mmap(path)?, read_odz_checksum(path)?),
+    let frozen = match mode {
+        ArtifactMode::Bin => FrozenOdNet::load_bin(path)?,
+        ArtifactMode::Mmap => FrozenOdNet::load_bin_mmap(path)?,
     };
+    let checksum = read_odz_checksum(path)?;
     let elapsed_ns = start.elapsed().as_nanos().min(i64::MAX as u128) as i64;
     let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
     let reg = od_obs::global();
@@ -119,23 +100,15 @@ pub fn load_frozen(path: &Path, mode: ArtifactMode) -> Result<LoadedArtifact, Ch
     })
 }
 
-/// [`load_frozen`] with the mode inferred from the path's extension
-/// ([`ArtifactMode::infer`]) — the one entry point the CLI and the online
-/// loop share.
+/// [`load_frozen`] in the serving default mode, zero-copy mmap — the one
+/// entry point the CLI and the online loop share.
 pub fn load_frozen_auto(path: &Path) -> Result<LoadedArtifact, CheckpointError> {
-    load_frozen(path, ArtifactMode::infer(path))
+    load_frozen(path, ArtifactMode::Mmap)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_inference_follows_extension() {
-        assert_eq!(ArtifactMode::infer(Path::new("m.odz")), ArtifactMode::Mmap);
-        assert_eq!(ArtifactMode::infer(Path::new("m.json")), ArtifactMode::Json);
-        assert_eq!(ArtifactMode::infer(Path::new("model")), ArtifactMode::Json);
-    }
 
     #[test]
     fn missing_file_is_a_typed_io_error() {

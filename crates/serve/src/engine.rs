@@ -54,7 +54,7 @@
 
 use crate::error::{PublishError, ServeError};
 use crate::handle::{ArtifactVersion, ModelHandle, VersionSlot};
-use crate::metrics::{EngineMetrics, HistSummary};
+use crate::metrics::EngineMetrics;
 use crate::oneshot;
 use crate::queue::Queue;
 use crate::sync;
@@ -235,7 +235,7 @@ struct Request {
 }
 
 /// Snapshot of the engine's counters.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct EngineStats {
     /// Requests accepted into the queue.
     pub submitted: u64,
@@ -256,19 +256,8 @@ pub struct EngineStats {
     /// Distribution of requests merged per forward. Batch sizes below 32
     /// land in exact (`lo == hi`) buckets of the od-obs log-linear
     /// histogram, so for the usual `max_batch` the histogram loses
-    /// nothing over the old fixed-width array it replaced.
-    pub batch_hist: HistSummary,
-}
-
-impl EngineStats {
-    /// Mean requests merged per forward — 1.0 means coalescing never
-    /// engaged, larger is better.
-    pub fn mean_requests_per_forward(&self) -> f64 {
-        if self.forwards == 0 {
-            return 0.0;
-        }
-        self.completed as f64 / self.forwards as f64
-    }
+    /// nothing.
+    pub batch_hist: od_obs::HistogramSnapshot,
 }
 
 /// Supervision + fault snapshot of the engine.
@@ -278,7 +267,7 @@ impl EngineStats {
 /// panicked_requests + drain_rejected + in_flight` (with
 /// `in_flight == 0` once all tickets have resolved), and
 /// `worker_panics == respawns` once the supervisor has caught up.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct EngineHealth {
     /// Worker threads the engine was configured with.
     pub configured_workers: usize,
@@ -552,7 +541,7 @@ impl Engine {
             completed: m.completed.get(),
             forwards: m.forwards.get(),
             coalesced_requests: m.coalesced_requests.get(),
-            batch_hist: HistSummary::from(&m.batch_size.snapshot()),
+            batch_hist: m.batch_size.snapshot(),
         }
     }
 
@@ -892,71 +881,25 @@ fn score_set(
     // to answer "which batch did this ride, and which generation scored
     // it".
     let fwd_attrs = [("batch", seq), ("epoch", slot.version.epoch)];
-    if set.len() == 1 {
-        let req = &mut batch[set[0]];
-        let traced = req.ctx.is_active();
-        let fwd_start = (shared.stage_timing || traced).then(od_obs::clock::now);
-        slot.model.score_group_into(ws, &req.group, out);
-        let fwd_end = fwd_start.map(|t0| {
-            let now = od_obs::clock::now();
-            if shared.stage_timing {
-                metrics.forward_ns[widx].record(od_obs::clock::ns_between(t0, now));
-            }
-            now
-        });
-        if traced {
-            trace::global().record_full(
-                req.ctx,
-                "forward",
-                fwd_start.unwrap_or_default(),
-                fwd_end.unwrap_or_default(),
-                0,
-                false,
-                fwd_attrs,
-            );
+    // A singleton is a set of one, scored in place (no context copy);
+    // otherwise one forward runs over the concatenated candidate lists —
+    // the context is shared by construction (the plan grouped on it).
+    let group = if let [only] = set {
+        &batch[*only].group
+    } else {
+        metrics.coalesced_requests.add(set.len() as u64);
+        copy_context(merged, &batch[set[0]].group);
+        merged.candidates.clear();
+        for &i in set {
+            merged
+                .candidates
+                .extend_from_slice(&batch[i].group.candidates);
         }
-        // Count before sending: the oneshot's lock handoff then publishes
-        // the increment to whoever observes the response.
-        metrics.completed.inc();
-        slot.requests.inc();
-        slot.scores.add(out.len() as u64);
-        let submitted = req.submitted;
-        let trace_id = req.ctx.trace_id;
-        req.take_tx().send(Ok(ScoredResponse {
-            scores: out.clone(),
-            version: slot.version,
-        }));
-        if let Some(t1) = fwd_end {
-            let done = od_obs::clock::now();
-            if shared.stage_timing {
-                metrics
-                    .scatter_ns
-                    .record(od_obs::clock::ns_between(t1, done));
-                if let Some(t0) = submitted {
-                    // The exemplar links this bucket of the e2e histogram
-                    // to the trace that landed there (no-op id 0 when
-                    // untraced).
-                    metrics
-                        .e2e_ns
-                        .record_exemplar(od_obs::clock::ns_between(t0, done), trace_id);
-                }
-            }
-        }
-        return;
-    }
-    metrics.coalesced_requests.add(set.len() as u64);
-    // One forward over the concatenated candidate lists. The context is
-    // shared by construction (that is what the plan grouped on).
-    copy_context(merged, &batch[set[0]].group);
-    merged.candidates.clear();
-    for &i in set {
-        merged
-            .candidates
-            .extend_from_slice(&batch[i].group.candidates);
-    }
+        &*merged
+    };
     let any_traced = set.iter().any(|&i| batch[i].ctx.is_active());
     let fwd_start = (shared.stage_timing || any_traced).then(od_obs::clock::now);
-    slot.model.score_group_into(ws, merged, out);
+    slot.model.score_group_into(ws, group, out);
     let fwd_end = fwd_start.map(|t0| {
         let now = od_obs::clock::now();
         if shared.stage_timing {
@@ -990,6 +933,8 @@ fn score_set(
     for &i in set {
         let req = &mut batch[i];
         let n = req.group.candidates.len();
+        // Count before sending: the oneshot's lock handoff then publishes
+        // the increment to whoever observes the response.
         metrics.completed.inc();
         slot.requests.inc();
         req.take_tx().send(Ok(ScoredResponse {
@@ -1008,6 +953,9 @@ fn score_set(
                 .record(od_obs::clock::ns_between(t1, done));
             for &i in set {
                 if let Some(t0) = batch[i].submitted {
+                    // The exemplar links this bucket of the e2e histogram
+                    // to the trace that landed there (no-op id 0 when
+                    // untraced).
                     metrics.e2e_ns.record_exemplar(
                         od_obs::clock::ns_between(t0, done),
                         batch[i].ctx.trace_id,

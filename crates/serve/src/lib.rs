@@ -80,4 +80,3 @@ pub use error::{PublishError, ServeError};
 pub use funnel::{Funnel, FunnelConfig, RankedPair, Recommendation};
 pub use handle::ArtifactVersion;
 pub use loadgen::{drive, score_all, LoadReport};
-pub use metrics::{HistBucket, HistSummary};

@@ -46,7 +46,7 @@
 //! off, each record site is a single never-taken branch and no clock is
 //! read. The accounting counters and gauges are always on.
 
-use od_obs::{global, Counter, FloatGauge, Gauge, HistogramSnapshot, LatencyHistogram};
+use od_obs::{global, Counter, FloatGauge, Gauge, LatencyHistogram};
 
 /// The instruments of one engine. Constructed once per [`Engine`]
 /// (crate::Engine); all handles are cheap clones of registry-held ones.
@@ -204,61 +204,5 @@ impl EngineMetrics {
         self.coalesce_hit_rate.set(0.0);
         self.artifact_epoch.set(0);
         self.artifact_checksum.set(0);
-    }
-}
-
-/// Serializable summary of a [`HistogramSnapshot`] — od-obs is
-/// dependency-free, so the serde mapping lives here, on the consumer side.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct HistSummary {
-    /// Samples recorded.
-    pub count: u64,
-    /// Exact sum of all samples (mod 2⁶⁴).
-    pub sum: u64,
-    /// Exact largest sample.
-    pub max: u64,
-    /// Mean sample (0 when empty).
-    pub mean: f64,
-    /// Conservative median upper bound.
-    pub p50: u64,
-    /// Conservative 95th-percentile upper bound.
-    pub p95: u64,
-    /// Conservative 99th-percentile upper bound.
-    pub p99: u64,
-    /// The non-empty buckets, in value order.
-    pub buckets: Vec<HistBucket>,
-}
-
-/// One non-empty bucket of a [`HistSummary`]: `count` samples fell in the
-/// inclusive `[lo, hi]` range.
-#[derive(Clone, Copy, Debug, serde::Serialize)]
-pub struct HistBucket {
-    /// Inclusive lower bound.
-    pub lo: u64,
-    /// Inclusive upper bound.
-    pub hi: u64,
-    /// Samples in this bucket.
-    pub count: u64,
-}
-
-impl From<&HistogramSnapshot> for HistSummary {
-    fn from(snap: &HistogramSnapshot) -> HistSummary {
-        HistSummary {
-            count: snap.count(),
-            sum: snap.sum,
-            max: snap.max,
-            mean: snap.mean(),
-            p50: snap.quantile(0.50),
-            p95: snap.quantile(0.95),
-            p99: snap.quantile(0.99),
-            buckets: snap
-                .buckets()
-                .map(|b| HistBucket {
-                    lo: b.lo,
-                    hi: b.hi,
-                    count: b.count,
-                })
-                .collect(),
-        }
     }
 }

@@ -97,11 +97,10 @@ fn concurrent_engine_matches_direct_scoring_bitwise() {
     // exact (lo == hi) bucket of the log-linear histogram, so the weighted
     // sum is recoverable from the buckets and must agree with the exact
     // tracked sum.
-    assert_eq!(stats.batch_hist.count, stats.forwards);
+    assert_eq!(stats.batch_hist.count(), stats.forwards);
     let weighted: u64 = stats
         .batch_hist
-        .buckets
-        .iter()
+        .buckets()
         .map(|b| {
             assert_eq!(b.lo, b.hi, "batch sizes < 32 bin exactly");
             b.lo * b.count

@@ -68,10 +68,10 @@ USAGE:
                   [--metrics-jsonl FILE]
   odnet eval      --model FILE
   odnet recommend (--model FILE | --artifact FILE) --user ID [--top-k K]
-  odnet freeze    --out BASE (--model FILE |
+  odnet freeze    --out FILE (--model FILE |
                   [--variant V] [--users N] [--cities N] [--embed-dim D])
   odnet serve     [--artifact FILE] [--users N] [--cities N] [--addr H:P]
-                  [--shards N] [--workers N] [--trace] [--smoke]
+                  [--shards N] [--workers N] [--trace]
   odnet metrics   [--artifact FILE] [--json] [--out FILE] [--requests N]
   odnet trace     --addr H:P [--min-ms N] [--errors] [--limit N]
                   [--chrome FILE]
@@ -79,34 +79,31 @@ USAGE:
                   [--top K] [--epochs N] [--seed N] [--ab-seed N]
                   [--workers N] [--out-dir DIR] [--metrics-jsonl FILE]
 
-`freeze` writes a serving artifact in both formats: BASE.json (the
-debuggable interchange format) and BASE.odz (the zero-copy binary that
-serving replicas mmap; see DESIGN.md §12). From --model it extracts the
-trained artifact embedded in the checkpoint; without it, it freezes an
-untrained model of the given universe size — the paper-scale cold-start
-path (odnet-g needs no graph, so freezing 2.6M users is cheap).
+`freeze` writes the serving artifact to FILE in the .odz format (the
+zero-copy binary that serving replicas mmap; see DESIGN.md §12) — the
+one format serving loads. From --model it extracts the trained artifact
+embedded in the checkpoint; without it, it freezes an untrained model of
+the given universe size — the paper-scale cold-start path (odnet-g needs
+no graph, so freezing 2.6M users is cheap).
 
 `recommend` serves one user through the full funnel (DESIGN.md S14): the
 retrieval tier proposes the --top-k best OD pairs straight from the
 frozen dense tables, the live engine ranks them, and the listing is
 stamped with the artifact generation that served each stage. --artifact
-serves from an .odz/.json artifact on disk (mmap'd for .odz); --model
-extracts the artifact embedded in a training checkpoint.
+serves from an .odz artifact on disk (mmap'd); --model extracts the
+artifact embedded in a training checkpoint.
 
 `serve` exposes the artifact over the hardened od-http tier (DESIGN.md
 S15): POST /v1/score ranks a raw request group, POST /v1/recommend runs
 the retrieve -> rank funnel, GET /healthz reports readiness (NOT-READY
 while draining), GET /metrics renders the od-obs registry as Prometheus
 text. Requests shard across --shards engines by user id; closing stdin
-(Ctrl-D) starts a graceful drain. --smoke runs the self-driving e2e
-instead of waiting: it binds an ephemeral port, drives every route over
-a real socket, asserts scores are bit-exact with direct scoring and both
-version stamps match the loaded artifact, then drains and verifies the
-drain settled cleanly — the ci.sh serving gate.
+(Ctrl-D) starts a graceful drain and the exit code says whether it
+settled cleanly.
 
-`metrics` accepts --artifact to serve a frozen artifact from disk (mmap'd
-when the file ends in .odz) instead of building a model in process; the
-dataset defaults to the artifact's universe sizes.
+`metrics` accepts --artifact to serve an .odz artifact from disk (mmap'd)
+instead of building a model in process; the dataset defaults to the
+artifact's universe sizes.
 
 `serve --trace` turns on request-scoped tracing (DESIGN.md S16): every
 request gets an X-Request-Id (client-supplied or minted) echoed on the
@@ -183,8 +180,8 @@ fn build_hsg(ds: &FliggyDataset) -> od_hsg::Hsg {
 }
 
 /// 1-candidate-heavy request templates from a few distinct user contexts —
-/// the workload cross-request micro-batching exists for. Shared by
-/// `serve --smoke` and `metrics`.
+/// the workload cross-request micro-batching exists for (`metrics` drives
+/// the engine with them).
 fn serving_templates(ds: &FliggyDataset, fx: &FeatureExtractor) -> Result<Vec<GroupInput>, String> {
     let day = ds.train_end_day();
     let mut groups = Vec::new();
@@ -307,7 +304,7 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Write a frozen serving artifact to `BASE.json` + `BASE.odz`. From
+/// Write a frozen serving artifact to `--out FILE` as `.odz`. From
 /// `--model` it extracts the artifact a training run embedded in its
 /// checkpoint; otherwise it freezes an untrained model of the requested
 /// universe size, which is how paper-scale (2.6M user) artifacts are
@@ -316,7 +313,7 @@ fn cmd_freeze(flags: &HashMap<String, String>) -> Result<(), String> {
     let out = flags
         .get("out")
         .filter(|p| !p.is_empty())
-        .ok_or("--out BASE is required (writes BASE.json and BASE.odz)")?;
+        .ok_or("--out FILE is required (the .odz artifact to write)")?;
     let frozen = if flags.contains_key("model") {
         let bundle = read_bundle(flags)?;
         FrozenOdNet::from_checkpoint_json(&bundle.checkpoint).map_err(|e| e.to_string())?
@@ -359,22 +356,14 @@ fn cmd_freeze(flags: &HashMap<String, String>) -> Result<(), String> {
         );
         OdNetModel::new(variant, config, users, cities, hsg).freeze()
     };
-    let json_path = format!("{out}.json");
-    let odz_path = format!("{out}.odz");
-    std::fs::write(&json_path, frozen.save_json())
-        .map_err(|e| format!("writing {json_path}: {e}"))?;
     frozen
-        .save_bin(std::path::Path::new(&odz_path))
+        .save_bin(std::path::Path::new(out))
         .map_err(|e| e.to_string())?;
-    let size = |p: &str| {
-        std::fs::metadata(p)
-            .map(|m| m.len() as f64 / (1 << 20) as f64)
-            .unwrap_or(0.0)
-    };
+    let mib = std::fs::metadata(out)
+        .map(|m| m.len() as f64 / (1 << 20) as f64)
+        .unwrap_or(0.0);
     eprintln!(
-        "wrote {json_path} ({:.1} MiB) and {odz_path} ({:.1} MiB): {} — {} users × {} cities",
-        size(&json_path),
-        size(&odz_path),
+        "wrote {out} ({mib:.1} MiB): {} — {} users × {} cities",
         frozen.variant().name(),
         frozen.num_users(),
         frozen.num_cities()
@@ -382,11 +371,10 @@ fn cmd_freeze(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Load `--artifact` for serving commands through the one shared
-/// extension→mode table ([`od_serve::load_frozen_auto`]): mmap'd for
-/// `.odz`, parsed for JSON, with cold-start gauges recorded into the
-/// od-obs registry and the artifact's content checksum derived for
-/// version attribution.
+/// Load the `--artifact` `.odz` file for serving commands through the one
+/// shared entry point ([`od_serve::load_frozen_auto`], zero-copy mmap),
+/// with cold-start gauges recorded into the od-obs registry and the
+/// artifact's content checksum derived for version attribution.
 fn load_artifact_flag(
     flags: &HashMap<String, String>,
 ) -> Result<Option<od_serve::LoadedArtifact>, String> {
@@ -426,10 +414,7 @@ fn check_artifact_universe(frozen: &FrozenOdNet, ds: &FliggyDataset) -> Result<(
 
 /// Serve the artifact over the hardened HTTP tier (DESIGN.md §15): score
 /// and recommend endpoints sharded across per-core funnels, readiness and
-/// Prometheus exposition, graceful drain on stdin close. With `--smoke`,
-/// run the self-driving end-to-end check instead: drive every route over
-/// a real socket, assert bit-exact scores and artifact version stamps,
-/// then drain and verify the drain settled — the ci.sh serving gate.
+/// Prometheus exposition, graceful drain on stdin close.
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     use od_http::{Featurizer, Server, ServerConfig};
     use od_serve::{EngineConfig, Funnel, FunnelConfig};
@@ -437,24 +422,14 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
 
     let shards_n = get_usize(flags, "shards", 2)?.max(1);
     let workers = get_usize(flags, "workers", 2)?.max(1);
-    let smoke = flags.contains_key("smoke");
-    if smoke {
-        // The smoke injects an 80ms-stalled request and asserts the tail
-        // sampler captured it: a 40ms floor with no 1/N keeps means the
-        // ring holds exactly the slow traffic.
-        od_obs::trace::global().enable(od_obs::trace::TraceConfig {
-            slow_ns: 40_000_000,
-            sample_every: 0,
-        });
-    } else if flags.contains_key("trace") {
+    if flags.contains_key("trace") {
         od_obs::trace::global().enable(od_obs::trace::TraceConfig::default());
     }
-    let addr = match flags.get("addr").filter(|a| !a.is_empty()) {
-        Some(a) => a.clone(),
-        // Smoke binds an ephemeral port so gates never collide.
-        None if smoke => "127.0.0.1:0".to_string(),
-        None => "127.0.0.1:8080".to_string(),
-    };
+    let addr = flags
+        .get("addr")
+        .filter(|a| !a.is_empty())
+        .map_or("127.0.0.1:8080", String::as_str)
+        .to_string();
 
     let artifact = load_artifact_flag(flags)?;
     let (default_users, default_cities) = artifact
@@ -519,7 +494,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         featurizer,
         ServerConfig {
             addr,
-            allow_debug_stall: smoke,
             ..ServerConfig::default()
         },
     )
@@ -528,9 +502,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         "serving artifact [{checksum:08x}] on http://{} ({shards_n} shard(s) × {workers} worker(s))",
         server.addr()
     );
-    if smoke {
-        return serve_smoke(server, &model, &ds, &fx, checksum);
-    }
     eprintln!(
         "routes: POST /v1/score  POST /v1/recommend  GET /healthz  GET /metrics  \
          GET /debug/traces"
@@ -556,252 +527,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     } else {
         Err("graceful drain timed out with unresolved tickets".into())
     }
-}
-
-/// The `serve --smoke` body: the server drives itself over a real socket
-/// and asserts the wire contract end-to-end.
-fn serve_smoke(
-    server: od_http::Server,
-    model: &FrozenOdNet,
-    ds: &FliggyDataset,
-    fx: &FeatureExtractor,
-    checksum: u32,
-) -> Result<(), String> {
-    use od_http::http_request;
-
-    let groups = serving_templates(ds, fx)?;
-    let group = &groups[0];
-    let expected = model.score_group(group);
-    let mut conn =
-        std::net::TcpStream::connect(server.addr()).map_err(|e| format!("smoke connect: {e}"))?;
-
-    // Route 1: /v1/score must hand back bit-exact scores stamped with
-    // the loaded artifact's generation.
-    let body = serde_json::to_string(group).map_err(|e| e.to_string())?;
-    let resp = http_request(&mut conn, "POST", "/v1/score", &[], Some(body.as_bytes()))
-        .map_err(|e| format!("smoke score request: {e}"))?;
-    if resp.status != 200 {
-        return Err(format!(
-            "smoke score: expected 200, got {} ({})",
-            resp.status,
-            String::from_utf8_lossy(&resp.body)
-        ));
-    }
-    let scored: od_http::wire::ScoreResponse = serde_json::from_str(
-        std::str::from_utf8(&resp.body).map_err(|_| "smoke score: non-utf8 body".to_string())?,
-    )
-    .map_err(|e| format!("smoke score: bad body: {e}"))?;
-    let exact = scored.scores.len() == expected.len()
-        && scored
-            .scores
-            .iter()
-            .zip(&expected)
-            .all(|(g, w)| g.0.to_bits() == w.0.to_bits() && g.1.to_bits() == w.1.to_bits());
-    if !exact {
-        return Err("smoke score: wire scores are not bit-exact with direct scoring".into());
-    }
-    if scored.epoch != 0 || scored.checksum != checksum {
-        return Err(format!(
-            "smoke score: version stamp (epoch {}, {:08x}) does not match the loaded \
-             artifact (epoch 0, {checksum:08x})",
-            scored.epoch, scored.checksum
-        ));
-    }
-    if resp.header("x-artifact-epoch") != Some("0") {
-        return Err("smoke score: missing X-Artifact-Epoch response header".into());
-    }
-    if resp.header("x-request-id").is_none() {
-        return Err("smoke score: response missing a minted X-Request-Id".into());
-    }
-    println!(
-        "smoke /v1/score: 200, {} scores bit-exact, stamped epoch 0 [{checksum:08x}]",
-        scored.scores.len()
-    );
-
-    // Route 2: /v1/recommend must run the funnel and stamp both stages
-    // with the same generation.
-    let ask = format!("{{\"user\":{},\"k\":5}}", group.user.0);
-    let resp = http_request(
-        &mut conn,
-        "POST",
-        "/v1/recommend",
-        &[],
-        Some(ask.as_bytes()),
-    )
-    .map_err(|e| format!("smoke recommend request: {e}"))?;
-    if resp.status != 200 {
-        return Err(format!(
-            "smoke recommend: expected 200, got {} ({})",
-            resp.status,
-            String::from_utf8_lossy(&resp.body)
-        ));
-    }
-    let rec: od_http::wire::RecommendResponse = serde_json::from_str(
-        std::str::from_utf8(&resp.body)
-            .map_err(|_| "smoke recommend: non-utf8 body".to_string())?,
-    )
-    .map_err(|e| format!("smoke recommend: bad body: {e}"))?;
-    if rec.pairs.is_empty() {
-        return Err("smoke recommend: empty ranking".into());
-    }
-    if rec.ranked_by.epoch != 0
-        || rec.ranked_by.checksum != checksum
-        || rec.retrieved_by.epoch != rec.ranked_by.epoch
-        || rec.retrieved_by.checksum != rec.ranked_by.checksum
-    {
-        return Err(format!(
-            "smoke recommend: stage stamps (retrieved epoch {} [{:08x}], ranked epoch {} \
-             [{:08x}]) do not agree on the loaded artifact (epoch 0, [{checksum:08x}])",
-            rec.retrieved_by.epoch,
-            rec.retrieved_by.checksum,
-            rec.ranked_by.epoch,
-            rec.ranked_by.checksum
-        ));
-    }
-    println!(
-        "smoke /v1/recommend: 200, top-{} ranked, both stages stamped epoch 0 [{checksum:08x}]",
-        rec.pairs.len()
-    );
-
-    // Routes 3 + 4: readiness and exposition.
-    let resp = http_request(&mut conn, "GET", "/healthz", &[], None)
-        .map_err(|e| format!("smoke healthz request: {e}"))?;
-    if resp.status != 200 || resp.body != b"ok\n" {
-        return Err(format!(
-            "smoke healthz: expected 200 ok, got {}",
-            resp.status
-        ));
-    }
-    let resp = http_request(&mut conn, "GET", "/metrics", &[], None)
-        .map_err(|e| format!("smoke metrics request: {e}"))?;
-    let text = String::from_utf8_lossy(&resp.body);
-    if resp.status != 200
-        || !text.contains("od_http_requests_total")
-        || !text.contains("od_engine_")
-    {
-        return Err("smoke metrics: exposition is missing od_http_*/od_engine_* series".into());
-    }
-    println!("smoke /healthz + /metrics: ready, exposition carries od_http_* series");
-
-    // Route 5: request-scoped tracing. Inject a deadline-slow request
-    // (the debug stall header is honored only under --smoke) and assert
-    // the tail sampler captured it over the real socket with the full
-    // span chain, then that the Chrome export of the same ring is valid
-    // trace_event JSON.
-    let ask = format!("{{\"user\":{},\"k\":5}}", group.user.0);
-    let resp = http_request(
-        &mut conn,
-        "POST",
-        "/v1/recommend",
-        &[("X-Request-Id", "smoke-slow-1"), ("X-Debug-Stall-Ms", "80")],
-        Some(ask.as_bytes()),
-    )
-    .map_err(|e| format!("smoke slow request: {e}"))?;
-    if resp.status != 200 {
-        return Err(format!(
-            "smoke slow request: expected 200, got {} ({})",
-            resp.status,
-            String::from_utf8_lossy(&resp.body)
-        ));
-    }
-    if resp.header("x-request-id") != Some("smoke-slow-1") {
-        return Err("smoke slow request: X-Request-Id was not echoed".into());
-    }
-    let resp = http_request(&mut conn, "GET", "/debug/traces?min_ms=40", &[], None)
-        .map_err(|e| format!("smoke traces request: {e}"))?;
-    if resp.status != 200 {
-        return Err(format!("smoke traces: expected 200, got {}", resp.status));
-    }
-    let doc: serde_json::Value = std::str::from_utf8(&resp.body)
-        .map_err(|_| "smoke traces: non-utf8 body".to_string())
-        .and_then(|s| {
-            serde_json::from_str(s)
-                .map_err(|e| format!("smoke traces: body is not valid JSON: {e}"))
-        })?;
-    let traces = doc
-        .get("traces")
-        .and_then(|t| t.as_array())
-        .ok_or("smoke traces: no traces array")?;
-    let slow = traces
-        .iter()
-        .find(|t| t.get("request_id").and_then(|r| r.as_str()) == Some("smoke-slow-1"))
-        .ok_or("smoke traces: the stalled request was not tail-captured")?;
-    let spans = slow
-        .get("spans")
-        .and_then(|s| s.as_array())
-        .ok_or("smoke traces: captured trace has no spans")?;
-    if spans.len() < 6 {
-        return Err(format!(
-            "smoke traces: {} spans captured, want at least 6",
-            spans.len()
-        ));
-    }
-    let names: Vec<&str> = spans
-        .iter()
-        .filter_map(|s| s.get("name").and_then(|n| n.as_str()))
-        .collect();
-    for want in [
-        "request",
-        "parse",
-        "admission",
-        "queue_wait",
-        "forward",
-        "retrieval",
-        "write",
-    ] {
-        if !names.contains(&want) {
-            return Err(format!(
-                "smoke traces: span chain missing {want:?} (captured: {names:?})"
-            ));
-        }
-    }
-    let fwd = spans
-        .iter()
-        .find(|s| s.get("name").and_then(|n| n.as_str()) == Some("forward"))
-        .ok_or("smoke traces: forward span vanished")?;
-    if fwd.get("batch").is_none() || fwd.get("epoch").is_none() {
-        return Err("smoke traces: forward span is missing batch/epoch attributes".into());
-    }
-    let resp = http_request(
-        &mut conn,
-        "GET",
-        "/debug/traces?min_ms=40&format=chrome",
-        &[],
-        None,
-    )
-    .map_err(|e| format!("smoke chrome traces request: {e}"))?;
-    let doc: serde_json::Value = std::str::from_utf8(&resp.body)
-        .map_err(|_| "smoke traces: non-utf8 Chrome export".to_string())
-        .and_then(|s| {
-            serde_json::from_str(s)
-                .map_err(|e| format!("smoke traces: Chrome export is not valid JSON: {e}"))
-        })?;
-    let unit_ok = doc
-        .get("displayTimeUnit")
-        .and_then(|u| u.as_str())
-        .is_some_and(|u| u == "ns");
-    let events_ok = doc
-        .get("traceEvents")
-        .and_then(|e| e.as_array())
-        .is_some_and(|a| a.len() >= 6);
-    if !unit_ok || !events_ok {
-        return Err("smoke traces: Chrome trace_event export is malformed".into());
-    }
-    println!(
-        "smoke /debug/traces: stalled request tail-captured with {} spans; Chrome export valid",
-        spans.len()
-    );
-
-    drop(conn);
-    let report = server.shutdown();
-    if !report.clean || report.drain_rejected != 0 {
-        return Err(format!(
-            "smoke drain: expected a clean drain, got clean={} with {} force-rejected",
-            report.clean, report.drain_rejected
-        ));
-    }
-    println!("smoke drain: clean, zero force-rejected tickets");
-    Ok(())
 }
 
 /// Exercise the full pipeline briefly — a tiny training run, then a loaded
