@@ -37,18 +37,21 @@ echo "==> cargo test --workspace (every test binary, once)"
 #                request tail-captured with its span chain + Chrome export)
 cargo test -q --workspace
 
-echo "==> operator path (freeze -> serve --artifact -> drain)"
+echo "==> operator path (freeze -> recommend --artifact -> serve --artifact -> drain)"
 # The commands an operator runs, nothing else: freeze an untrained artifact
-# to .odz, boot the HTTP tier over it (mmap load, universe check, bind an
-# ephemeral port), and let stdin EOF start the graceful drain — exit 0 only
-# if it settled cleanly. What the routes answer is the chaos suite's job
-# above and, over a real socket on an mmap'd .odz, benchmark/run.sh's below.
+# to .odz, serve one user from the mmap'd file through the funnel, boot the
+# HTTP tier over it (mmap load, universe check, bind an ephemeral port),
+# and let stdin EOF start the graceful drain — exit 0 only if it settled
+# cleanly. What the routes answer is the chaos suite's job above and, over
+# a real socket on an mmap'd .odz, benchmark/run.sh's below.
 cargo run --release --bin odnet -- freeze --out target/ci_artifact.odz
+cargo run --release --bin odnet -- recommend --artifact target/ci_artifact.odz \
+    --user 0 --top-k 5
 cargo run --release --bin odnet -- serve --artifact target/ci_artifact.odz \
     --addr 127.0.0.1:0 </dev/null
 
 echo "==> online loop smoke (drift -> retrain -> freeze -> publish)"
-# Two simulated days through a live engine: serve, fold the click stream
+# Two simulated days through one live funnel: serve, fold the click stream
 # into training, freeze to .odz, hot-publish, repeat. Exercises the full
 # odnet online path end to end.
 cargo run --release --bin odnet -- online --rounds 2 --panel 10 --users 40 \

@@ -5,7 +5,9 @@
 //! model with common random numbers.
 
 use od_bench::methods::fit_method;
-use od_bench::{fliggy_dataset, heuristic_candidates, markdown_table, write_json, Method, Scale};
+use od_bench::{
+    fliggy_dataset, heuristic_candidates, markdown_table, rank_pairs, write_json, Method, Scale,
+};
 use od_data::AbTestHarness;
 use odnet_core::FeatureExtractor;
 use serde::Serialize;
@@ -38,14 +40,8 @@ fn main() {
                 return Vec::new();
             }
             let group = fx.group_for_serving(&ds, user, day, &candidates);
-            let scores = scorer.score_group(&group);
-            let mut ranked: Vec<(f32, (od_hsg::CityId, od_hsg::CityId))> = scores
-                .iter()
-                .zip(&candidates)
-                .map(|(&(po, pd), &pair)| (scorer.serving_score(po, pd), pair))
-                .collect();
-            ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores"));
-            ranked.into_iter().take(k).map(|(_, p)| p).collect()
+            let ranked = rank_pairs(scorer.as_ref(), &group, &candidates);
+            ranked.into_iter().take(k).map(|(p, _)| p).collect()
         });
         let overall = result.overall_ctr();
         eprintln!("[fig7] {} overall CTR {:.4}", method.name(), overall);

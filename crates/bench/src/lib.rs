@@ -29,7 +29,7 @@ pub mod serving;
 pub use methods::{fit_method, CheckinSuite, Method, MethodResult};
 pub use report::{markdown_table, write_json};
 pub use scale::Scale;
-pub use serving::{heuristic_candidates, rank_pairs, rank_pairs_into, recall_candidates};
+pub use serving::{heuristic_candidates, rank_pairs};
 
 use od_data::{CheckinConfig, CheckinDataset, FliggyDataset};
 use od_hsg::{Hsg, HsgBuilder};

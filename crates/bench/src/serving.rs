@@ -1,81 +1,50 @@
-//! Candidate recall for serving.
+//! Offline candidate recall and the one offline Eq. 11 ranker.
 //!
-//! Two candidate sources feed the ranker:
-//!
-//! - [`recall_candidates`] — the production path: top-k OD pairs out of
-//!   the *whole* city universe, retrieved from a frozen artifact's dense
-//!   tables by `od-retrieval` (SIMD brute-force or the pruned IVF tier).
 //! - [`heuristic_candidates`] — the paper's §VI-B multi-strategy recall
 //!   (current city, nearby cities, historical Os; historical/clicked/
 //!   popular Ds). It needs only the dataset, no trained artifact, so it
-//!   remains the candidate source for the fig7 baselines and the test
-//!   oracle for candidate-set plausibility.
+//!   is the candidate source for the fig7 baselines and the examples.
+//! - [`rank_pairs`] — score a recalled group with any [`OdScorer`] and
+//!   sort by the Eq. 11 serving score; every offline ranking (fig7, the
+//!   examples) goes through it.
+//!
+//! Serving retrieves from the frozen tables and ranks through the engine
+//! instead: that composition is `od_serve::Funnel`.
 
 use od_data::FliggyDataset;
 use od_hsg::{CityId, UserId};
-use od_retrieval::{Retriever, Tier};
 use odnet_core::{GroupInput, OdScorer};
 use std::collections::HashSet;
 
 /// Rank recalled OD pairs with any scorer — live tape or frozen artifact —
-/// by the Eq. 11 serving score, descending. `group` must have been built
-/// over exactly `pairs` (one candidate per pair, in order).
+/// by the Eq. 11 serving score, descending. The sort is stable: equal
+/// scores keep candidate (recall-priority) order, which is what makes the
+/// fig7 lists reproducible. `group` must have been built over exactly
+/// `pairs` (one candidate per pair, in order).
 pub fn rank_pairs(
     scorer: &dyn OdScorer,
     group: &GroupInput,
     pairs: &[(CityId, CityId)],
 ) -> Vec<((CityId, CityId), f32)> {
-    let mut probs = Vec::new();
-    let mut ranked = Vec::new();
-    rank_pairs_into(scorer, group, pairs, &mut probs, &mut ranked);
-    ranked
-}
-
-/// [`rank_pairs`] with caller-provided buffers, so a serving loop ranking
-/// request after request reuses one probability buffer and one output
-/// buffer: with the frozen artifact's in-place scorer the whole
-/// recall → score → rank cycle then runs without per-request allocation.
-/// Both buffers are cleared first.
-pub fn rank_pairs_into(
-    scorer: &dyn OdScorer,
-    group: &GroupInput,
-    pairs: &[(CityId, CityId)],
-    probs: &mut Vec<(f32, f32)>,
-    ranked: &mut Vec<((CityId, CityId), f32)>,
-) {
     assert_eq!(
         group.candidates.len(),
         pairs.len(),
         "group candidates and recalled pairs out of sync"
     );
-    scorer.score_group_into(group, probs);
-    ranked.clear();
-    ranked.extend(
-        probs
-            .iter()
-            .zip(pairs)
-            .map(|(&(po, pd), &pair)| (pair, scorer.serving_score(po, pd))),
-    );
+    let mut ranked: Vec<((CityId, CityId), f32)> = scorer
+        .score_group(group)
+        .iter()
+        .zip(pairs)
+        .map(|(&(po, pd), &pair)| (pair, scorer.serving_score(po, pd)))
+        .collect();
     ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite serving scores"));
-}
-
-/// Retrieve the best `k` OD pairs for `user` from a frozen artifact's
-/// dense tables — the production recall path. Serves the pruned tier
-/// (IVF-routed, origin cutoff); build the [`Retriever`] once per artifact
-/// generation and reuse it across requests.
-pub fn recall_candidates(retriever: &Retriever, user: UserId, k: usize) -> Vec<(CityId, CityId)> {
-    retriever
-        .top_k(user, k, Tier::Pruned)
-        .pairs
-        .into_iter()
-        .map(|p| (p.origin, p.dest))
-        .collect()
+    ranked
 }
 
 /// Assemble up to `max_pairs` candidate OD pairs for `user` at `day` using
-/// the paper's §VI-B heuristic recall strategies. Kept as the baseline
-/// candidate source (fig7's non-ODNET methods have no frozen tables to
-/// retrieve from) and as the test oracle for candidate plausibility.
+/// the paper's §VI-B heuristic recall strategies — the baseline candidate
+/// source (fig7's non-ODNET methods have no frozen tables to retrieve
+/// from).
 pub fn heuristic_candidates(
     ds: &FliggyDataset,
     user: UserId,
@@ -198,31 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn retrieval_recall_returns_k_distinct_scored_pairs() {
-        let ds = crate::fliggy_dataset(Scale::Smoke);
-        let model = odnet_core::OdNetModel::new(
-            odnet_core::Variant::OdnetG,
-            odnet_core::OdnetConfig::tiny(),
-            ds.world.num_users(),
-            ds.world.num_cities(),
-            None,
-        );
-        let retriever = Retriever::build(
-            std::sync::Arc::new(model.freeze()),
-            od_retrieval::RetrievalConfig::default(),
-        );
-        let pairs = recall_candidates(&retriever, UserId(0), 24);
-        assert_eq!(pairs.len(), 24);
-        for (o, d) in &pairs {
-            assert_ne!(o, d);
-        }
-        let mut unique = pairs.clone();
-        unique.sort_by_key(|&(o, d)| (o.0, d.0));
-        unique.dedup();
-        assert_eq!(unique.len(), pairs.len(), "duplicate pairs retrieved");
-    }
-
-    #[test]
     fn recall_respects_cap() {
         let ds = crate::fliggy_dataset(Scale::Smoke);
         let pairs = heuristic_candidates(&ds, UserId(0), ds.train_end_day(), 5);
@@ -264,6 +208,14 @@ mod tests {
         // reconstructable from the pair itself.
         for ((o, d), score) in &ranked {
             assert_eq!(*score, 0.5 * (o.0 as f32 + d.0 as f32));
+        }
+        // Equal scores keep candidate order (pairs with the same o + d tie
+        // under the stub).
+        let recalled_at = |p: (CityId, CityId)| pairs.iter().position(|&q| q == p).unwrap();
+        let ties: Vec<_> = ranked.windows(2).filter(|w| w[0].1 == w[1].1).collect();
+        assert!(!ties.is_empty(), "fixture recalls no tied pair");
+        for w in ties {
+            assert!(recalled_at(w[0].0) < recalled_at(w[1].0), "tie reordered");
         }
     }
 }

@@ -26,15 +26,6 @@ pub trait OdScorer: Sync {
         self.score_group(group)
     }
 
-    /// Score a group into a caller-provided buffer (cleared first), so a
-    /// serving loop can reuse one output allocation across requests. The
-    /// default copies through [`OdScorer::score_group`]; allocation-free
-    /// scorers (the frozen artifact) override it with a true in-place write.
-    fn score_group_into(&self, group: &GroupInput, out: &mut Vec<(f32, f32)>) {
-        out.clear();
-        out.extend(self.score_group(group));
-    }
-
     /// Combine per-side probabilities into one ranking score (Eq. 11).
     /// Default is the θ = 0.5 blend; ODNET overrides with its learned θ.
     fn serving_score(&self, p_o: f32, p_d: f32) -> f32 {

@@ -455,10 +455,6 @@ impl OdScorer for FrozenOdNet {
         FrozenOdNet::score_group(self, group)
     }
 
-    fn score_group_into(&self, group: &GroupInput, out: &mut Vec<(f32, f32)>) {
-        WORKSPACE.with(|ws| FrozenOdNet::score_group_into(self, &mut ws.borrow_mut(), group, out))
-    }
-
     fn serving_score(&self, p_o: f32, p_d: f32) -> f32 {
         FrozenOdNet::serving_score(self, p_o, p_d)
     }

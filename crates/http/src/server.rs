@@ -267,26 +267,12 @@ impl Server {
     /// engine shards after the grace window, then close. Consumes the
     /// server; returns what the drain observed.
     pub fn shutdown(mut self) -> DrainReport {
-        let inner = Arc::clone(&self.inner);
-        inner.draining.store(true, Ordering::SeqCst);
-        inner.metrics.draining.set(1);
-        // Wake the blocking accept with a throwaway connection; the
-        // acceptor sees the flag and exits.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        // Workers finish the connections they hold (in-flight requests
-        // are served to completion; idle keep-alive connections close at
-        // their next read slice) plus anything already queued, then exit.
-        inner.queue.close();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        self.stop();
         // Engine-side drain: anything a connection could still be
         // waiting on has resolved by now (workers joined), but queued
         // work submitted by non-HTTP callers of the same shards gets the
         // same bounded guarantee.
+        let inner = &self.inner;
         let mut clean = true;
         for shard in &inner.shards {
             clean &= shard.drain(inner.config.drain_grace);
@@ -296,27 +282,40 @@ impl Server {
             .iter()
             .map(|s| s.engine().health().drain_rejected)
             .sum();
-        inner.metrics.zero_gauges();
         DrainReport {
             clean,
             drain_rejected,
+        }
+    }
+
+    /// The one stop sequence, shared by [`shutdown`](Self::shutdown) and
+    /// `Drop` (which also runs after `shutdown`): a no-op once the
+    /// acceptor handle is gone. The listener is closed by then, so a
+    /// second wake-up dial would go to whichever process owns the
+    /// (possibly ephemeral) port now.
+    fn stop(&mut self) {
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
+        self.inner.draining.store(true, Ordering::SeqCst);
+        self.inner.metrics.draining.set(1);
+        // Wake the blocking accept with a throwaway connection; the
+        // acceptor sees the flag and exits.
+        let _ = TcpStream::connect(self.addr);
+        let _ = acceptor.join();
+        // Workers finish the connections they hold (in-flight requests
+        // are served to completion; idle keep-alive connections close at
+        // their next read slice) plus anything already queued, then exit.
+        self.inner.queue.close();
+        for h in self.workers.drain(..) {
+            let _ = h.join();
         }
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        // `shutdown` consumed-and-joined already unless the server was
-        // dropped directly; make drop equivalent (idempotent on joins).
-        self.inner.draining.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        self.inner.queue.close();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        self.stop();
         self.inner.metrics.zero_gauges();
     }
 }
@@ -616,12 +615,10 @@ fn dispatch(
 /// `min_ms=<n>` (minimum root duration), `errors=1` (error traces only),
 /// `limit=<n>` (newest n), `format=chrome` (Chrome `trace_event` JSON,
 /// loadable in `chrome://tracing` / Perfetto; default is the native
-/// shape).
+/// shape). An unknown key or an unparsable `min_ms` / `limit` is a 400
+/// naming it — whether or not tracing is on — never a silently unfiltered
+/// dump.
 fn debug_traces(req: &ParsedRequest) -> Response {
-    let tracer = od_obs::trace::global();
-    if !tracer.enabled() {
-        return error_response(503, "tracing is not enabled");
-    }
     let query = req.path.split_once('?').map_or("", |(_, q)| q);
     let mut min_ns = 0u64;
     let mut errors_only = false;
@@ -629,13 +626,27 @@ fn debug_traces(req: &ParsedRequest) -> Response {
     let mut chrome = false;
     for kv in query.split('&').filter(|s| !s.is_empty()) {
         let (k, v) = kv.split_once('=').unwrap_or((kv, ""));
+        let number = || {
+            v.parse::<u64>()
+                .map_err(|_| error_response(400, &format!("{k} expects a number, got {v:?}")))
+        };
         match k {
-            "min_ms" => min_ns = v.parse::<u64>().unwrap_or(0).saturating_mul(1_000_000),
+            "min_ms" => match number() {
+                Ok(ms) => min_ns = ms.saturating_mul(1_000_000),
+                Err(bad) => return bad,
+            },
             "errors" => errors_only = v == "1" || v == "true",
-            "limit" => limit = v.parse().unwrap_or(0),
+            "limit" => match number() {
+                Ok(n) => limit = usize::try_from(n).unwrap_or(usize::MAX),
+                Err(bad) => return bad,
+            },
             "format" => chrome = v == "chrome",
             _ => return error_response(400, &format!("unknown query key: {k}")),
         }
+    }
+    let tracer = od_obs::trace::global();
+    if !tracer.enabled() {
+        return error_response(503, "tracing is not enabled");
     }
     let traces = tracer.snapshot(min_ns, errors_only, limit);
     let body = if chrome {
@@ -813,5 +824,45 @@ fn serve_error_response(
                 error_response(429, "backpressure").with_header("Retry-After", "1")
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use od_serve::{EngineConfig, FunnelConfig};
+    use odnet_core::{OdNetModel, OdnetConfig, Variant};
+
+    /// `Drop` runs after `shutdown` too. Once the acceptor is joined the
+    /// port is free for anyone, so a second stop must not dial it again:
+    /// a listener re-bound on the same port sees no connection attempt.
+    #[test]
+    fn stopping_twice_does_not_dial_the_released_port() {
+        let model = OdNetModel::new(Variant::OdnetG, OdnetConfig::tiny(), 8, 4, None).freeze();
+        let shard = Arc::new(Funnel::new(
+            Arc::new(model),
+            0,
+            EngineConfig {
+                workers: 1,
+                ..EngineConfig::default()
+            },
+            FunnelConfig::default(),
+        ));
+        let featurizer: Featurizer = Arc::new(|_, _| unreachable!("no request is sent"));
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        };
+        let mut server = Server::start(vec![shard], featurizer, config).expect("bind");
+        server.stop();
+        let successor = TcpListener::bind(server.addr()).expect("port released by stop");
+        successor.set_nonblocking(true).expect("nonblocking");
+        server.stop();
+        drop(server);
+        let dialled = successor.accept();
+        assert!(
+            matches!(&dialled, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+            "a stopped server dialled its old port again: {dialled:?}"
+        );
     }
 }

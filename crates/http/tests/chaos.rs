@@ -8,7 +8,7 @@
 //!   with failures *typed* (429/500/503/504), never a hang or a lost
 //!   ticket;
 //! - every `200` body is bit-exact with the in-process oracle
-//!   ([`score_all`]) — the wire adds zero numeric drift;
+//!   (`FrozenOdNet::score_group`) — the wire adds zero numeric drift;
 //! - graceful drain answers all in-flight requests before the listener
 //!   closes.
 //!
@@ -22,7 +22,7 @@
 use od_hsg::{HsgBuilder, UserId};
 use od_http::{http_request, read_http_response, Featurizer, HttpResponse, Server, ServerConfig};
 use od_retrieval::{RetrievalConfig, ScoredPair, Tier};
-use od_serve::{score_all, EngineConfig, FailPoint, FailSite, Funnel, FunnelConfig};
+use od_serve::{EngineConfig, FailPoint, FailSite, Funnel, FunnelConfig};
 use odnet_core::{FeatureExtractor, FrozenOdNet, GroupInput, OdNetModel, OdnetConfig, Variant};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -63,7 +63,7 @@ fn fixture() -> &'static Fixture {
             .take(8)
             .collect();
         assert!(templates.len() >= 2, "fixture needs user templates");
-        let oracle = score_all(&model, &templates);
+        let oracle = templates.iter().map(|g| model.score_group(g)).collect();
         Fixture {
             model,
             templates,
@@ -323,6 +323,20 @@ fn malformed_requests_get_typed_statuses_not_hangs() {
     assert_eq!(resp.header("allow"), Some("POST"));
     let resp = ask(&mut conn, "POST", "/healthz", None);
     assert_eq!(resp.header("allow"), Some("GET"));
+
+    // `/debug/traces` is as strict about values as about keys — a typo'd
+    // filter is a 400 naming the key, not the whole ring unfiltered.
+    for (query, names) in [
+        ("foo=1", "foo"),
+        ("min_ms=10ms", "min_ms"),
+        ("limit=ten", "limit"),
+        ("min_ms=", "min_ms"),
+    ] {
+        let resp = ask(&mut conn, "GET", &format!("/debug/traces?{query}"), None);
+        assert_eq!(resp.status, 400, "?{query}");
+        let body = String::from_utf8_lossy(&resp.body).into_owned();
+        assert!(body.contains(names), "?{query} answered {body}");
+    }
 
     // Semantic garbage in a well-formed envelope: 400, still keep-alive.
     let resp = ask(&mut conn, "POST", "/v1/score", Some(b"not json"));

@@ -14,9 +14,9 @@
 //! | `od_artifact_bytes` | gauge | on-disk size of the last loaded artifact |
 //! | `od_artifact_loads_total{mode=…}` | counter | loads by mode (bin/mmap) |
 //!
-//! `odnet metrics --artifact` renders these next to the engine series, so
-//! a deployment can tell at a glance whether a replica cold-started from
-//! the zero-copy path or from the audited owned read.
+//! `GET /metrics` of `odnet serve --artifact` renders these next to the
+//! engine series, so a deployment can tell at a glance whether a replica
+//! cold-started from the zero-copy path or from the audited owned read.
 
 use odnet_core::{read_odz_checksum, CheckpointError, FrozenOdNet};
 use std::path::Path;

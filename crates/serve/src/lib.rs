@@ -53,9 +53,10 @@
 //!   generation for mid-swap attribution. DESIGN.md §14 documents the
 //!   retrieval tier.
 //!
-//! The [`loadgen`] module drives an engine closed-loop and verifies every
-//! response against direct scoring. Performance numbers come from
-//! `benchmark/` (see `benchmark/README.md`), not from this crate.
+//! Bit-exactness under concurrency is pinned by
+//! `tests/engine_equivalence.rs` (a closed-loop driver verifying every
+//! response against direct scoring); performance numbers come from
+//! `benchmark/` (see `benchmark/README.md`).
 
 #![warn(missing_docs)]
 
@@ -68,7 +69,6 @@ mod queue;
 mod sync;
 
 pub mod artifact;
-pub mod loadgen;
 pub mod metrics;
 
 pub use artifact::{load_frozen, load_frozen_auto, ArtifactMode, LoadedArtifact};
@@ -79,4 +79,3 @@ pub use engine::{
 pub use error::{PublishError, ServeError};
 pub use funnel::{Funnel, FunnelConfig, RankedPair, Recommendation};
 pub use handle::ArtifactVersion;
-pub use loadgen::{drive, score_all, LoadReport};

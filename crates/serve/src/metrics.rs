@@ -6,8 +6,9 @@
 //! into the hot path (recording never goes through the registry), while
 //! the registry merges same-named series across engines at snapshot time
 //! — so per-engine [`EngineStats`](crate::EngineStats) stay exact even
-//! when several engines coexist (as they do under `cargo test`), and
-//! `odnet metrics` still sees one process-wide series per name.
+//! when several engines coexist (as they do under `cargo test` and across
+//! the shards of `odnet serve`), and `GET /metrics` still sees one
+//! process-wide series per name.
 //!
 //! # Metric inventory
 //!

@@ -16,7 +16,7 @@
 //! `TEST_LOCK`.
 
 use od_hsg::HsgBuilder;
-use od_serve::{score_all, Engine, EngineConfig, FailPoint, FailSite, ServeError, Submit, Ticket};
+use od_serve::{Engine, EngineConfig, FailPoint, FailSite, ServeError, Submit, Ticket};
 use odnet_core::{FeatureExtractor, FrozenOdNet, GroupInput, OdNetModel, OdnetConfig, Variant};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -85,7 +85,8 @@ fn fixture() -> &'static Fixture {
             .collect();
         assert!(groups.len() >= 8);
         let model = Arc::new(model.freeze());
-        let expected = score_all(&model, &groups);
+        let score_all = |m: &FrozenOdNet| groups.iter().map(|g| m.score_group(g)).collect();
+        let expected: Vec<Vec<(f32, f32)>> = score_all(&model);
         let alt_models: Vec<Arc<FrozenOdNet>> = (1..=3u64)
             .map(|s| {
                 let cfg = OdnetConfig {
@@ -105,7 +106,7 @@ fn fixture() -> &'static Fixture {
             })
             .collect();
         let alt_expected: Vec<Vec<Vec<(f32, f32)>>> =
-            alt_models.iter().map(|m| score_all(m, &groups)).collect();
+            alt_models.iter().map(|m| score_all(m)).collect();
         // The swap tests are only meaningful if the generations actually
         // score differently.
         for alt in &alt_expected {

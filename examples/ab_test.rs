@@ -9,7 +9,7 @@
 //! ```
 
 use od_baselines::{CityMeta, MostPop};
-use od_bench::heuristic_candidates;
+use od_bench::{heuristic_candidates, rank_pairs};
 use od_data::{AbTestConfig, AbTestHarness, FliggyConfig, FliggyDataset};
 use od_hsg::HsgBuilder;
 use odnet_core::{train, FeatureExtractor, OdNetModel, OdScorer, OdnetConfig, Variant};
@@ -65,14 +65,8 @@ fn main() {
         harness.run(scorer.name(), |user, day, k| {
             let candidates = heuristic_candidates(&ds, user, day, 30);
             let group = fx.group_for_serving(&ds, user, day, &candidates);
-            let scores = scorer.score_group(&group);
-            let mut ranked: Vec<(f32, (od_hsg::CityId, od_hsg::CityId))> = scores
-                .iter()
-                .zip(&candidates)
-                .map(|(&(po, pd), &pair)| (scorer.serving_score(po, pd), pair))
-                .collect();
-            ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
-            ranked.into_iter().take(k).map(|(_, p)| p).collect()
+            let ranked = rank_pairs(scorer, &group, &candidates);
+            ranked.into_iter().take(k).map(|(p, _)| p).collect()
         })
     };
     println!("serving one simulated week per arm…");

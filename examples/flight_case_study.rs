@@ -8,7 +8,7 @@
 //! cargo run --release --example flight_case_study
 //! ```
 
-use od_bench::heuristic_candidates;
+use od_bench::{heuristic_candidates, rank_pairs};
 use od_data::{FliggyConfig, FliggyDataset, Pattern};
 use od_hsg::{CityId, HsgBuilder, UserId};
 use odnet_core::{train, FeatureExtractor, OdNetModel, OdnetConfig, Variant};
@@ -64,16 +64,10 @@ fn main() {
 
     let candidates = heuristic_candidates(&ds, user, day, 40);
     let group = fx.group_for_serving(&ds, user, day, &candidates);
-    let scores = model.score_group(&group);
-    let mut ranked: Vec<(f32, (CityId, CityId))> = scores
-        .iter()
-        .zip(&candidates)
-        .map(|(&(po, pd), &pair)| (model.serving_score(po, pd), pair))
-        .collect();
-    ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+    let ranked = rank_pairs(&model, &group, &candidates);
 
     println!("\nrecommended flights:");
-    for (rank, (score, (o, d))) in ranked.iter().take(8).enumerate() {
+    for (rank, ((o, d), score)) in ranked.iter().take(8).enumerate() {
         let mut notes = Vec::new();
         if *o == last.dest && *d == last.origin {
             notes.push("return leg of the recent trip (O&D unity)");
@@ -105,7 +99,7 @@ fn main() {
     // Quantify the unity effect: where does the exact return leg rank?
     let return_pos = ranked
         .iter()
-        .position(|(_, (o, d))| *o == last.dest && *d == last.origin);
+        .position(|((o, d), _)| *o == last.dest && *d == last.origin);
     match return_pos {
         Some(p) => println!(
             "\nthe return leg {} → {} ranks #{} of {} candidates",

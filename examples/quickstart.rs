@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use od_bench::heuristic_candidates;
+use od_bench::{heuristic_candidates, rank_pairs};
 use od_data::{FliggyConfig, FliggyDataset};
 use od_hsg::HsgBuilder;
 use odnet_core::{evaluate_on_fliggy, train, FeatureExtractor, OdNetModel, OdnetConfig, Variant};
@@ -80,15 +80,9 @@ fn main() {
     let day = ds.train_end_day();
     let candidates = heuristic_candidates(&ds, user, day, 30);
     let group = fx.group_for_serving(&ds, user, day, &candidates);
-    let scores = model.score_group(&group);
-    let mut ranked: Vec<(f32, (od_hsg::CityId, od_hsg::CityId))> = scores
-        .iter()
-        .zip(&candidates)
-        .map(|(&(po, pd), &pair)| (model.serving_score(po, pd), pair))
-        .collect();
-    ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+    let ranked = rank_pairs(&model, &group, &candidates);
     println!("top-5 flights for user {:?} (day {day}):", user);
-    for (score, (o, d)) in ranked.iter().take(5) {
+    for ((o, d), score) in ranked.iter().take(5) {
         let on = &ds.world.cities[o.index()].name;
         let dn = &ds.world.cities[d.index()].name;
         println!("  {on} → {dn}   score {score:.4}");

@@ -66,16 +66,9 @@ fn main() {
     let day = ds.train_end_day();
     let candidates = od_bench::heuristic_candidates(&ds, user, day, 25);
     let group = fx.group_for_serving(&ds, user, day, &candidates);
-    let scores = model.score_group(&group);
-    let mut ranked: Vec<(f32, usize)> = scores
-        .iter()
-        .enumerate()
-        .map(|(i, &(po, pd))| (model.serving_score(po, pd), i))
-        .collect();
-    ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+    let ranked = od_bench::rank_pairs(&model, &group, &candidates);
     println!("\ntop-5 rail itineraries for user {:?}:", user);
-    for (score, i) in ranked.iter().take(5) {
-        let (o, d) = candidates[*i];
+    for ((o, d), score) in ranked.iter().take(5) {
         println!(
             "  {} => {}   score {score:.4}",
             ds.world.cities[o.index()].name,

@@ -10,15 +10,17 @@
 //! parameters embedded in the model file, so `eval` and `recommend` need no
 //! separate data artifact.
 
-use od_bench::heuristic_candidates;
 use od_data::{FliggyConfig, FliggyDataset};
-use od_hsg::{CityId, HsgBuilder, UserId};
+use od_hsg::{HsgBuilder, UserId};
 use odnet_core::{
-    evaluate_on_fliggy, try_train, FeatureExtractor, FrozenOdNet, GroupInput, OdNetModel,
-    OdnetConfig, Variant,
+    evaluate_on_fliggy, try_train, FeatureExtractor, FrozenOdNet, OdNetModel, OdnetConfig, Variant,
 };
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::sync::Arc;
+
+type Flags = HashMap<String, String>;
+type Run = fn(&Flags) -> Result<(), String>;
 
 /// The on-disk bundle: everything needed to rebuild dataset + model.
 #[derive(serde::Serialize, serde::Deserialize)]
@@ -28,27 +30,69 @@ struct ModelFile {
     checkpoint: String,
 }
 
+/// Every command: its name, its synopsis exactly as `odnet help` prints it
+/// (a newline continues on the next usage line), and its entry point. The
+/// `--flags` a synopsis names are the only ones the command accepts.
+const COMMANDS: &[(&str, &str, Run)] = &[
+    (
+        "train",
+        "--out FILE [--variant odnet|odnet-g|stl+g|stl-g]\n\
+         [--users N] [--cities N] [--epochs N] [--seed N]\n\
+         [--metrics-jsonl FILE]",
+        cmd_train,
+    ),
+    ("eval", "--model FILE", cmd_eval),
+    (
+        "recommend",
+        "(--model FILE | --artifact FILE [--seed N]) --user ID\n\
+         [--top-k K]",
+        cmd_recommend,
+    ),
+    (
+        "freeze",
+        "--out FILE (--model FILE | [--variant V] [--users N]\n\
+         [--cities N] [--embed-dim D] [--seed N])",
+        cmd_freeze,
+    ),
+    (
+        "serve",
+        "[--artifact FILE] [--users N] [--cities N] [--seed N]\n\
+         [--addr H:P] [--shards N] [--workers N] [--trace]",
+        cmd_serve,
+    ),
+    (
+        "trace",
+        "--addr H:P [--min-ms N] [--errors] [--limit N]\n\
+         [--chrome FILE]",
+        cmd_trace,
+    ),
+    (
+        "online",
+        "[--users N] [--cities N] [--rounds N] [--panel N]\n\
+         [--top K] [--recall K] [--epochs N] [--initial-epochs N]\n\
+         [--seed N] [--ab-seed N] [--workers N] [--out-dir DIR]\n\
+         [--metrics-jsonl FILE]",
+        cmd_online,
+    ),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let flags = parse_flags(&args[1..]);
     let result = match command.as_str() {
-        "train" => cmd_train(&flags),
-        "eval" => cmd_eval(&flags),
-        "recommend" => cmd_recommend(&flags),
-        "freeze" => cmd_freeze(&flags),
-        "serve" => cmd_serve(&flags),
-        "metrics" => cmd_metrics(&flags),
-        "trace" => cmd_trace(&flags),
-        "online" => cmd_online(&flags),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            println!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}\n{USAGE}")),
+        name => match COMMANDS.iter().find(|c| c.0 == name) {
+            Some(&(_, synopsis, run)) => {
+                parse_flags(name, synopsis, &args[1..]).and_then(|flags| run(&flags))
+            }
+            None => Err(format!("unknown command {name:?}\n{}", usage())),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -59,26 +103,16 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "\
-odnet — ODNET (ICDE 2022) reproduction CLI
+fn usage() -> String {
+    let mut text = String::from("odnet — ODNET (ICDE 2022) reproduction CLI\n\nUSAGE:\n");
+    for (name, synopsis, _) in COMMANDS {
+        let synopsis = synopsis.replace('\n', &format!("\n{:18}", ""));
+        text.push_str(&format!("  odnet {name:<9} {synopsis}\n"));
+    }
+    text + NOTES
+}
 
-USAGE:
-  odnet train     --out FILE [--variant odnet|odnet-g|stl+g|stl-g]
-                  [--users N] [--cities N] [--epochs N] [--seed N]
-                  [--metrics-jsonl FILE]
-  odnet eval      --model FILE
-  odnet recommend (--model FILE | --artifact FILE) --user ID [--top-k K]
-  odnet freeze    --out FILE (--model FILE |
-                  [--variant V] [--users N] [--cities N] [--embed-dim D])
-  odnet serve     [--artifact FILE] [--users N] [--cities N] [--addr H:P]
-                  [--shards N] [--workers N] [--trace]
-  odnet metrics   [--artifact FILE] [--json] [--out FILE] [--requests N]
-  odnet trace     --addr H:P [--min-ms N] [--errors] [--limit N]
-                  [--chrome FILE]
-  odnet online    [--users N] [--cities N] [--rounds N] [--panel N]
-                  [--top K] [--epochs N] [--seed N] [--ab-seed N]
-                  [--workers N] [--out-dir DIR] [--metrics-jsonl FILE]
-
+const NOTES: &str = "
 `freeze` writes the serving artifact to FILE in the .odz format (the
 zero-copy binary that serving replicas mmap; see DESIGN.md §12) — the
 one format serving loads. From --model it extracts the trained artifact
@@ -101,10 +135,6 @@ text. Requests shard across --shards engines by user id; closing stdin
 (Ctrl-D) starts a graceful drain and the exit code says whether it
 settled cleanly.
 
-`metrics` accepts --artifact to serve an .odz artifact from disk (mmap'd)
-instead of building a model in process; the dataset defaults to the
-artifact's universe sizes.
-
 `serve --trace` turns on request-scoped tracing (DESIGN.md S16): every
 request gets an X-Request-Id (client-supplied or minted) echoed on the
 response, and the tail sampler keeps slow/error traces (plus 1/64 of the
@@ -113,39 +143,43 @@ the ring from a running server: default prints the JSON document,
 --chrome FILE writes Chrome trace_event JSON loadable in
 chrome://tracing or Perfetto.
 
-`metrics` exercises the trainer and the serving engine briefly (including
-one mid-run hot publish, so the per-generation od_engine_version_* series
-appear for two epochs), then renders every series in the process-global
-od-obs registry as Prometheus text exposition (default) or JSON (--json).
-
 `online` runs the drift -> retrain -> freeze -> publish loop (DESIGN.md
-S13): each simulated day a user panel is served through a live engine,
-the click stream becomes labeled training data, and the retrained model
-is frozen to DIR/gen-NNN.odz and hot-published for the next day.
---ab-seed seeds the click simulator's common random numbers separately
-from the dataset --seed; --metrics-jsonl writes one row per round.
+S13): each simulated day a user panel is served through one live funnel
+(--recall pairs retrieved and ranked, the best --top shown), the click
+stream becomes labeled training data, and the retrained model is frozen
+to DIR/gen-NNN.odz and hot-published for the next day. --ab-seed seeds
+the click simulator's common random numbers separately from the dataset
+--seed; --metrics-jsonl writes one row per round.
 ";
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Parse `--key value` / `--switch` arguments of `command`, refusing
+/// anything its synopsis does not name.
+fn parse_flags(command: &str, synopsis: &str, args: &[String]) -> Result<Flags, String> {
+    let known: Vec<&str> = synopsis
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter_map(|token| token.strip_prefix("--"))
+        .collect();
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                flags.insert(key.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                flags.insert(key.to_string(), String::new());
-                i += 1;
-            }
+        let Some(key) = args[i].strip_prefix("--") else {
+            return Err(format!("unexpected argument {:?} for '{command}'", args[i]));
+        };
+        if !known.contains(&key) {
+            return Err(format!("unknown flag --{key} for '{command}'"));
+        }
+        if i + 1 < args.len() && !args[i + 1].starts_with("--") {
+            flags.insert(key.to_string(), args[i + 1].clone());
+            i += 2;
         } else {
+            flags.insert(key.to_string(), String::new());
             i += 1;
         }
     }
-    flags
+    Ok(flags)
 }
 
-fn get_usize(flags: &HashMap<String, String>, key: &str, default: usize) -> Result<usize, String> {
+fn get_usize(flags: &Flags, key: &str, default: usize) -> Result<usize, String> {
     match flags.get(key) {
         Some(v) => v
             .parse()
@@ -179,32 +213,7 @@ fn build_hsg(ds: &FliggyDataset) -> od_hsg::Hsg {
     b.build()
 }
 
-/// 1-candidate-heavy request templates from a few distinct user contexts —
-/// the workload cross-request micro-batching exists for (`metrics` drives
-/// the engine with them).
-fn serving_templates(ds: &FliggyDataset, fx: &FeatureExtractor) -> Result<Vec<GroupInput>, String> {
-    let day = ds.train_end_day();
-    let mut groups = Vec::new();
-    for user in (0..ds.world.num_users() as u32)
-        .map(UserId)
-        .filter(|&u| !ds.long_term(u, day).is_empty())
-        .take(4)
-    {
-        let pairs = heuristic_candidates(ds, user, day, 32);
-        for p in pairs.iter().take(4) {
-            groups.push(fx.group_for_serving(ds, user, day, std::slice::from_ref(p)));
-        }
-        if pairs.len() >= 8 {
-            groups.push(fx.group_for_serving(ds, user, day, &pairs[..8]));
-        }
-    }
-    if groups.is_empty() {
-        return Err("no serving templates: dataset too small".into());
-    }
-    Ok(groups)
-}
-
-fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_train(flags: &Flags) -> Result<(), String> {
     let out = flags.get("out").ok_or("--out FILE is required")?;
     let variant = parse_variant(flags.get("variant").map(String::as_str).unwrap_or("odnet"))?;
     let data_config = FliggyConfig {
@@ -266,13 +275,13 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn read_bundle(flags: &HashMap<String, String>) -> Result<ModelFile, String> {
+fn read_bundle(flags: &Flags) -> Result<ModelFile, String> {
     let path = flags.get("model").ok_or("--model FILE is required")?;
     let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     serde_json::from_str(&json).map_err(|e| e.to_string())
 }
 
-fn load_bundle(flags: &HashMap<String, String>) -> Result<(FliggyDataset, OdNetModel), String> {
+fn load_bundle(flags: &Flags) -> Result<(FliggyDataset, OdNetModel), String> {
     let bundle = read_bundle(flags)?;
     let ds = build_dataset(&bundle.data_config);
     let variant = parse_variant(&bundle.variant)?;
@@ -281,7 +290,7 @@ fn load_bundle(flags: &HashMap<String, String>) -> Result<(FliggyDataset, OdNetM
     Ok((ds, model))
 }
 
-fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_eval(flags: &Flags) -> Result<(), String> {
     let (ds, model) = load_bundle(flags)?;
     let fx = FeatureExtractor::new(model.config.max_long_seq, model.config.max_short_seq);
     eprintln!(
@@ -309,7 +318,7 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
 /// checkpoint; otherwise it freezes an untrained model of the requested
 /// universe size, which is how paper-scale (2.6M user) artifacts are
 /// produced for cold-start experiments without a week of training.
-fn cmd_freeze(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_freeze(flags: &Flags) -> Result<(), String> {
     let out = flags
         .get("out")
         .filter(|p| !p.is_empty())
@@ -375,9 +384,7 @@ fn cmd_freeze(flags: &HashMap<String, String>) -> Result<(), String> {
 /// shared entry point ([`od_serve::load_frozen_auto`], zero-copy mmap),
 /// with cold-start gauges recorded into the od-obs registry and the
 /// artifact's content checksum derived for version attribution.
-fn load_artifact_flag(
-    flags: &HashMap<String, String>,
-) -> Result<Option<od_serve::LoadedArtifact>, String> {
+fn load_artifact_flag(flags: &Flags) -> Result<Option<od_serve::LoadedArtifact>, String> {
     let Some(path) = flags.get("artifact").filter(|p| !p.is_empty()) else {
         return Ok(None);
     };
@@ -394,31 +401,12 @@ fn load_artifact_flag(
     Ok(Some(loaded))
 }
 
-/// The regenerated benchmark dataset must cover the artifact's id universe
-/// (requests draw users/cities from the dataset and score against the
-/// artifact's tables).
-fn check_artifact_universe(frozen: &FrozenOdNet, ds: &FliggyDataset) -> Result<(), String> {
-    if frozen.num_users() != ds.world.num_users() || frozen.num_cities() != ds.world.num_cities() {
-        return Err(format!(
-            "artifact universe ({} users × {} cities) does not match the dataset \
-             ({} users × {} cities); pass --users/--cities matching the artifact \
-             (or omit them to use its sizes)",
-            frozen.num_users(),
-            frozen.num_cities(),
-            ds.world.num_users(),
-            ds.world.num_cities()
-        ));
-    }
-    Ok(())
-}
-
 /// Serve the artifact over the hardened HTTP tier (DESIGN.md §15): score
 /// and recommend endpoints sharded across per-core funnels, readiness and
 /// Prometheus exposition, graceful drain on stdin close.
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve(flags: &Flags) -> Result<(), String> {
     use od_http::{Featurizer, Server, ServerConfig};
     use od_serve::{EngineConfig, Funnel, FunnelConfig};
-    use std::sync::Arc;
 
     let shards_n = get_usize(flags, "shards", 2)?.max(1);
     let workers = get_usize(flags, "workers", 2)?.max(1);
@@ -432,50 +420,38 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         .to_string();
 
     let artifact = load_artifact_flag(flags)?;
-    let (default_users, default_cities) = artifact
+    let (users, cities) = artifact
         .as_ref()
-        .map(|a| (a.frozen.num_users(), a.frozen.num_cities()))
-        .unwrap_or((60, 15));
-    let data_config = FliggyConfig {
-        num_users: get_usize(flags, "users", default_users)?,
-        num_cities: get_usize(flags, "cities", default_cities)?,
+        .map_or((60, 15), |a| (a.frozen.num_users(), a.frozen.num_cities()));
+    let ds = Arc::new(build_dataset(&FliggyConfig {
+        num_users: get_usize(flags, "users", users)?,
+        num_cities: get_usize(flags, "cities", cities)?,
         seed: get_usize(flags, "seed", 0xF11667)? as u64,
         ..FliggyConfig::tiny()
-    };
-    let ds = build_dataset(&data_config);
-    let (model, checksum) = match artifact {
-        Some(loaded) => {
-            check_artifact_universe(&loaded.frozen, &ds)?;
-            (std::sync::Arc::new(loaded.frozen), loaded.checksum)
-        }
+    }));
+    let (frozen, checksum) = match artifact {
+        Some(loaded) => (loaded.frozen, loaded.checksum),
         None => {
-            let model = OdNetModel::new(
+            let frozen = OdNetModel::new(
                 Variant::Odnet,
                 OdnetConfig::tiny(),
                 ds.world.num_users(),
                 ds.world.num_cities(),
                 Some(build_hsg(&ds)),
-            );
-            let frozen = model.freeze();
+            )
+            .freeze();
             let checksum = frozen.fingerprint();
-            (std::sync::Arc::new(frozen), checksum)
+            (frozen, checksum)
         }
     };
-    let cfg = model.config();
-    let fx = Arc::new(FeatureExtractor::new(cfg.max_long_seq, cfg.max_short_seq));
+    // The dataset-holding half of the funnel contract, which an HTTP
+    // client cannot ship over the wire.
+    let featurize = odnet_repro::serving_featurizer(&frozen, Arc::clone(&ds)).map_err(|e| {
+        format!("{e}; pass --users/--cities matching the artifact (or omit them to use its sizes)")
+    })?;
     let day = ds.train_end_day();
-    let ds = Arc::new(ds);
-    // The server-side featurizer: grafts retrieval candidates onto the
-    // user's regenerated context — the dataset-holding half of the funnel
-    // contract that an HTTP client cannot ship over the wire.
-    let featurizer: Featurizer = {
-        let ds = Arc::clone(&ds);
-        let fx = Arc::clone(&fx);
-        Arc::new(move |user, pairs| {
-            let tuples: Vec<(CityId, CityId)> = pairs.iter().map(|p| (p.origin, p.dest)).collect();
-            fx.group_for_serving(&ds, user, day, &tuples)
-        })
-    };
+    let featurizer: Featurizer = Arc::new(move |user, pairs| featurize(user, day, pairs));
+    let model = Arc::new(frozen);
     let shards: Vec<Arc<Funnel>> = (0..shards_n)
         .map(|_| {
             Arc::new(Funnel::new(
@@ -529,164 +505,11 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 }
 
-/// Exercise the full pipeline briefly — a tiny training run, then a loaded
-/// drive of the serving engine on the freshly frozen model — and render
-/// every series in the process-global od-obs registry. The quickest way to
-/// see the whole metric inventory with live values.
-fn cmd_metrics(flags: &HashMap<String, String>) -> Result<(), String> {
-    use od_serve::{drive, score_all, Engine, EngineConfig};
-    use std::sync::Arc;
-
-    let artifact = load_artifact_flag(flags)?;
-    let (default_users, default_cities) = artifact
-        .as_ref()
-        .map(|a| (a.frozen.num_users(), a.frozen.num_cities()))
-        .unwrap_or((40, 12));
-    let data_config = FliggyConfig {
-        num_users: get_usize(flags, "users", default_users)?,
-        num_cities: get_usize(flags, "cities", default_cities)?,
-        seed: get_usize(flags, "seed", 0xF11667)? as u64,
-        ..FliggyConfig::tiny()
-    };
-    let requests = get_usize(flags, "requests", 2000)?;
-    eprintln!(
-        "exercising {} + serving engine ({} users, {} cities, {requests} requests)…",
-        if artifact.is_some() {
-            "frozen artifact"
-        } else {
-            "trainer"
-        },
-        data_config.num_users,
-        data_config.num_cities
-    );
-    let ds = build_dataset(&data_config);
-    let (frozen, checksum) = match artifact {
-        Some(loaded) => {
-            // Serving an on-disk artifact: no training pass, so the
-            // rendered registry shows the cold-start series instead of the
-            // trainer's.
-            check_artifact_universe(&loaded.frozen, &ds)?;
-            (Arc::new(loaded.frozen), loaded.checksum)
-        }
-        None => {
-            let cfg = OdnetConfig {
-                epochs: 2,
-                ..OdnetConfig::tiny()
-            };
-            let fx = FeatureExtractor::new(cfg.max_long_seq, cfg.max_short_seq);
-            let mut model = OdNetModel::new(
-                Variant::Odnet,
-                cfg,
-                ds.world.num_users(),
-                ds.world.num_cities(),
-                Some(build_hsg(&ds)),
-            );
-            let train_groups = fx.groups_from_samples(&ds, &ds.train);
-            try_train(&mut model, &train_groups).map_err(|e| e.to_string())?;
-            let frozen = model.freeze();
-            let checksum = frozen.fingerprint();
-            (Arc::new(frozen), checksum)
-        }
-    };
-    let fx = FeatureExtractor::new(frozen.config().max_long_seq, frozen.config().max_short_seq);
-    let templates = serving_templates(&ds, &fx)?;
-    let expected = score_all(&frozen, &templates);
-    let engine = Engine::new_versioned(
-        Arc::clone(&frozen),
-        checksum,
-        EngineConfig {
-            workers: 2,
-            queue_capacity: 256,
-            max_batch: 32,
-            coalesce: true,
-            fail_point: None,
-            stage_timing: true,
-            ..EngineConfig::default()
-        },
-    );
-    // Publish a content-identical second generation halfway through the
-    // drive: the rendered registry then shows the per-version request and
-    // score counters for epochs 0 *and* 1 (and the oracle comparison stays
-    // valid, since both generations score identically).
-    let half = requests / 2;
-    let r1 = drive(&engine, &templates, &expected, half.max(1), 4);
-    engine
-        .publish(Arc::new((*frozen).clone()))
-        .map_err(|e| e.to_string())?;
-    let r2 = drive(
-        &engine,
-        &templates,
-        &expected,
-        requests.saturating_sub(half).max(1),
-        4,
-    );
-    if r1.mismatches + r2.mismatches != 0 {
-        return Err(format!(
-            "{} engine responses diverged from direct scoring",
-            r1.mismatches + r2.mismatches
-        ));
-    }
-    // Drive a handful of full-funnel requests so the retrieval-stage
-    // series (od_retrieval_*, including the sampled recall probe and a
-    // publish-triggered index rebuild) land in the registry too.
-    let funnel = od_serve::Funnel::new(
-        Arc::clone(&frozen),
-        checksum,
-        EngineConfig {
-            workers: 2,
-            ..EngineConfig::default()
-        },
-        od_serve::FunnelConfig {
-            recall_probe_every: 8,
-            ..od_serve::FunnelConfig::default()
-        },
-    );
-    let day = ds.train_end_day();
-    let n = ds.world.num_cities();
-    let funnel_k = 8.min(n * n.saturating_sub(1));
-    for u in 0..16u32 {
-        let user = UserId(u % ds.world.num_users() as u32);
-        let rec = funnel
-            .recommend(user, funnel_k, |pairs| {
-                let tuples: Vec<(CityId, CityId)> =
-                    pairs.iter().map(|p| (p.origin, p.dest)).collect();
-                fx.group_for_serving(&ds, user, day, &tuples)
-            })
-            .map_err(|e| e.to_string())?;
-        if rec.pairs.len() != funnel_k {
-            return Err(format!(
-                "funnel drive: got {} pairs, want {funnel_k}",
-                rec.pairs.len()
-            ));
-        }
-    }
-    funnel
-        .publish(Arc::new((*frozen).clone()), checksum)
-        .map_err(|e| e.to_string())?;
-    // Snapshot while the engines are alive so their gauges are still set.
-    let snap = od_obs::global().snapshot();
-    funnel.shutdown();
-    drop(engine);
-    let rendered = if flags.contains_key("json") {
-        snap.to_json()
-    } else {
-        snap.to_prometheus()
-    };
-    match flags.get("out") {
-        Some(path) if !path.is_empty() => {
-            std::fs::write(path, &rendered).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("wrote {} metric series to {path}", snap.series.len());
-        }
-        _ => print!("{rendered}"),
-    }
-    Ok(())
-}
-
 /// `odnet trace`: pull the tail-sampled trace ring from a running
 /// `odnet serve --trace` instance over its `/debug/traces` route. The
 /// default prints the native JSON document; `--chrome FILE` writes Chrome
 /// `trace_event` JSON (open in `chrome://tracing` or Perfetto).
-fn cmd_trace(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_trace(flags: &Flags) -> Result<(), String> {
     use od_http::http_request;
 
     let addr = flags
@@ -730,7 +553,7 @@ fn cmd_trace(flags: &HashMap<String, String>) -> Result<(), String> {
 /// days through a live engine, fold the click stream back into training,
 /// and hot-publish each retrained generation. Per-round metrics go to
 /// stdout and optionally to a JSONL file.
-fn cmd_online(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_online(flags: &Flags) -> Result<(), String> {
     let defaults = odnet_repro::online::OnlineConfig::default();
     let config = odnet_repro::online::OnlineConfig {
         users: get_usize(flags, "users", defaults.users)?,
@@ -794,9 +617,8 @@ fn cmd_online(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_recommend(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_recommend(flags: &Flags) -> Result<(), String> {
     use od_serve::{EngineConfig, Funnel, FunnelConfig};
-    use std::sync::Arc;
 
     // Serving path, full funnel: no HSG rebuild and no autograd tape —
     // retrieval and ranking both read the frozen dense tables.
@@ -821,8 +643,8 @@ fn cmd_recommend(flags: &HashMap<String, String>) -> Result<(), String> {
             (frozen, checksum, bundle.data_config)
         }
     };
-    let ds = build_dataset(&data_config);
-    check_artifact_universe(&frozen, &ds)?;
+    let ds = Arc::new(build_dataset(&data_config));
+    let featurize = odnet_repro::serving_featurizer(&frozen, Arc::clone(&ds))?;
     let user = UserId(get_usize(flags, "user", 0)? as u32);
     if user.index() >= ds.world.num_users() {
         return Err(format!(
@@ -831,11 +653,8 @@ fn cmd_recommend(flags: &HashMap<String, String>) -> Result<(), String> {
             ds.world.num_users()
         ));
     }
-    // `--top` kept as an alias from the pre-funnel CLI.
-    let top_k = get_usize(flags, "top-k", get_usize(flags, "top", 5)?)?;
+    let top_k = get_usize(flags, "top-k", 5)?;
     let day = ds.train_end_day();
-    let cfg = frozen.config();
-    let fx = FeatureExtractor::new(cfg.max_long_seq, cfg.max_short_seq);
     let funnel = Funnel::new(
         Arc::new(frozen),
         checksum,
@@ -846,10 +665,7 @@ fn cmd_recommend(flags: &HashMap<String, String>) -> Result<(), String> {
         FunnelConfig::default(),
     );
     let rec = funnel
-        .recommend(user, top_k, |pairs| {
-            let tuples: Vec<(CityId, CityId)> = pairs.iter().map(|p| (p.origin, p.dest)).collect();
-            fx.group_for_serving(&ds, user, day, &tuples)
-        })
+        .recommend(user, top_k, |pairs| featurize(user, day, pairs))
         .map_err(|e| e.to_string())?;
     funnel.shutdown();
     println!(

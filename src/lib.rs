@@ -13,8 +13,11 @@
 //! - [`http`] — the hardened HTTP/1.1 front-end over the serving funnel
 //!   (`od-http`).
 //!
-//! Plus one first-party module: [`online`], the drift → retrain → freeze →
-//! publish loop that `odnet online` drives (DESIGN.md §13).
+//! Plus two first-party pieces: [`online`], the drift → retrain → freeze →
+//! publish loop that `odnet online` drives (DESIGN.md §13), and
+//! [`serving_featurizer`], the dataset-holding half of the funnel contract
+//! that `odnet serve`, `odnet recommend` and the online loop all serve
+//! through.
 //!
 //! See `examples/quickstart.rs` for the end-to-end train → evaluate →
 //! serve loop.
@@ -30,3 +33,36 @@ pub use od_http as http;
 pub use od_serve as serve;
 pub use od_tensor as tensor;
 pub use odnet_core as core;
+
+use od_data::FliggyDataset;
+use od_hsg::{CityId, UserId};
+use od_retrieval::ScoredPair;
+use odnet_core::{FeatureExtractor, FrozenOdNet, GroupInput};
+use std::sync::Arc;
+
+/// The featurizer every [`Funnel`](od_serve::Funnel) caller in this
+/// repository hands to `recommend`: it grafts the retrieved candidates, in
+/// retrieval order, onto `user`'s context at `day`, regenerated from
+/// `dataset` under `model`'s sequence limits. Refuses a dataset whose id
+/// universe differs from the artifact's — requests draw users and cities
+/// from the dataset and score against the artifact's tables.
+pub fn serving_featurizer(
+    model: &FrozenOdNet,
+    dataset: Arc<FliggyDataset>,
+) -> Result<impl Fn(UserId, u32, &[ScoredPair]) -> GroupInput + Send + Sync + 'static, String> {
+    let (users, cities) = (dataset.world.num_users(), dataset.world.num_cities());
+    if (model.num_users(), model.num_cities()) != (users, cities) {
+        return Err(format!(
+            "artifact universe ({} users × {} cities) does not match the dataset \
+             ({users} users × {cities} cities)",
+            model.num_users(),
+            model.num_cities(),
+        ));
+    }
+    let cfg = model.config();
+    let fx = FeatureExtractor::new(cfg.max_long_seq, cfg.max_short_seq);
+    Ok(move |user, day, pairs: &[ScoredPair]| {
+        let pairs: Vec<(CityId, CityId)> = pairs.iter().map(|p| (p.origin, p.dest)).collect();
+        fx.group_for_serving(&dataset, user, day, &pairs)
+    })
+}

@@ -1,26 +1,29 @@
 //! The online learning loop: drift → retrain → freeze → publish, against
-//! a *live* serving engine.
+//! a *live* serving funnel.
 //!
 //! The paper's production story (§V-E) is a week-long A/B test where the
 //! deployed model keeps serving while new click data accumulates. This
 //! module closes that loop offline: each simulated day, the current
-//! artifact serves a user panel through a running
-//! [`Engine`](od_serve::Engine) (candidates come from the retrieval
-//! stage over the *same* frozen tables, rebuilt on every publish, and
-//! requests go through the real queue / worker / coalescing path, not a
-//! direct scorer call), the
-//! common-random-number click stream from
+//! artifact serves a user panel through one running
+//! [`Funnel`](od_serve::Funnel) — the same retrieve → rank composition
+//! `odnet serve` and `odnet recommend` use, so candidates come from the
+//! retrieval stage over the *same* frozen tables and requests go through
+//! the real queue / worker / coalescing path, not a direct scorer call —
+//! the common-random-number click stream from
 //! [`AbTestHarness::run_day`](od_data::AbTestHarness::run_day) becomes
 //! labeled training data, the trainer folds it in, and the refreshed model
 //! is frozen to an `.odz` artifact and hot-published into the *same*
-//! engine via [`Engine::publish_versioned`](od_serve::Engine) — in-flight
-//! requests finish on the old generation, the next day's panel is served
-//! by the new one, and the per-epoch od-obs counters attribute every
-//! request to the artifact generation that scored it.
+//! funnel via [`Funnel::publish`](od_serve::Funnel::publish), which swaps
+//! the engine's model slot and re-keys the retrieval index together.
+//! Every served list carries the generation that retrieved it and the
+//! generation that ranked it; the loop refuses (typed `Err`) a list either
+//! stage attributed to anything but the round's serving generation, and
+//! the per-epoch od-obs counters attribute every request to the artifact
+//! generation that scored it.
 //!
 //! Artifacts are written one file per generation (`gen-000.odz`,
 //! `gen-001.odz`, …) and loaded back through
-//! [`load_frozen_auto`](od_serve::load_frozen_auto): the engine serves
+//! [`load_frozen_auto`](od_serve::load_frozen_auto): the funnel serves
 //! exactly the mmap'd bytes a production replica would, each generation's
 //! [`ArtifactVersion`](od_serve::ArtifactVersion) checksum is the `.odz`
 //! header checksum, and no mapped file is ever overwritten in place.
@@ -32,8 +35,7 @@
 //! reproducible. See DESIGN.md §13.
 
 use od_data::{AbTestConfig, AbTestHarness, FliggyConfig, FliggyDataset, Impression, OdSample};
-use od_retrieval::{RetrievalConfig, Retriever};
-use od_serve::{ArtifactVersion, Engine, EngineConfig, Submit};
+use od_serve::{ArtifactVersion, EngineConfig, Funnel, FunnelConfig, Recommendation};
 use odnet_core::{try_train, FeatureExtractor, GroupInput, OdNetModel, OdnetConfig, Variant};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -152,12 +154,12 @@ pub fn run_online(config: &OnlineConfig) -> Result<OnlineReport, String> {
     std::fs::create_dir_all(&config.out_dir)
         .map_err(|e| format!("creating {:?}: {e}", config.out_dir))?;
 
-    let ds = FliggyDataset::generate(FliggyConfig {
+    let ds = Arc::new(FliggyDataset::generate(FliggyConfig {
         num_users: config.users,
         num_cities: config.cities,
         seed: config.seed,
         ..FliggyConfig::tiny()
-    });
+    }));
     // Graph-free variant: freezing is a table snapshot, so the per-round
     // retrain → freeze → publish cycle stays cheap (no HSG rebuild).
     let mut model_config = OdnetConfig::tiny();
@@ -172,31 +174,21 @@ pub fn run_online(config: &OnlineConfig) -> Result<OnlineReport, String> {
         ds.world.num_cities(),
         None,
     );
-    let base_groups = fx.groups_from_samples(&ds, &ds.train);
-    let mut pool: Vec<GroupInput> = base_groups;
+    let mut pool: Vec<GroupInput> = fx.groups_from_samples(&ds, &ds.train);
     try_train(&mut model, &pool).map_err(|e| e.to_string())?;
 
     // Generation 0: freeze, write, and serve the mmap'd bytes — the same
     // artifact path a production replica cold-starts from.
     let loaded = freeze_to_generation(&model, &config.out_dir, 0)?;
-    let mut current = Arc::new(loaded.frozen);
-    // The recall stage reads the same frozen tables the engine serves
-    // from, and is rebuilt on every publish — the full-funnel discipline
-    // (DESIGN.md §14): candidates always come from the generation that
-    // will rank them.
-    let mut retriever = Retriever::build(Arc::clone(&current), RetrievalConfig::default());
-    let engine = Engine::new_versioned(
-        Arc::clone(&current),
+    let featurize = crate::serving_featurizer(&loaded.frozen, Arc::clone(&ds))?;
+    let funnel = Funnel::new(
+        Arc::new(loaded.frozen),
         loaded.checksum,
         EngineConfig {
             workers: config.workers.max(1),
-            queue_capacity: 256,
-            max_batch: 32,
-            coalesce: true,
-            fail_point: None,
-            stage_timing: false,
             ..EngineConfig::default()
         },
+        FunnelConfig::default(),
     );
 
     // The test window starts where training data ends: histories keep
@@ -226,31 +218,40 @@ pub fn run_online(config: &OnlineConfig) -> Result<OnlineReport, String> {
     let mut rounds = Vec::with_capacity(config.rounds as usize);
     let (mut total_clicks, mut total_impressions) = (0u64, 0u64);
     for r in 0..config.rounds {
-        let serving = engine.version();
+        let serving = funnel.engine().version();
         let kept_before = tracer.stats().kept;
+        // `run_day` wants a list per user; the first failed request ends
+        // the round and is returned once the day's closure is done.
+        let mut failed = None;
         let (outcome, impressions) = harness.run_day(r, |user, day, k| {
-            let pairs = od_bench::recall_candidates(&retriever, user, config.recall);
-            if pairs.is_empty() {
+            if failed.is_some() {
                 return Vec::new();
             }
-            let group = fx.group_for_serving(&ds, user, day, &pairs);
-            let rid = format!("online-d{day}-u{}", user.index());
-            let Some(response) = submit_blocking(&engine, group, &rid) else {
-                return Vec::new();
-            };
-            // Rank by the serving score (Eq. 11) of the generation that
-            // actually scored the request — θ is learnable, so it moves
-            // across publishes.
-            debug_assert_eq!(response.version, serving);
-            let mut ranked: Vec<(usize, f32)> = response
-                .scores
-                .iter()
-                .enumerate()
-                .map(|(i, &(po, pd))| (i, current.serving_score(po, pd)))
-                .collect();
-            ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-            ranked.into_iter().take(k).map(|(i, _)| pairs[i]).collect()
+            let ctx = tracer.begin(&format!("online-d{day}-u{}", user.index()));
+            let t0 = od_obs::clock::now();
+            let served = funnel
+                .recommend_traced(user, config.recall, None, ctx, |pairs| {
+                    featurize(user, day, pairs)
+                })
+                .map_err(|e| format!("serving user {} on day {day}: {e}", user.index()))
+                .and_then(|rec| served_by(rec, serving));
+            tracer.end(ctx, "request", t0, od_obs::clock::now(), served.is_err());
+            match served {
+                Ok(rec) => rec
+                    .pairs
+                    .iter()
+                    .take(k)
+                    .map(|p| (p.origin, p.dest))
+                    .collect(),
+                Err(e) => {
+                    failed = Some(e);
+                    Vec::new()
+                }
+            }
         });
+        if let Some(e) = failed {
+            return Err(e);
+        }
         total_clicks += outcome.clicks;
         total_impressions += outcome.impressions;
         let trace_sampled = tracer.stats().kept - kept_before;
@@ -263,15 +264,13 @@ pub fn run_online(config: &OnlineConfig) -> Result<OnlineReport, String> {
         model.config.epochs = config.epochs_per_round.max(1);
         let report = try_train(&mut model, &pool).map_err(|e| e.to_string())?;
 
+        // One publish moves both stages: the engine swaps its model slot
+        // and the retrieval index is rebuilt over the same tables, so the
+        // next day's candidates come from the generation that ranks them.
         let loaded = freeze_to_generation(&model, &config.out_dir, u64::from(r) + 1)?;
-        let next = Arc::new(loaded.frozen);
-        let published = engine
-            .publish_versioned(Arc::clone(&next), loaded.checksum)
+        let published = funnel
+            .publish(Arc::new(loaded.frozen), loaded.checksum)
             .map_err(|e| e.to_string())?;
-        current = next;
-        // Re-key the recall index to the generation just published, so
-        // the next day's candidates come from the tables that rank them.
-        retriever = Retriever::build(Arc::clone(&current), RetrievalConfig::default());
 
         rounds.push(RoundMetrics {
             round: r,
@@ -291,15 +290,26 @@ pub fn run_online(config: &OnlineConfig) -> Result<OnlineReport, String> {
         });
     }
 
-    let final_version = engine.version();
-    let health = engine.health();
-    debug_assert_eq!(health.publishes, u64::from(config.rounds));
     Ok(OnlineReport {
         rounds,
         overall_ctr: od_data::ctr(total_clicks, total_impressions),
-        publishes: health.publishes,
-        final_version,
+        publishes: funnel.engine().health().publishes,
+        final_version: funnel.engine().version(),
     })
+}
+
+/// A served list counts for a round only if both funnel stages ran on the
+/// generation the round is attributed to. The loop serves between
+/// publishes, so anything else means a request bypassed the funnel's
+/// swap protocol — an error, not a skipped user.
+fn served_by(rec: Recommendation, serving: ArtifactVersion) -> Result<Recommendation, String> {
+    if rec.retrieved_by == serving && rec.ranked_by == serving {
+        return Ok(rec);
+    }
+    Err(format!(
+        "round serves generation {serving:?} but the list was retrieved by {:?} and ranked by {:?}",
+        rec.retrieved_by, rec.ranked_by
+    ))
 }
 
 /// Freeze the live model, write generation `gen` as its own `.odz` file
@@ -329,41 +339,6 @@ fn impression_to_sample(imp: &Impression) -> OdSample {
         label_o: label,
         label_d: label,
     }
-}
-
-/// Submit through the live engine, retrying backpressure rejections, and
-/// wait for the versioned response. Returns an empty list (skipping the
-/// user) only if the engine is shutting down. Opens one trace per request
-/// under `rid` — the loop is the pipeline root here.
-fn submit_blocking(
-    engine: &Engine,
-    group: GroupInput,
-    rid: &str,
-) -> Option<od_serve::ScoredResponse> {
-    let tracer = od_obs::trace::global();
-    let ctx = if tracer.enabled() {
-        tracer.begin(rid)
-    } else {
-        od_obs::trace::TraceContext::NONE
-    };
-    let t0 = ctx.is_active().then(od_obs::clock::now);
-    let mut group = group;
-    let out = loop {
-        match engine.submit_traced(group, None, ctx) {
-            Submit::Accepted(ticket) => break ticket.wait_versioned().ok(),
-            Submit::Rejected(back) => {
-                group = back;
-                std::thread::yield_now();
-            }
-            Submit::Invalid { error, .. } => {
-                panic!("online loop built an invalid serving group: {error}")
-            }
-        }
-    };
-    if let Some(t0) = t0 {
-        tracer.end(ctx, "request", t0, od_obs::clock::now(), out.is_none());
-    }
-    out
 }
 
 #[allow(clippy::unwrap_used)]
@@ -421,6 +396,53 @@ mod tests {
             let row = round.to_json();
             assert!(row.contains("\"serving_epoch\""));
             assert!(row.contains("\"trace_slowest_id\""));
+        }
+        // The rows the hand-rolled retrieve → engine → blend → sort loop
+        // wrote for this config before the loop served through `Funnel`
+        // (every field but the `trace_*` timings): same lists, same
+        // clicks, same retrained bytes. A change to training or freezing
+        // numerics moves these on purpose; re-record them from
+        // `odnet online --metrics-jsonl` with this config's flags.
+        let stable: Vec<_> = report
+            .rounds
+            .iter()
+            .map(|r| {
+                let checksums = (r.serving_checksum, r.published_checksum);
+                (r.clicks, r.train_groups, r.train_loss, checksums)
+            })
+            .collect();
+        let recorded = [
+            (0, 119, 0.326_395_72, (749_779_138, 2_571_227_427)),
+            (1, 128, 0.291_927_5, (2_571_227_427, 1_300_512_766)),
+        ];
+        assert_eq!(stable, recorded);
+    }
+
+    /// The funnel stamps both stages of every list; the loop must refuse a
+    /// list that either stage attributes to another generation.
+    #[test]
+    fn a_list_from_another_generation_is_an_error_not_a_served_slot() {
+        let serving = ArtifactVersion {
+            epoch: 1,
+            checksum: 0xBEEF,
+        };
+        let stale = ArtifactVersion {
+            epoch: 0,
+            checksum: 0xF00D,
+        };
+        let list = |retrieved_by, ranked_by| Recommendation {
+            pairs: Vec::new(),
+            retrieval: Default::default(),
+            retrieved_by,
+            ranked_by,
+        };
+        assert!(served_by(list(serving, serving), serving).is_ok());
+        for rec in [list(stale, serving), list(serving, stale)] {
+            let err = served_by(rec, serving).unwrap_err();
+            assert!(
+                err.contains("epoch: 0"),
+                "error names the generation: {err}"
+            );
         }
     }
 }

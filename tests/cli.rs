@@ -1,5 +1,6 @@
 //! Integration tests of the `odnet` CLI binary: train → eval → recommend
-//! round-trips through a real process and a real checkpoint file.
+//! (→ freeze → recommend from the `.odz`) round-trips through a real
+//! process and real files, plus the argument errors every command shares.
 
 use std::process::Command;
 
@@ -58,7 +59,7 @@ fn train_eval_recommend_round_trip() {
             model.to_str().unwrap(),
             "--user",
             "3",
-            "--top",
+            "--top-k",
             "4",
         ])
         .output()
@@ -69,7 +70,81 @@ fn train_eval_recommend_round_trip() {
     // Four ranked lines with arrows.
     assert_eq!(stdout.matches("->").count(), 4, "got: {stdout}");
 
+    // The operator path: freeze the checkpoint's artifact to an `.odz` and
+    // recommend from the mmap'd file. The listing is stamped with the
+    // file's header checksum for both funnel stages.
+    let artifact = model.with_extension("odz");
+    let out = odnet()
+        .args(["freeze", "--model", model.to_str().unwrap(), "--out"])
+        .arg(&artifact)
+        .output()
+        .expect("spawn odnet freeze");
+    assert!(
+        out.status.success(),
+        "freeze failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = odnet()
+        .arg("recommend")
+        .arg("--artifact")
+        .arg(&artifact)
+        .args(["--user", "3", "--top-k", "4"])
+        .output()
+        .expect("spawn odnet recommend --artifact");
+    assert!(
+        out.status.success(),
+        "recommend --artifact failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("top-4 flights"), "got: {stdout}");
+    assert_eq!(stdout.matches("->").count(), 4, "got: {stdout}");
+    assert_eq!(stdout.matches("by gen 0 [").count(), 2, "got: {stdout}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("mmap mode"));
+
+    let _ = std::fs::remove_file(artifact);
     let _ = std::fs::remove_file(model);
+}
+
+/// A flag the command's synopsis does not name is an error that names it,
+/// not a silently ignored typo (`freeze --userz 10` used to freeze the
+/// default 400 users and exit 0); likewise a stray positional.
+#[test]
+fn unknown_flags_and_stray_arguments_exit_nonzero_naming_them() {
+    for command in [
+        "train",
+        "eval",
+        "recommend",
+        "freeze",
+        "serve",
+        "trace",
+        "online",
+    ] {
+        let out = odnet()
+            .args([command, "--userz", "10"])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{command} accepted --userz");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag --userz for '{command}'")),
+            "{command}: {stderr}"
+        );
+    }
+    // Flags are per command: `--smoke` is not a `serve` flag (any more),
+    // `--top` not a `recommend` one.
+    for args in [["serve", "--smoke"], ["recommend", "--top"]] {
+        let out = odnet().args(args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+    }
+    let out = odnet()
+        .args(["freeze", "artifact.odz"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr)
+        .contains("unexpected argument \"artifact.odz\" for 'freeze'"));
 }
 
 #[test]
@@ -79,9 +154,13 @@ fn helpful_errors_and_usage() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
 
-    // Unknown command.
-    let out = odnet().arg("frobnicate").output().expect("spawn");
-    assert!(!out.status.success());
+    // Unknown command — `metrics` included: `odnet serve` + GET /metrics
+    // is the one way to read the registry.
+    for command in ["frobnicate", "metrics"] {
+        let out = odnet().arg(command).output().expect("spawn");
+        assert!(!out.status.success());
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    }
 
     // eval without --model.
     let out = odnet().arg("eval").output().expect("spawn");
