@@ -34,8 +34,24 @@ echo "==> cargo test --workspace (every test binary, once)"
 #   od-http      parser fuzz table, socket chaos suite (every route bit-exact
 #                and version-stamped, hostile peers, overload ladder,
 #                unbounded k, X-Request-Id echo, graceful drain, a gated slow
-#                request tail-captured with its span chain + Chrome export)
+#                request tail-captured with its span chain + Chrome export),
+#                wire (golden head + body bytes of both scoring 200s)
 cargo test -q --workspace
+
+echo "==> vendored serde + serde_json tests"
+# vendor/ is outside the workspace, so the run above never builds these:
+#   serde        Content accessors, typed from_content edge cases (derive on)
+#   serde_json   parser/emitter units, f32_format (the f32 printer == Display
+#                and encode -> decode == identity over a ~1M-pattern sweep
+#                of all bit patterns), shapes (streamed text == tree text for
+#                every derive shape, compact and pretty)
+# Build output goes under target/; the lockfile cargo writes beside a
+# manifest that is its own root is removed again, so vendor/ stays source.
+cargo test -q --offline --manifest-path vendor/serde/Cargo.toml --features derive \
+    --target-dir target/vendor
+cargo test -q --offline --manifest-path vendor/serde_json/Cargo.toml \
+    --target-dir target/vendor
+rm -f vendor/serde/Cargo.lock vendor/serde_json/Cargo.lock
 
 echo "==> operator path (freeze -> recommend --artifact -> serve --artifact -> drain)"
 # The commands an operator runs, nothing else: freeze an untrained artifact

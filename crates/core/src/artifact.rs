@@ -411,12 +411,11 @@ impl serde::Serialize for Table {
     /// Serializes exactly like the `Tensor` it stands in for, so the
     /// checkpoint's embedded artifact is unchanged by the borrowed/owned
     /// split.
-    fn to_content(&self) -> serde::Content {
+    fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
         match self {
-            Table::Owned(t) => serde::Serialize::to_content(t),
+            Table::Owned(t) => t.serialize(sink),
             Table::Mapped { rows, cols, .. } => {
-                let t = Tensor::new(Shape::Matrix(*rows, *cols), self.as_slice().to_vec());
-                serde::Serialize::to_content(&t)
+                Tensor::new(Shape::Matrix(*rows, *cols), self.as_slice().to_vec()).serialize(sink)
             }
         }
     }

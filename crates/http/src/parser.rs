@@ -93,10 +93,17 @@ pub struct ParsedRequest {
 /// deadline- and drain-aware blocking.
 pub struct ConnReader<R> {
     inner: R,
+    /// Storage, initialized to its full length so a read can land
+    /// anywhere past `end` without a staging copy; `pos..end` is data.
     buf: Vec<u8>,
     /// Bytes of `buf` already consumed by previous requests.
     pos: usize,
+    /// End of the bytes received so far.
+    end: usize,
 }
+
+/// Least room offered to one `read`: a typical request arrives whole.
+const MIN_READ: usize = 1024;
 
 /// What one fill attempt produced.
 enum Fill {
@@ -116,32 +123,40 @@ impl<R: Read> ConnReader<R> {
     pub fn new(inner: R) -> ConnReader<R> {
         ConnReader {
             inner,
-            buf: Vec::with_capacity(1024),
+            buf: vec![0; MIN_READ],
             pos: 0,
+            end: 0,
         }
     }
 
-    /// Unconsumed bytes currently buffered.
-    fn available(&self) -> usize {
-        self.buf.len() - self.pos
+    /// The unconsumed bytes currently buffered.
+    fn unread(&self) -> &[u8] {
+        &self.buf[self.pos..self.end]
     }
 
     /// Drop consumed bytes once the buffer's dead prefix dominates.
     fn compact(&mut self) {
-        if self.pos > 0 && self.pos >= self.buf.len() / 2 {
-            self.buf.drain(..self.pos);
+        if self.pos > 0 && self.pos >= self.end / 2 {
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
             self.pos = 0;
         }
     }
 
-    /// One read slice into the buffer.
-    fn fill(&mut self) -> Fill {
+    /// One read slice straight into the buffer, with room for at least
+    /// `missing` more bytes — the caller's known remainder (already
+    /// checked against [`Limits`]), so a body of any accepted size is one
+    /// `read` away once its head is parsed.
+    fn fill(&mut self, missing: usize) -> Fill {
         self.compact();
-        let mut chunk = [0u8; 1024];
-        match self.inner.read(&mut chunk) {
+        let room = self.end + missing.max(MIN_READ);
+        if self.buf.len() < room {
+            self.buf.resize(room, 0);
+        }
+        match self.inner.read(&mut self.buf[self.end..]) {
             Ok(0) => Fill::Eof,
             Ok(n) => {
-                self.buf.extend_from_slice(&chunk[..n]);
+                self.end += n;
                 Fill::Data
             }
             Err(e) => match e.kind() {
@@ -162,11 +177,11 @@ impl<R: Read> ConnReader<R> {
         started: bool,
         abort: &AtomicBool,
     ) -> Result<(), ParseError> {
-        while self.available() < n {
-            match self.fill() {
+        while self.unread().len() < n {
+            match self.fill(n - self.unread().len()) {
                 Fill::Data => continue,
                 Fill::Eof => {
-                    return Err(if !started && self.available() == 0 {
+                    return Err(if !started && self.unread().is_empty() {
                         ParseError::IdleClose
                     } else {
                         ParseError::Malformed("unexpected eof mid-request")
@@ -174,7 +189,7 @@ impl<R: Read> ConnReader<R> {
                 }
                 Fill::Gone => return Err(ParseError::Disconnected),
                 Fill::Slice => {
-                    let idle = !started && self.available() == 0;
+                    let idle = !started && self.unread().is_empty();
                     if idle && abort.load(Ordering::SeqCst) {
                         return Err(ParseError::Aborted);
                     }
@@ -201,7 +216,7 @@ impl<R: Read> ConnReader<R> {
     ) -> Result<Vec<u8>, ParseError> {
         let mut scanned: usize = 0;
         loop {
-            let hay = &self.buf[self.pos..];
+            let hay = self.unread();
             if let Some(at) = find(&hay[scanned.saturating_sub(3)..], b"\r\n\r\n") {
                 let end = scanned.saturating_sub(3) + at;
                 if end > limits.max_header_bytes {
@@ -240,7 +255,7 @@ impl<R: Read> ConnReader<R> {
     fn read_line(&mut self, deadline: Instant, abort: &AtomicBool) -> Result<Vec<u8>, ParseError> {
         let mut scanned: usize = 0;
         loop {
-            let hay = &self.buf[self.pos..];
+            let hay = self.unread();
             if let Some(at) = find(&hay[scanned.saturating_sub(1)..], b"\r\n") {
                 let end = scanned.saturating_sub(1) + at;
                 let line = hay[..end].to_vec();

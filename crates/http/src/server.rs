@@ -13,6 +13,12 @@
 //! immediate `503` and closes, so a flood degrades into cheap rejections
 //! instead of unbounded memory.
 //!
+//! Each connection owns one output buffer for its whole keep-alive life.
+//! A handler serializes its body straight into it, [`seal`] puts the head
+//! in front, and the response leaves in **one write** — under
+//! `TCP_NODELAY` a second write would be a second segment. In steady
+//! state a response allocates nothing for its head or body bytes.
+//!
 //! # Deadline ladder
 //!
 //! Reads are sliced ([`ServerConfig::read_slice`]) so a connection
@@ -41,7 +47,7 @@ use crate::parser::{parse_request, ConnReader, Limits, ParseError, ParsedRequest
 use crate::wire::{ErrorBody, RecommendRequest, RecommendResponse, ScoreResponse, WirePair};
 use od_hsg::UserId;
 use od_retrieval::ScoredPair;
-use od_serve::{Funnel, ServeError, Submit};
+use od_serve::{ArtifactVersion, Funnel, ServeError, Submit};
 use odnet_core::GroupInput;
 use std::collections::VecDeque;
 use std::io::Write;
@@ -113,14 +119,28 @@ impl Default for ServerConfig {
 /// (or never got far enough to carry headers): 16 hex digits from a
 /// per-process randomly seeded hash of a sequence number — unique within
 /// the process, uncorrelated across restarts.
-fn mint_request_id() -> String {
-    use std::hash::{BuildHasher, Hasher};
-    static SEED: std::sync::OnceLock<std::collections::hash_map::RandomState> =
-        std::sync::OnceLock::new();
-    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-    let mut h = SEED.get_or_init(Default::default).build_hasher();
-    h.write_u64(NEXT.fetch_add(1, Ordering::Relaxed));
-    format!("{:016x}", h.finish())
+struct MintedId([u8; 16]);
+
+impl MintedId {
+    fn new() -> MintedId {
+        use std::hash::{BuildHasher, Hasher};
+        static SEED: std::sync::OnceLock<std::collections::hash_map::RandomState> =
+            std::sync::OnceLock::new();
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+        let mut h = SEED.get_or_init(Default::default).build_hasher();
+        h.write_u64(NEXT.fetch_add(1, Ordering::Relaxed));
+        let mut v = h.finish();
+        let mut hex = [0u8; 16];
+        for digit in hex.iter_mut().rev() {
+            *digit = b"0123456789abcdef"[(v & 15) as usize];
+            v >>= 4;
+        }
+        MintedId(hex)
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.0).expect("hex digits are ASCII")
+    }
 }
 
 /// What [`Server::shutdown`] observed.
@@ -361,10 +381,10 @@ fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
 /// the response a client will ask the operator about.
 fn reject_at_edge(inner: &Arc<Inner>, mut stream: TcpStream, why: &str) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-    let resp = error_response(503, why)
-        .with_header("Retry-After", "1")
-        .with_header("X-Request-Id", &mint_request_id());
-    if write_response(&mut stream, &resp, true).is_ok() {
+    let mut out = Vec::new();
+    let head = error(&mut out, 503, why).with_line("Retry-After: 1\r\n");
+    seal(&mut out, &head, MintedId::new().as_str(), true);
+    if stream.write_all(&out).is_ok() {
         inner.metrics.count_response(503);
     }
 }
@@ -400,6 +420,7 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
         Err(_) => return,
     };
     let mut reader = ConnReader::new(read_half);
+    let mut out: Vec<u8> = Vec::new();
     let limits = Limits {
         max_header_bytes: cfg.max_header_bytes,
         max_body_bytes: cfg.max_body_bytes,
@@ -431,9 +452,10 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
                     // The request never yielded headers, so the id is
                     // server-minted; the 408/413/431/400/505 ladder is
                     // still correlatable from the client side.
-                    let resp = error_response(status, &format!("{e:?}"))
-                        .with_header("X-Request-Id", &mint_request_id());
-                    if write_response(&mut stream, &resp, true).is_ok() {
+                    out.clear();
+                    let head = error(&mut out, status, &format!("{e:?}"));
+                    seal(&mut out, &head, MintedId::new().as_str(), true);
+                    if stream.write_all(&out).is_ok() {
                         m.count_response(status);
                     } else {
                         m.disconnects.inc();
@@ -448,9 +470,16 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
         // Every request has an id (client-supplied or minted here), and
         // every response echoes it. The trace — when tracing is on —
         // starts under that id; the root span closes after the write.
-        let rid = req.request_id.clone().unwrap_or_else(mint_request_id);
+        let minted;
+        let rid = match &req.request_id {
+            Some(id) => id.as_str(),
+            None => {
+                minted = MintedId::new();
+                minted.as_str()
+            }
+        };
         let tracer = od_obs::trace::global();
-        let ctx = tracer.begin(&rid);
+        let ctx = tracer.begin(rid);
         tracer.record(ctx, "parse", t0, t_read);
 
         // The query is stripped once: routing and the metrics route label
@@ -458,22 +487,24 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
         let path = req.path.split('?').next().unwrap_or("");
         let route = route_of(path);
         m.requests[route].inc();
-        let resp = dispatch(inner, &req, path, ctx).with_header("X-Request-Id", &rid);
+        out.clear();
+        let head = dispatch(inner, &req, path, ctx, &mut out);
         let t_handled = od_obs::clock::now();
         m.handle_ns[route].record(od_obs::clock::ns_between(t_read, t_handled));
 
         // Close after this response if the client asked, the response
         // demands it, or the drain began while we were handling.
-        let closing = !req.keep_alive || resp.close || inner.draining.load(Ordering::SeqCst);
-        match write_response(&mut stream, &resp, closing) {
+        let closing = !req.keep_alive || head.close || inner.draining.load(Ordering::SeqCst);
+        seal(&mut out, &head, rid, closing);
+        match stream.write_all(&out) {
             Ok(()) => {
-                m.count_response(resp.status);
+                m.count_response(head.status);
                 let done = od_obs::clock::now();
                 m.write_ns
                     .record(od_obs::clock::ns_between(t_handled, done));
                 m.e2e_ns[route].record_exemplar(od_obs::clock::ns_between(t0, done), ctx.trace_id);
                 tracer.record(ctx, "write", t_handled, done);
-                tracer.end(ctx, "request", t0, done, resp.status >= 500);
+                tracer.end(ctx, "request", t0, done, head.status >= 500);
             }
             Err(_) => {
                 m.disconnects.inc();
@@ -500,50 +531,63 @@ fn route_of(path: &str) -> &'static str {
     }
 }
 
-/// An assembled response, not yet written.
-struct Response {
+const JSON: &str = "application/json";
+const TEXT: &str = "text/plain; charset=utf-8";
+
+/// Everything of a response but its body, which the handler has already
+/// written to the connection's output buffer. Plain data: building one
+/// allocates nothing.
+#[derive(Clone, Copy)]
+struct Head {
     status: u16,
     content_type: &'static str,
-    body: Vec<u8>,
-    headers: Vec<(&'static str, String)>,
+    /// One fixed extra header line (`Retry-After`, `Allow`), CRLF
+    /// included; empty for none.
+    line: &'static str,
+    /// The generation that scored a 200, for the `X-Artifact-*` stamps.
+    version: Option<ArtifactVersion>,
     /// Force `Connection: close` regardless of the client's preference.
     close: bool,
 }
 
-impl Response {
-    fn json(status: u16, body: Vec<u8>) -> Response {
-        Response {
+impl Head {
+    fn new(status: u16, content_type: &'static str) -> Head {
+        Head {
             status,
-            content_type: "application/json",
-            body,
-            headers: Vec::new(),
+            content_type,
+            line: "",
+            version: None,
             close: false,
         }
     }
 
-    fn text(status: u16, body: &str) -> Response {
-        Response {
-            status,
-            content_type: "text/plain; charset=utf-8",
-            body: body.as_bytes().to_vec(),
-            headers: Vec::new(),
-            close: false,
-        }
+    fn with_line(self, line: &'static str) -> Head {
+        Head { line, ..self }
     }
 
-    fn with_header(mut self, name: &'static str, value: &str) -> Response {
-        self.headers.push((name, value.to_string()));
-        self
+    fn closing(self) -> Head {
+        Head {
+            close: true,
+            ..self
+        }
     }
 }
 
-/// A typed-error JSON response.
-fn error_response(status: u16, why: &str) -> Response {
-    let body = serde_json::to_string(&ErrorBody {
-        error: why.to_string(),
-    })
-    .unwrap_or_else(|_| "{\"error\":\"error\"}".to_string());
-    Response::json(status, body.into_bytes())
+/// Write a typed-error JSON body.
+fn error(out: &mut Vec<u8>, status: u16, why: &str) -> Head {
+    serde_json::append(
+        out,
+        &ErrorBody {
+            error: why.to_string(),
+        },
+    );
+    Head::new(status, JSON)
+}
+
+/// Write a plain-text body.
+fn text(out: &mut Vec<u8>, status: u16, body: &str) -> Head {
+    out.extend_from_slice(body.as_bytes());
+    Head::new(status, TEXT)
 }
 
 fn reason(status: u16) -> &'static str {
@@ -564,27 +608,43 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-fn write_response(stream: &mut TcpStream, resp: &Response, closing: bool) -> std::io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
-        resp.status,
-        reason(resp.status),
-        resp.content_type,
-        resp.body.len()
-    );
-    for (name, value) in &resp.headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+/// Turn the body in `out` into the whole response. `Content-Length` is
+/// known only once the body is written, so the head is appended behind it
+/// and rotated to the front: still one buffer, and one `write_all` sends
+/// it.
+fn seal(out: &mut Vec<u8>, head: &Head, request_id: &str, closing: bool) {
+    // A JSON integer is its decimal digits: the emitter's digit loop
+    // serves the head's numbers too.
+    fn number(out: &mut Vec<u8>, n: u64) {
+        serde_json::append(out, &n);
     }
+    let body_len = out.len();
+    out.extend_from_slice(b"HTTP/1.1 ");
+    number(out, u64::from(head.status));
+    out.push(b' ');
+    out.extend_from_slice(reason(head.status).as_bytes());
+    out.extend_from_slice(b"\r\nContent-Type: ");
+    out.extend_from_slice(head.content_type.as_bytes());
+    out.extend_from_slice(b"\r\nContent-Length: ");
+    number(out, body_len as u64);
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(head.line.as_bytes());
+    if let Some(version) = head.version {
+        out.extend_from_slice(b"X-Artifact-Epoch: ");
+        number(out, version.epoch);
+        out.extend_from_slice(b"\r\nX-Artifact-Checksum: ");
+        number(out, u64::from(version.checksum));
+        out.extend_from_slice(b"\r\n");
+    }
+    out.extend_from_slice(b"X-Request-Id: ");
+    out.extend_from_slice(request_id.as_bytes());
+    out.extend_from_slice(b"\r\n");
     if closing {
-        head.push_str("Connection: close\r\n");
+        out.extend_from_slice(b"Connection: close\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&resp.body)?;
-    stream.flush()
+    out.extend_from_slice(b"\r\n");
+    let head_len = out.len() - body_len;
+    out.rotate_right(head_len);
 }
 
 /// Route one parsed request to its handler; `path` is its target without
@@ -594,20 +654,21 @@ fn dispatch(
     req: &ParsedRequest,
     path: &str,
     ctx: od_obs::trace::TraceContext,
-) -> Response {
+    out: &mut Vec<u8>,
+) -> Head {
     match (req.method.as_str(), path) {
-        ("GET", "/healthz") => healthz(inner),
-        ("GET", "/metrics") => Response::text(200, &od_obs::global().snapshot().to_prometheus()),
-        ("GET", "/debug/traces") => debug_traces(req),
-        ("POST", "/v1/score") => score(inner, req, ctx),
-        ("POST", "/v1/recommend") => recommend(inner, req, ctx),
+        ("GET", "/healthz") => healthz(inner, out),
+        ("GET", "/metrics") => text(out, 200, &od_obs::global().snapshot().to_prometheus()),
+        ("GET", "/debug/traces") => debug_traces(req, out),
+        ("POST", "/v1/score") => score(inner, req, ctx, out),
+        ("POST", "/v1/recommend") => recommend(inner, req, ctx, out),
         (_, "/healthz") | (_, "/metrics") | (_, "/debug/traces") => {
-            error_response(405, "method not allowed").with_header("Allow", "GET")
+            error(out, 405, "method not allowed").with_line("Allow: GET\r\n")
         }
         (_, "/v1/score") | (_, "/v1/recommend") => {
-            error_response(405, "method not allowed").with_header("Allow", "POST")
+            error(out, 405, "method not allowed").with_line("Allow: POST\r\n")
         }
-        _ => error_response(404, "no such route"),
+        _ => error(out, 404, "no such route"),
     }
 }
 
@@ -618,7 +679,7 @@ fn dispatch(
 /// shape). An unknown key or an unparsable `min_ms` / `limit` is a 400
 /// naming it — whether or not tracing is on — never a silently unfiltered
 /// dump.
-fn debug_traces(req: &ParsedRequest) -> Response {
+fn debug_traces(req: &ParsedRequest, out: &mut Vec<u8>) -> Head {
     let query = req.path.split_once('?').map_or("", |(_, q)| q);
     let mut min_ns = 0u64;
     let mut errors_only = false;
@@ -626,27 +687,21 @@ fn debug_traces(req: &ParsedRequest) -> Response {
     let mut chrome = false;
     for kv in query.split('&').filter(|s| !s.is_empty()) {
         let (k, v) = kv.split_once('=').unwrap_or((kv, ""));
-        let number = || {
-            v.parse::<u64>()
-                .map_err(|_| error_response(400, &format!("{k} expects a number, got {v:?}")))
-        };
-        match k {
-            "min_ms" => match number() {
-                Ok(ms) => min_ns = ms.saturating_mul(1_000_000),
-                Err(bad) => return bad,
-            },
-            "errors" => errors_only = v == "1" || v == "true",
-            "limit" => match number() {
-                Ok(n) => limit = usize::try_from(n).unwrap_or(usize::MAX),
-                Err(bad) => return bad,
-            },
-            "format" => chrome = v == "chrome",
-            _ => return error_response(400, &format!("unknown query key: {k}")),
+        let number = v.parse::<u64>();
+        match (k, number) {
+            ("min_ms", Ok(ms)) => min_ns = ms.saturating_mul(1_000_000),
+            ("limit", Ok(n)) => limit = usize::try_from(n).unwrap_or(usize::MAX),
+            ("min_ms" | "limit", Err(_)) => {
+                return error(out, 400, &format!("{k} expects a number, got {v:?}"))
+            }
+            ("errors", _) => errors_only = v == "1" || v == "true",
+            ("format", _) => chrome = v == "chrome",
+            _ => return error(out, 400, &format!("unknown query key: {k}")),
         }
     }
     let tracer = od_obs::trace::global();
     if !tracer.enabled() {
-        return error_response(503, "tracing is not enabled");
+        return error(out, 503, "tracing is not enabled");
     }
     let traces = tracer.snapshot(min_ns, errors_only, limit);
     let body = if chrome {
@@ -654,24 +709,23 @@ fn debug_traces(req: &ParsedRequest) -> Response {
     } else {
         od_obs::trace::to_json(&traces)
     };
-    Response::json(200, body.into_bytes())
+    out.extend_from_slice(body.as_bytes());
+    Head::new(200, JSON)
 }
 
 /// Readiness: NOT-READY while draining or when any shard has no live
 /// worker to score with.
-fn healthz(inner: &Arc<Inner>) -> Response {
+fn healthz(inner: &Arc<Inner>, out: &mut Vec<u8>) -> Head {
     if inner.draining.load(Ordering::SeqCst) {
-        let mut r = Response::text(503, "draining\n");
-        r.close = true;
-        return r;
+        return text(out, 503, "draining\n").closing();
     }
     for shard in &inner.shards {
         let h = shard.engine().health();
         if h.configured_workers > 0 && h.live_workers == 0 {
-            return Response::text(503, "no live workers\n");
+            return text(out, 503, "no live workers\n");
         }
     }
-    Response::text(200, "ok\n")
+    text(out, 200, "ok\n")
 }
 
 /// The engine deadline of a request: `X-Deadline-Ms` when present, the
@@ -685,25 +739,47 @@ fn deadline_of(inner: &Inner, req: &ParsedRequest) -> Instant {
     Instant::now() + wait
 }
 
+/// Serialize a 200 body into `out` under an `encode` span and stamp the
+/// head with the generation that scored it.
+fn encode<T: serde::Serialize>(
+    out: &mut Vec<u8>,
+    ctx: od_obs::trace::TraceContext,
+    body: &T,
+    version: ArtifactVersion,
+) -> Head {
+    let t0 = od_obs::clock::now();
+    serde_json::append(out, body);
+    od_obs::trace::global().record(ctx, "encode", t0, od_obs::clock::now());
+    Head {
+        version: Some(version),
+        ..Head::new(200, JSON)
+    }
+}
+
 /// `POST /v1/score`: body is a [`GroupInput`]; sharded by user id.
-fn score(inner: &Arc<Inner>, req: &ParsedRequest, ctx: od_obs::trace::TraceContext) -> Response {
+fn score(
+    inner: &Arc<Inner>,
+    req: &ParsedRequest,
+    ctx: od_obs::trace::TraceContext,
+    out: &mut Vec<u8>,
+) -> Head {
     let body = match std::str::from_utf8(&req.body) {
         Ok(s) => s,
-        Err(_) => return error_response(400, "body is not utf-8"),
+        Err(_) => return error(out, 400, "body is not utf-8"),
     };
     let group: GroupInput = match serde_json::from_str(body) {
         Ok(g) => g,
-        Err(e) => return error_response(400, &format!("bad group: {e}")),
+        Err(e) => return error(out, 400, &format!("bad group: {e}")),
     };
     let deadline = deadline_of(inner, req);
     let shard = &inner.shards[group.user.index() % inner.shards.len()];
     let ticket = match shard.engine().submit_traced(group, Some(deadline), ctx) {
         Submit::Accepted(t) => t,
         Submit::Rejected(_) => {
-            return error_response(429, "backpressure").with_header("Retry-After", "1")
+            return error(out, 429, "backpressure").with_line("Retry-After: 1\r\n")
         }
-        Submit::Invalid { error, .. } => {
-            return error_response(400, &format!("invalid group: {error:?}"))
+        Submit::Invalid { error: e, .. } => {
+            return error(out, 400, &format!("invalid group: {e:?}"))
         }
     };
     let wait = deadline.saturating_duration_since(Instant::now());
@@ -714,23 +790,14 @@ fn score(inner: &Arc<Inner>, req: &ParsedRequest, ctx: od_obs::trace::TraceConte
                 epoch: scored.version.epoch,
                 checksum: scored.version.checksum,
             };
-            match serde_json::to_string(&body) {
-                Ok(s) => Response::json(200, s.into_bytes())
-                    .with_header("X-Artifact-Epoch", &body.epoch.to_string())
-                    .with_header("X-Artifact-Checksum", &body.checksum.to_string()),
-                Err(_) => error_response(500, "serialization failed"),
-            }
+            encode(out, ctx, &body, scored.version)
         }
         // A ticket that resolves `Rejected` after acceptance means the
         // engine shut down (or force-drained) under this connection —
         // unconditionally 503; submit-time backpressure was the 429
         // above.
-        Err(ServeError::Rejected) => {
-            let mut r = error_response(503, "engine shut down");
-            r.close = true;
-            r
-        }
-        Err(e) => serve_error_response(inner, e, ctx),
+        Err(ServeError::Rejected) => error(out, 503, "engine shut down").closing(),
+        Err(e) => serve_error(inner, e, ctx, out),
     }
 }
 
@@ -739,21 +806,22 @@ fn recommend(
     inner: &Arc<Inner>,
     req: &ParsedRequest,
     ctx: od_obs::trace::TraceContext,
-) -> Response {
+    out: &mut Vec<u8>,
+) -> Head {
     let body = match std::str::from_utf8(&req.body) {
         Ok(s) => s,
-        Err(_) => return error_response(400, "body is not utf-8"),
+        Err(_) => return error(out, 400, "body is not utf-8"),
     };
     let ask: RecommendRequest = match serde_json::from_str(body) {
         Ok(r) => r,
-        Err(e) => return error_response(400, &format!("bad request: {e}")),
+        Err(e) => return error(out, 400, &format!("bad request: {e}")),
     };
     if ask.k == 0 {
-        return error_response(400, "k must be at least 1");
+        return error(out, 400, "k must be at least 1");
     }
     let shard = &inner.shards[ask.user as usize % inner.shards.len()];
     if ask.user as usize >= shard.num_users() {
-        return error_response(400, "user outside the artifact universe");
+        return error(out, 400, "user outside the artifact universe");
     }
     // In-universe (checked above) implies the id fits the u32 id space.
     let user = UserId(ask.user as u32);
@@ -779,14 +847,9 @@ fn recommend(
                 retrieved_by: rec.retrieved_by.into(),
                 ranked_by: rec.ranked_by.into(),
             };
-            match serde_json::to_string(&body) {
-                Ok(s) => Response::json(200, s.into_bytes())
-                    .with_header("X-Artifact-Epoch", &body.ranked_by.epoch.to_string())
-                    .with_header("X-Artifact-Checksum", &body.ranked_by.checksum.to_string()),
-                Err(_) => error_response(500, "serialization failed"),
-            }
+            encode(out, ctx, &body, rec.ranked_by)
         }
-        Err(e) => serve_error_response(inner, e, ctx),
+        Err(e) => serve_error(inner, e, ctx, out),
     }
 }
 
@@ -796,11 +859,12 @@ fn recommend(
 /// submit is the 429 handled at the submit site. The deadline/panic
 /// failure surfaces name the trace id so the body alone is enough to pull
 /// the captured trace from `/debug/traces`.
-fn serve_error_response(
+fn serve_error(
     inner: &Arc<Inner>,
     e: ServeError,
     ctx: od_obs::trace::TraceContext,
-) -> Response {
+    out: &mut Vec<u8>,
+) -> Head {
     let traced = |why: &str| {
         if ctx.is_active() {
             format!("{why} (trace {})", od_obs::trace::hex_id(ctx.trace_id))
@@ -809,19 +873,17 @@ fn serve_error_response(
         }
     };
     match e {
-        ServeError::DeadlineExceeded => error_response(504, &traced("deadline exceeded")),
-        ServeError::WorkerPanicked => error_response(500, &traced("worker panicked")),
-        ServeError::InvalidInput(err) => error_response(400, &format!("invalid group: {err:?}")),
+        ServeError::DeadlineExceeded => error(out, 504, &traced("deadline exceeded")),
+        ServeError::WorkerPanicked => error(out, 500, &traced("worker panicked")),
+        ServeError::InvalidInput(err) => error(out, 400, &format!("invalid group: {err:?}")),
         ServeError::Rejected => {
             if inner.draining.load(Ordering::SeqCst) {
-                let mut r = error_response(503, "draining");
-                r.close = true;
-                r
+                error(out, 503, "draining").closing()
             } else {
                 // The funnel collapses submit-time backpressure into the
                 // same variant; without drain in progress that is the
                 // retryable case.
-                error_response(429, "backpressure").with_header("Retry-After", "1")
+                error(out, 429, "backpressure").with_line("Retry-After: 1\r\n")
             }
         }
     }
@@ -832,6 +894,47 @@ mod tests {
     use super::*;
     use od_serve::{EngineConfig, FunnelConfig};
     use odnet_core::{OdNetModel, OdnetConfig, Variant};
+
+    /// The response path reuses its connection's one buffer: after the
+    /// first response has sized it, encoding and sealing the same 64-pair
+    /// body again never grows or replaces it.
+    #[test]
+    fn a_connections_output_buffer_is_sized_once_and_reused() {
+        let pair = |i: u32| WirePair {
+            origin: i,
+            dest: i + 1,
+            retrieval_score: i as f32 * 0.37,
+            p_origin: 1.0 / (i + 2) as f32,
+            p_dest: 0.5,
+            rank_score: -1.25e-3,
+        };
+        let version = ArtifactVersion {
+            epoch: 7,
+            checksum: 0xF00D,
+        };
+        let body = RecommendResponse {
+            pairs: (0..64).map(pair).collect(),
+            retrieved_by: version.into(),
+            ranked_by: version.into(),
+        };
+        let mut out = Vec::new();
+        let mut first: Option<(Vec<u8>, usize, *const u8)> = None;
+        for _ in 0..1000 {
+            out.clear();
+            let head = encode(&mut out, od_obs::trace::TraceContext::NONE, &body, version);
+            seal(&mut out, &head, "0123456789abcdef", false);
+            let (bytes, capacity, at) =
+                first.get_or_insert_with(|| (out.clone(), out.capacity(), out.as_ptr()));
+            assert_eq!(out, *bytes);
+            assert_eq!((out.capacity(), out.as_ptr()), (*capacity, *at));
+        }
+        let (bytes, ..) = first.expect("the loop ran");
+        let text = String::from_utf8(bytes).expect("a response is utf-8");
+        let (head, json) = text.split_once("\r\n\r\n").expect("head, blank line, body");
+        assert!(head.starts_with("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"));
+        assert!(head.contains(&format!("\r\nContent-Length: {}\r\n", json.len())));
+        assert_eq!(json, serde_json::to_string(&body).expect("body serializes"));
+    }
 
     /// `Drop` runs after `shutdown` too. Once the acceptor is joined the
     /// port is free for anyone, so a second stop must not dial it again:

@@ -1,10 +1,20 @@
 //! The JSON wire protocol (DESIGN.md §15).
 //!
-//! Bodies are the serde types below, encoded with the vendored
-//! `serde_json`. Floats print as shortest-round-trip decimals, so an
-//! `f32` score survives encode → decode **bit-exactly** — the wire-level
-//! bit-exactness assertions in `tests/chaos.rs` lean on this (the
-//! vendored crate pins it with its own round-trip test).
+//! Bodies are the serde types below, streamed by their derived
+//! `Serialize` impls through the vendored `serde_json`'s one emitter
+//! straight into the connection's output buffer — there is no
+//! hand-written per-type encoder to keep in step with them.
+//!
+//! The float contract is `serde_json`'s `f32` printer's: the shortest
+//! decimal that reads back as the same `f32` (exact ties go up), never in
+//! exponent form — byte-for-byte what `Display` prints — and `-0` keeps
+//! its sign through the parser. So an `f32` score survives encode →
+//! decode **bit-exactly** (through the vendored parser: for all of the
+//! 2³² patterns but ±`7.038531e-26`, which its `f64` intermediate rounds
+//! twice; the bytes themselves are right for every pattern).
+//! `vendor/serde_json/tests/f32_format.rs` pins the printer over a sweep
+//! of all bit patterns, `tests/wire.rs` pins these bodies' bytes, and the
+//! bit-exactness assertions in `tests/chaos.rs` lean on both.
 
 use od_serve::ArtifactVersion;
 

@@ -1022,6 +1022,7 @@ fn gated_slow_request_is_tail_captured_with_its_span_chain_and_exports_to_chrome
         "queue_wait",
         "forward",
         "retrieval",
+        "encode",
         "write",
     ] {
         assert!(
