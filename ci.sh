@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
-# CI gate: formatting, lints, every test binary once, the CLI operator-path
-# gates, and the serving benchmark at smoke scale (the one perf/e2e smoke;
-# see benchmark/README.md).
+# CI gate: formatting, lints, doc links, every test binary once, the CLI
+# operator-path gates, and the serving benchmark at smoke scale (the one
+# perf/e2e smoke; see benchmark/README.md).
 set -eu
 
 cd "$(dirname "$0")"
@@ -12,13 +12,20 @@ cargo fmt --all --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (-D broken intra-doc links)"
+# Docs name code by path; a deleted or renamed item must take its mentions
+# with it.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+    cargo doc --workspace --no-deps --offline
+
 echo "==> cargo test --workspace (every test binary, once)"
 # One run covers the named suites earlier revisions re-ran one by one:
 #   od-tensor    kernel_equivalence (GEMM tiles bit-exact vs an ascending-
 #                index triple loop at every SimdLevel; seeded continuation
 #                == one-shot product)
 #   odnet-core   frozen_equivalence (artifact vs live tape; .odz owned/mmap
-#                bit-identity; checkpoint JSON -> artifact), batched_equivalence,
+#                bit-identity; checkpoint reload + freeze == in-process
+#                freeze, .odz byte for byte), batched_equivalence,
 #                head_equivalence
 #                (fused, prefix-seeded MMoE head vs the per-layer forward),
 #                artifact_corruption (.odz loader rejects tampered files)
@@ -53,14 +60,20 @@ cargo test -q --offline --manifest-path vendor/serde_json/Cargo.toml \
     --target-dir target/vendor
 rm -f vendor/serde/Cargo.lock vendor/serde_json/Cargo.lock
 
-echo "==> operator path (freeze -> recommend --artifact -> serve --artifact -> drain)"
-# The commands an operator runs, nothing else: freeze an untrained artifact
-# to .odz, serve one user from the mmap'd file through the funnel, boot the
-# HTTP tier over it (mmap load, universe check, bind an ephemeral port),
-# and let stdin EOF start the graceful drain — exit 0 only if it settled
-# cleanly. What the routes answer is the chaos suite's job above and, over
-# a real socket on an mmap'd .odz, benchmark/run.sh's below.
-cargo run --release --bin odnet -- freeze --out target/ci_artifact.odz
+echo "==> operator path (train -> freeze --model -> recommend --artifact -> serve --artifact -> drain)"
+# The commands an operator runs, nothing else: train a graph-variant
+# checkpoint (weights only), reload and freeze it to .odz, serve one user
+# from the mmap'd file through the funnel, boot the HTTP tier over it (mmap
+# load, universe check, bind an ephemeral port), and let stdin EOF start
+# the graceful drain — exit 0 only if it settled cleanly. What the routes
+# answer is the chaos suite's job above and, over a real socket on an
+# mmap'd .odz, benchmark/run.sh's below.
+cargo run --release --bin odnet -- train --users 40 --cities 12 --epochs 1 \
+    --variant odnet --out target/ci_model.json
+cargo run --release --bin odnet -- freeze --model target/ci_model.json \
+    --out target/ci_artifact.odz
+# The cold-start path, no checkpoint: an untrained artifact from sizes alone.
+cargo run --release --bin odnet -- freeze --out target/ci_untrained.odz
 cargo run --release --bin odnet -- recommend --artifact target/ci_artifact.odz \
     --user 0 --top-k 5
 cargo run --release --bin odnet -- serve --artifact target/ci_artifact.odz \

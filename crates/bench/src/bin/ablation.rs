@@ -8,7 +8,7 @@
 //!   paper's bare Eq. 8) versus λ = 0.5. The λ = 0 row shows the collapse
 //!   (θ → 0 or 1, one task starved).
 
-use od_bench::{build_hsg, fliggy_dataset, markdown_table, write_json, Scale};
+use od_bench::{fliggy_dataset, markdown_table, write_json, Scale};
 use odnet_core::{evaluate_on_fliggy, train, FeatureExtractor, OdNetModel, OdnetConfig, Variant};
 use serde::Serialize;
 
@@ -27,7 +27,7 @@ struct Row {
 fn main() {
     let scale = Scale::from_args();
     let ds = fliggy_dataset(scale);
-    let hsg = build_hsg(&ds);
+    let hsg = ds.hsg();
     let base = scale.model_config();
     let fx = FeatureExtractor::new(base.max_long_seq, base.max_short_seq);
     let groups = fx.groups_from_samples(&ds, &ds.train);
@@ -43,7 +43,7 @@ fn main() {
             Some(hsg.clone()),
         );
         let report = train(&mut model, &groups);
-        let eval = evaluate_on_fliggy(&model, &ds, &fx);
+        let eval = evaluate_on_fliggy(&model.freeze(), &ds, &fx);
         rows.push(Row {
             sweep: sweep.to_string(),
             setting,

@@ -1,7 +1,7 @@
 //! Regenerates Figure 6(a): HR@5 and MRR@5 of ODNET as the number of
 //! attention heads in the PEC sweeps over {1, 2, 4, 8}.
 
-use od_bench::{build_hsg, fliggy_dataset, markdown_table, write_json, Scale};
+use od_bench::{fliggy_dataset, markdown_table, write_json, Scale};
 use odnet_core::{evaluate_on_fliggy, train, FeatureExtractor, OdNetModel, Variant};
 use serde::Serialize;
 
@@ -16,7 +16,7 @@ struct Point {
 fn main() {
     let scale = Scale::from_args();
     let ds = fliggy_dataset(scale);
-    let hsg = build_hsg(&ds);
+    let hsg = ds.hsg();
     let base = scale.model_config();
     let heads_sweep: &[usize] = if scale == Scale::Smoke {
         &[1, 2]
@@ -42,7 +42,7 @@ fn main() {
         );
         let groups = fx.groups_from_samples(&ds, &ds.train);
         let report = train(&mut model, &groups);
-        let eval = evaluate_on_fliggy(&model, &ds, &fx);
+        let eval = evaluate_on_fliggy(&model.freeze(), &ds, &fx);
         eprintln!(
             "[fig6a] heads={heads}: HR@5 {:.4}, MRR@5 {:.4}",
             eval.ranking.hr5, eval.ranking.mrr5

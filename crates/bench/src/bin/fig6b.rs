@@ -2,7 +2,7 @@
 //! and training time of ODNET as the HSG exploration depth K sweeps over
 //! {1, 2, 3, 4}.
 
-use od_bench::{build_hsg, fliggy_dataset, markdown_table, write_json, Scale};
+use od_bench::{fliggy_dataset, markdown_table, write_json, Scale};
 use odnet_core::{evaluate_on_fliggy, train, FeatureExtractor, OdNetModel, Variant};
 use serde::Serialize;
 
@@ -17,7 +17,7 @@ struct Point {
 fn main() {
     let scale = Scale::from_args();
     let ds = fliggy_dataset(scale);
-    let hsg = build_hsg(&ds);
+    let hsg = ds.hsg();
     let base = scale.model_config();
     let depth_sweep: &[usize] = &[1, 2, 3, 4];
     let mut points = Vec::new();
@@ -35,7 +35,7 @@ fn main() {
         );
         let groups = fx.groups_from_samples(&ds, &ds.train);
         let report = train(&mut model, &groups);
-        let eval = evaluate_on_fliggy(&model, &ds, &fx);
+        let eval = evaluate_on_fliggy(&model.freeze(), &ds, &fx);
         eprintln!(
             "[fig6b] K={depth}: HR@5 {:.4}, MRR@5 {:.4}, {:.1}s train",
             eval.ranking.hr5,

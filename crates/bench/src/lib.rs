@@ -32,21 +32,10 @@ pub use scale::Scale;
 pub use serving::{heuristic_candidates, rank_pairs};
 
 use od_data::{CheckinConfig, CheckinDataset, FliggyDataset};
-use od_hsg::{Hsg, HsgBuilder};
 
 /// Build the Fliggy-like dataset at a scale.
 pub fn fliggy_dataset(scale: Scale) -> FliggyDataset {
     FliggyDataset::generate(scale.fliggy_config())
-}
-
-/// Build the HSG from a dataset's training-period interactions.
-pub fn build_hsg(ds: &FliggyDataset) -> Hsg {
-    let coords = ds.world.cities.iter().map(|c| c.coords).collect();
-    let mut b = HsgBuilder::new(ds.world.num_users(), coords);
-    for it in ds.hsg_interactions() {
-        b.add_interaction(it);
-    }
-    b.build()
 }
 
 /// Build one of the check-in datasets at a scale.
@@ -68,8 +57,7 @@ mod tests {
         let ds = fliggy_dataset(Scale::Smoke);
         assert!(!ds.train.is_empty());
         assert!(!ds.eval_cases.is_empty());
-        let hsg = build_hsg(&ds);
-        assert!(hsg.num_edges() > 0);
+        assert!(ds.hsg().num_edges() > 0);
     }
 
     #[test]

@@ -182,13 +182,15 @@ pub fn fit_method(
         num_users,
         num_cities,
         scale,
-        || crate::build_hsg(ds),
+        || ds.hsg(),
     )
 }
 
 /// Fit one method on pre-extracted groups (shared by the Fliggy and
 /// check-in paths). `make_hsg` lazily builds the heterogeneous graph for
-/// the graph variants.
+/// the graph variants. The four ODNET variants train on the tape and are
+/// returned frozen: every metric and latency column describes the artifact
+/// that would be served.
 pub fn fit_on_groups(
     method: Method,
     train_groups: &[GroupInput],
@@ -244,7 +246,9 @@ pub fn fit_on_groups(
             let hsg = variant.uses_graph().then(make_hsg);
             let mut m = OdNetModel::new(variant, scale.model_config(), num_users, num_cities, hsg);
             train(&mut m, train_groups);
-            Box::new(m)
+            // Freezing is deployment, not training: stop the clock first.
+            let train_secs = started.elapsed().as_secs_f64();
+            return (Box::new(m.freeze()), train_secs);
         }
     };
     (scorer, started.elapsed().as_secs_f64())

@@ -3,13 +3,15 @@
 //!
 //! A text artifact costs a full parse plus an owned copy of every table —
 //! at the paper's deployment scale (2.6M users, PAPER.md §2) that is
-//! seconds of cold start and a resident copy per serving process (the
-//! training checkpoint still embeds the artifact as JSON;
-//! [`FrozenOdNet::from_checkpoint_json`] is the only JSON route to one).
-//! The `.odz` format stores the embedding tables as 64-byte-aligned little-endian `f32` rows that
-//! [`FrozenOdNet`] can score **directly out of an mmap'd file**: load time
-//! becomes page-fault time, and N serving processes mapping the same
-//! artifact share one physical copy of the tables.
+//! seconds of cold start and a resident copy per serving process — so
+//! there is none: `.odz` is the only form a [`FrozenOdNet`] is ever
+//! persisted in, and a training checkpoint holds weights, not an artifact
+//! (`OdNetModel::load_json` + `freeze()` + [`FrozenOdNet::save_bin`] is the
+//! road from one to the other). The format stores the embedding tables as
+//! 64-byte-aligned little-endian `f32` rows that [`FrozenOdNet`] can score
+//! **directly out of an mmap'd file**: load time becomes page-fault time,
+//! and N serving processes mapping the same artifact share one physical
+//! copy of the tables.
 //!
 //! Layout (all integers little-endian; see DESIGN.md §12):
 //!
@@ -291,7 +293,7 @@ impl Drop for MmapRegion {
 // ---------------------------------------------------------------------------
 // Table: the borrowed/owned storage behind FrozenOdNet's embedding tables.
 
-/// A row-major `rows × cols` f32 table that is either owned (checkpoint
+/// A row-major `rows × cols` f32 table that is either owned (`freeze()`
 /// and binary-read paths) or borrowed from an [`MmapRegion`] (zero-copy path).
 /// The scoring hot path only ever asks for [`Table::row`], which both
 /// variants serve as a plain slice — the enum never shows up per-element.
@@ -404,26 +406,6 @@ impl Table {
             )));
         }
         Ok(())
-    }
-}
-
-impl serde::Serialize for Table {
-    /// Serializes exactly like the `Tensor` it stands in for, so the
-    /// checkpoint's embedded artifact is unchanged by the borrowed/owned
-    /// split.
-    fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
-        match self {
-            Table::Owned(t) => t.serialize(sink),
-            Table::Mapped { rows, cols, .. } => {
-                Tensor::new(Shape::Matrix(*rows, *cols), self.as_slice().to_vec()).serialize(sink)
-            }
-        }
-    }
-}
-
-impl serde::Deserialize for Table {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::DeError> {
-        Tensor::from_content(content).map(Table::Owned)
     }
 }
 

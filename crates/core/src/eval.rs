@@ -4,11 +4,14 @@
 //! harness then computes the paper's offline metrics (AUC-O / AUC-D over
 //! labelled samples, HR@k / MRR@k over ranking cases) and drives the online
 //! A/B simulator.
+//!
+//! ODNET implements it once, on the artifact it serves
+//! ([`FrozenOdNet`](crate::FrozenOdNet)): evaluate `model.freeze()`. The
+//! live tape's inherent `OdNetModel::score_group` stays as the reference
+//! the equivalence suites compare that artifact against, bit for bit.
 
 use crate::features::{FeatureExtractor, GroupInput};
-use crate::model::OdNetModel;
 use od_data::{auc, rank_of_truth, RankingAccumulator, RankingMetrics};
-use od_tensor::Graph;
 
 /// A model that scores candidate OD pairs under a user context.
 ///
@@ -17,14 +20,6 @@ use od_tensor::Graph;
 pub trait OdScorer: Sync {
     /// Per-candidate `(p^O, p^D)` probabilities for one group.
     fn score_group(&self, group: &GroupInput) -> Vec<(f32, f32)>;
-
-    /// Score a group reusing a caller-provided graph tape. The default
-    /// ignores the graph (baselines don't build one); [`OdNetModel`]
-    /// overrides this so the evaluation loop reuses one tape per worker.
-    fn score_group_reusing(&self, g: &mut Graph, group: &GroupInput) -> Vec<(f32, f32)> {
-        let _ = g;
-        self.score_group(group)
-    }
 
     /// Combine per-side probabilities into one ranking score (Eq. 11).
     /// Default is the θ = 0.5 blend; ODNET overrides with its learned θ.
@@ -36,35 +31,13 @@ pub trait OdScorer: Sync {
     fn name(&self) -> String;
 }
 
-impl OdScorer for OdNetModel {
-    fn score_group(&self, group: &GroupInput) -> Vec<(f32, f32)> {
-        OdNetModel::score_group(self, group)
-    }
-
-    fn score_group_reusing(&self, g: &mut Graph, group: &GroupInput) -> Vec<(f32, f32)> {
-        self.score_group_with(g, group)
-    }
-
-    fn serving_score(&self, p_o: f32, p_d: f32) -> f32 {
-        OdNetModel::serving_score(self, p_o, p_d)
-    }
-
-    fn name(&self) -> String {
-        self.variant.name().to_string()
-    }
-}
-
 /// Score many groups in parallel (order-preserving).
 pub fn score_groups(scorer: &dyn OdScorer, groups: &[GroupInput]) -> Vec<Vec<(f32, f32)>> {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get().min(8))
         .unwrap_or(1);
     if workers <= 1 || groups.len() < 4 {
-        let mut tape = Graph::new();
-        return groups
-            .iter()
-            .map(|g| scorer.score_group_reusing(&mut tape, g))
-            .collect();
+        return groups.iter().map(|g| scorer.score_group(g)).collect();
     }
     let chunk = groups.len().div_ceil(workers);
     std::thread::scope(|scope| {
@@ -72,10 +45,9 @@ pub fn score_groups(scorer: &dyn OdScorer, groups: &[GroupInput]) -> Vec<Vec<(f3
             .chunks(chunk)
             .map(|shard| {
                 scope.spawn(move || {
-                    let mut tape = Graph::new();
                     shard
                         .iter()
-                        .map(|g| scorer.score_group_reusing(&mut tape, g))
+                        .map(|g| scorer.score_group(g))
                         .collect::<Vec<_>>()
                 })
             })

@@ -18,6 +18,13 @@
 //! for op, so frozen scores are bit-identical to the live tape (the live
 //! path remains the correctness oracle; see
 //! `tests/frozen_equivalence.rs`).
+//!
+//! This is also the one ODNET [`OdScorer`]: every offline number — the
+//! paper-table binaries, `odnet eval`, the examples — is computed by
+//! evaluating `model.freeze()`, i.e. the artifact that would be served.
+//! The only persisted form is `.odz` ([`crate::artifact`]); a training
+//! checkpoint holds weights, and reaches an artifact through
+//! [`OdNetModel::load_json`](crate::OdNetModel::load_json) + `freeze()`.
 
 use crate::artifact::Table;
 use crate::config::OdnetConfig;
@@ -35,9 +42,9 @@ use std::cell::RefCell;
 
 /// One frozen branch: dense embedding tables (already depth-`K` aggregated
 /// for graph variants) plus the frozen PEC and optional intent module.
-/// The tables are [`Table`]s so they can be owned (checkpoint / binary read)
+/// The tables are [`Table`]s so they can be owned (`freeze()` / binary read)
 /// or borrowed zero-copy from an mmap'd `.odz` file — scoring never copies.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub(crate) struct FrozenBranch {
     /// `num_users×d` final user embeddings.
     pub(crate) users: Table,
@@ -49,6 +56,7 @@ pub(crate) struct FrozenBranch {
 
 /// The frozen scoring head. The MMoE variant is boxed: it carries experts,
 /// two gates, and two towers, dwarfing the single-task pair of towers.
+/// (De)serializable because it rides in the `.odz` meta block.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub(crate) enum FrozenHead {
     Joint(Box<FrozenMmoeHead>),
@@ -57,7 +65,7 @@ pub(crate) enum FrozenHead {
 
 /// An immutable, tape-free serving artifact produced by
 /// [`crate::OdNetModel::freeze`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FrozenOdNet {
     pub(crate) variant: Variant,
     pub(crate) config: OdnetConfig,
@@ -261,9 +269,8 @@ impl FrozenOdNet {
     /// Structural validation of a (possibly untrusted) artifact: every
     /// weight matrix must match the geometry the config declares, geometry
     /// must be mutually consistent across components, and no tensor may
-    /// carry NaN/±∞. Runs automatically inside
-    /// [`FrozenOdNet::from_checkpoint_json`], [`FrozenOdNet::save_bin`] and
-    /// [`FrozenOdNet::load_bin`].
+    /// carry NaN/±∞. Runs automatically inside [`FrozenOdNet::save_bin`]
+    /// and [`FrozenOdNet::load_bin`].
     pub fn validate_artifact(&self) -> Result<(), CheckpointError> {
         self.validate_impl(true)
     }
@@ -460,7 +467,7 @@ impl OdScorer for FrozenOdNet {
     }
 
     fn name(&self) -> String {
-        format!("{} (frozen)", self.variant.name())
+        self.variant.name().to_string()
     }
 }
 
@@ -468,25 +475,15 @@ impl OdScorer for FrozenOdNet {
 mod tests {
     use super::*;
     use crate::model::{OdNetModel, Variant};
-    use od_hsg::HsgBuilder;
 
     fn tiny_frozen() -> FrozenOdNet {
         let ds = od_data::FliggyDataset::generate(od_data::FliggyConfig::tiny());
-        let variant = Variant::Odnet;
-        let hsg = variant.uses_graph().then(|| {
-            let coords = ds.world.cities.iter().map(|c| c.coords).collect();
-            let mut b = HsgBuilder::new(ds.world.num_users(), coords);
-            for it in ds.hsg_interactions() {
-                b.add_interaction(it);
-            }
-            b.build()
-        });
         OdNetModel::new(
-            variant,
+            Variant::Odnet,
             OdnetConfig::tiny(),
             ds.world.num_users(),
             ds.world.num_cities(),
-            hsg,
+            Some(ds.hsg()),
         )
         .freeze()
     }
@@ -516,50 +513,6 @@ mod tests {
         match frozen.validate_artifact() {
             Err(CheckpointError::Inconsistent(what)) => assert!(what.contains("users")),
             other => panic!("expected Inconsistent, got {other:?}"),
-        }
-    }
-
-    /// A training checkpoint (the one JSON route to a frozen artifact)
-    /// around `frozen`, as `OdNetModel::save_json` lays it out.
-    fn checkpoint_json_embedding(frozen: &FrozenOdNet) -> String {
-        let model = OdNetModel::new(
-            Variant::OdnetG,
-            OdnetConfig::tiny(),
-            frozen.num_users,
-            frozen.num_cities,
-            None,
-        );
-        let ckpt = model.save_json(frozen.num_users, frozen.num_cities);
-        let mut content: serde::Content = serde_json::from_str(&ckpt).expect("checkpoint parses");
-        let serde::Content::Map(fields) = &mut content else {
-            panic!("checkpoint is a map");
-        };
-        let slot = fields
-            .iter_mut()
-            .find(|(k, _)| k == "frozen")
-            .expect("checkpoint embeds an artifact");
-        slot.1 = serde::Serialize::to_content(frozen);
-        serde_json::to_string(&content).expect("checkpoint serializes")
-    }
-
-    #[test]
-    fn corrupt_embedded_artifact_is_rejected_on_the_json_route() {
-        // The same corruption arriving through a checkpoint is caught by
-        // from_checkpoint_json instead of panicking on a later row lookup.
-        let mut frozen = tiny_frozen();
-        frozen.num_users += 1;
-        match FrozenOdNet::from_checkpoint_json(&checkpoint_json_embedding(&frozen)) {
-            Err(CheckpointError::Inconsistent(_)) => {}
-            other => panic!("expected Inconsistent, got {other:?}"),
-        }
-        // JSON cannot carry NaN, but an overflowing literal like 1e999
-        // parses to ∞ — the loader must refuse to serve it.
-        let mut frozen = tiny_frozen();
-        frozen.origin.users.as_mut_slice()[0] = 12345.5;
-        let json = checkpoint_json_embedding(&frozen).replacen("12345.5", "1e999", 1);
-        match FrozenOdNet::from_checkpoint_json(&json) {
-            Err(CheckpointError::NonFinite(_)) => {}
-            other => panic!("expected NonFinite, got {other:?}"),
         }
     }
 

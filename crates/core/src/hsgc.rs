@@ -26,7 +26,7 @@
 
 use od_hsg::{CityId, DistanceMatrix, NeighborTable, Node, UserId};
 use od_tensor::nn::{Embedding, Linear};
-use od_tensor::{Graph, ParamStore, Shape, Tensor, Value};
+use od_tensor::{Graph, ParamId, ParamStore, Shape, Tensor, Value};
 use rand::Rng;
 use std::collections::HashMap;
 
@@ -76,6 +76,11 @@ impl HsgcModule {
     /// Exploration depth `K`.
     pub fn depth(&self) -> usize {
         self.depth
+    }
+
+    /// Handles of the level-0 `(user, city)` embedding tables.
+    pub fn tables(&self) -> (ParamId, ParamId) {
+        (self.user_table.table(), self.city_table.table())
     }
 
     /// Materialize the depth-`K` embeddings of *every* user and city into

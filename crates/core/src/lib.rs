@@ -8,8 +8,9 @@
 //!   the Eq. 1 attention and Eq. 2 spatial weights), run per-sample with
 //!   memoized neighborhood recursion;
 //! - `frozen` — the tape-free serving artifact ([`FrozenOdNet`]): training
-//!   happens on the autograd tape, serving on dense materialized tables and
-//!   plain matrix kernels (see `OdNetModel::freeze`);
+//!   happens on the autograd tape, serving *and every offline evaluation*
+//!   on dense materialized tables and plain matrix kernels (see
+//!   `OdNetModel::freeze`);
 //! - `pec` — the Preference Extraction Component (Eq. 3 multi-head
 //!   encoding, Eq. 4–5 bilinear attention over long-term behaviour queried
 //!   by short-term intent);
@@ -25,15 +26,9 @@
 //!
 //! ```no_run
 //! use od_data::{FliggyConfig, FliggyDataset};
-//! use od_hsg::HsgBuilder;
-//! use odnet_core::{FeatureExtractor, OdNetModel, OdnetConfig, Variant};
+//! use odnet_core::{evaluate_on_fliggy, FeatureExtractor, OdNetModel, OdnetConfig, Variant};
 //!
 //! let ds = FliggyDataset::generate(FliggyConfig::default());
-//! let coords = ds.world.cities.iter().map(|c| c.coords).collect();
-//! let mut builder = HsgBuilder::new(ds.world.num_users(), coords);
-//! for it in ds.hsg_interactions() {
-//!     builder.add_interaction(it);
-//! }
 //! let config = OdnetConfig::default();
 //! let fx = FeatureExtractor::new(config.max_long_seq, config.max_short_seq);
 //! let mut model = OdNetModel::new(
@@ -41,11 +36,14 @@
 //!     config,
 //!     ds.world.num_users(),
 //!     ds.world.num_cities(),
-//!     Some(builder.build()),
+//!     Some(ds.hsg()),
 //! );
 //! let groups = fx.groups_from_samples(&ds, &ds.train);
 //! let report = odnet_core::train(&mut model, &groups);
 //! println!("final loss {}", report.final_loss());
+//! // Everything after training reads the artifact that would be served.
+//! let eval = evaluate_on_fliggy(&model.freeze(), &ds, &fx);
+//! println!("AUC-D {}", eval.auc_d);
 //! ```
 
 #![warn(missing_docs)]

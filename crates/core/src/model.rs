@@ -74,6 +74,17 @@ struct Branch {
     intent: Option<IntentModule>,
 }
 
+impl Branch {
+    /// Handles of the branch's level-0 `(user, city)` embedding tables.
+    fn tables(&self) -> (ParamId, ParamId) {
+        match (&self.hsgc, &self.plain_user, &self.plain_city) {
+            (Some(hsgc), ..) => hsgc.tables(),
+            (None, Some(users), Some(cities)) => (users.table(), cities.table()),
+            _ => unreachable!("a branch has an HSGC or both plain tables"),
+        }
+    }
+}
+
 enum Head {
     Joint(MmoeHead),
     Single(SingleTaskHead),
@@ -433,17 +444,18 @@ impl OdNetModel {
         }
     }
 
-    /// Score a group in inference mode: per-candidate `(p^O, p^D)`
-    /// probabilities.
+    /// Score a group on the live tape: per-candidate `(p^O, p^D)`
+    /// probabilities. This is the reference the equivalence suites hold the
+    /// artifact to; evaluation and serving score [`freeze`](Self::freeze)'s
+    /// output instead.
     pub fn score_group(&self, group: &GroupInput) -> Vec<(f32, f32)> {
         let mut g = Graph::new();
         self.score_group_with(&mut g, group)
     }
 
     /// Score a group using a caller-provided graph. The tape is reset (its
-    /// node storage is retained), so serving loops can reuse one graph's
-    /// allocations across many groups instead of paying a fresh tape per
-    /// call.
+    /// node storage is retained), so a loop over many groups can reuse one
+    /// graph's allocations instead of paying a fresh tape per call.
     pub fn score_group_with(&self, g: &mut Graph, group: &GroupInput) -> Vec<(f32, f32)> {
         g.reset();
         if group.candidates.is_empty() {
@@ -485,11 +497,10 @@ impl OdNetModel {
                     hsgc.materialize(&self.store, table, ctx.hsg.distances())
                 }
                 _ => {
-                    let pu = branch.plain_user.as_ref().expect("plain tables present");
-                    let pc = branch.plain_city.as_ref().expect("plain tables present");
+                    let (users, cities) = branch.tables();
                     (
-                        self.store.value(pu.table()).clone(),
-                        self.store.value(pc.table()).clone(),
+                        self.store.value(users).clone(),
+                        self.store.value(cities).clone(),
                     )
                 }
             };
@@ -518,20 +529,21 @@ impl OdNetModel {
         }
     }
 
-    /// Serialize the model (variant, config, universe sizes, and all
-    /// trained parameters) to a JSON checkpoint. Since format version 2 the
-    /// checkpoint also embeds the frozen serving artifact, so serving-only
-    /// consumers can extract it via [`FrozenOdNet::from_checkpoint_json`]
-    /// without rebuilding the HSG.
-    pub fn save_json(&self, num_users: usize, num_cities: usize) -> String {
+    /// Serialize the model — variant, config, universe sizes (read off the
+    /// model's own embedding tables) and all trained parameters — to a JSON
+    /// checkpoint. A checkpoint holds weights only: the serving artifact is
+    /// always [`load_json`](Self::load_json) + [`freeze`](Self::freeze),
+    /// which reproduces the in-process `freeze()` byte for byte (the
+    /// neighbour tables re-sample from `config.seed`).
+    pub fn save_json(&self) -> String {
+        let (users, cities) = self.origin_branch.tables();
         let ckpt = Checkpoint {
             format_version: CHECKPOINT_VERSION,
             variant: self.variant,
             config: self.config.clone(),
-            num_users,
-            num_cities,
+            num_users: self.store.value(users).rows(),
+            num_cities: self.store.value(cities).rows(),
             store: self.store.clone(),
-            frozen: Some(self.freeze()),
         };
         serde_json::to_string(&ckpt).expect("checkpoint serialization cannot fail")
     }
@@ -544,11 +556,24 @@ impl OdNetModel {
         if ckpt.format_version != CHECKPOINT_VERSION {
             return Err(CheckpointError::Version(ckpt.format_version));
         }
-        if ckpt.variant.uses_graph() && hsg.is_none() {
-            return Err(CheckpointError::MissingHsg);
+        if ckpt.variant.uses_graph() {
+            let hsg = hsg.as_ref().ok_or(CheckpointError::MissingHsg)?;
+            if (hsg.num_users(), hsg.num_cities()) != (ckpt.num_users, ckpt.num_cities) {
+                return Err(CheckpointError::ParamMismatch(format!(
+                    "its header declares {} users x {} cities, the supplied HSG spans {} x {}",
+                    ckpt.num_users,
+                    ckpt.num_cities,
+                    hsg.num_users(),
+                    hsg.num_cities()
+                )));
+            }
         }
-        // Rebuild the architecture (registers parameters in the same order),
-        // then swap in the trained store.
+        // Rebuild the architecture the header describes (registers
+        // parameters in the same order), then swap in the trained store —
+        // once every restored tensor is the one the architecture registered
+        // at that index: same name, same shape, as many values as the shape
+        // holds. A header edited away from its tables fails here instead of
+        // on a later row lookup.
         let mut model = OdNetModel::new(
             ckpt.variant,
             ckpt.config,
@@ -556,34 +581,42 @@ impl OdNetModel {
             ckpt.num_cities,
             hsg,
         );
-        if model.store.len() != ckpt.store.len() {
-            return Err(CheckpointError::ParamMismatch {
-                expected: model.store.len(),
-                found: ckpt.store.len(),
-            });
-        }
         let mut restored = ckpt.store;
         restored.reindex(); // the name index is serde(skip)
-                            // Re-link name lookups built during registration.
-        for id in model.store.ids().collect::<Vec<_>>() {
-            let name = model.store.name(id);
-            if restored.lookup(name) != Some(id) {
-                return Err(CheckpointError::ParamMismatch {
-                    expected: model.store.len(),
-                    found: restored.len(),
-                });
+        if model.store.len() != restored.len() {
+            return Err(CheckpointError::ParamMismatch(format!(
+                "it carries {} parameters, the architecture registers {}",
+                restored.len(),
+                model.store.len()
+            )));
+        }
+        for id in model.store.ids() {
+            let (name, built) = (model.store.name(id), model.store.value(id));
+            let found = restored.value(id);
+            if restored.name(id) != name
+                || found.shape() != built.shape()
+                || found.len() != built.len()
+            {
+                return Err(CheckpointError::ParamMismatch(format!(
+                    "parameter {} is {:?} {} ({} values), the architecture registers {name:?} {}",
+                    id.index(),
+                    restored.name(id),
+                    found.shape(),
+                    found.len(),
+                    built.shape()
+                )));
             }
         }
-        std::mem::swap(&mut model.store, &mut restored);
+        model.store = restored;
         Ok(model)
     }
 }
 
-/// Checkpoint format version (bump on layout changes). v2 embeds the frozen
-/// serving artifact alongside the training parameters.
-const CHECKPOINT_VERSION: u32 = 2;
+/// Checkpoint format version (bump on layout changes). v3 dropped the
+/// frozen serving artifact v2 embedded beside the training parameters.
+const CHECKPOINT_VERSION: u32 = 3;
 
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct Checkpoint {
     format_version: u32,
     variant: Variant,
@@ -591,56 +624,6 @@ struct Checkpoint {
     num_users: usize,
     num_cities: usize,
     store: ParamStore,
-    /// The serving artifact (v2+); absent in v1 checkpoints.
-    frozen: Option<FrozenOdNet>,
-}
-
-// Hand-written so `frozen` defaults to `None` when absent (the vendored
-// serde derive has no `#[serde(default)]`): a v1 checkpoint must parse far
-// enough to report a version error, not a parse error.
-impl serde::Deserialize for Checkpoint {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::DeError> {
-        let map = content
-            .as_map()
-            .ok_or_else(|| serde::DeError::expected("map", "Checkpoint"))?;
-        fn req<T: serde::Deserialize>(
-            map: &[(String, serde::Content)],
-            name: &str,
-        ) -> Result<T, serde::DeError> {
-            match serde::Content::get_field(map, name) {
-                Some(v) => T::from_content(v),
-                None => Err(serde::DeError::missing_field(name, "Checkpoint")),
-            }
-        }
-        Ok(Checkpoint {
-            format_version: req(map, "format_version")?,
-            variant: req(map, "variant")?,
-            config: req(map, "config")?,
-            num_users: req(map, "num_users")?,
-            num_cities: req(map, "num_cities")?,
-            store: req(map, "store")?,
-            frozen: match serde::Content::get_field(map, "frozen") {
-                Some(v) => serde::Deserialize::from_content(v)?,
-                None => None,
-            },
-        })
-    }
-}
-
-impl FrozenOdNet {
-    /// Extract the embedded serving artifact from a full training
-    /// checkpoint produced by [`OdNetModel::save_json`]. Unlike
-    /// [`OdNetModel::load_json`] this needs no HSG — the graph closure is
-    /// already materialized into the frozen tables.
-    pub fn from_checkpoint_json(json: &str) -> Result<Self, CheckpointError> {
-        let ckpt: Checkpoint = serde_json::from_str(json).map_err(CheckpointError::Parse)?;
-        if ckpt.format_version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::Version(ckpt.format_version));
-        }
-        let frozen = ckpt.frozen.ok_or(CheckpointError::MissingFrozen)?;
-        frozen.validate_artifact()?;
-        Ok(frozen)
-    }
 }
 
 /// Failure modes of [`OdNetModel::load_json`].
@@ -652,15 +635,11 @@ pub enum CheckpointError {
     Version(u32),
     /// A graph variant was loaded without supplying the HSG.
     MissingHsg,
-    /// The checkpoint carries no embedded frozen serving artifact.
-    MissingFrozen,
-    /// Parameter registry does not match the rebuilt architecture.
-    ParamMismatch {
-        /// Parameters the architecture registers.
-        expected: usize,
-        /// Parameters the checkpoint carries.
-        found: usize,
-    },
+    /// The checkpoint's header, its parameters and the supplied HSG do not
+    /// describe one architecture: a parameter count, name or tensor shape
+    /// other than the one the header's architecture registers, or an HSG
+    /// over a different universe.
+    ParamMismatch(String),
     /// Matrix dimensions inside the frozen artifact are mutually
     /// inconsistent (corrupt or hand-edited checkpoint).
     Inconsistent(String),
@@ -694,13 +673,9 @@ impl std::fmt::Display for CheckpointError {
                     "graph variant checkpoint requires the HSG to be supplied"
                 )
             }
-            CheckpointError::MissingFrozen => {
-                write!(f, "checkpoint embeds no frozen serving artifact")
+            CheckpointError::ParamMismatch(what) => {
+                write!(f, "inconsistent checkpoint: {what}")
             }
-            CheckpointError::ParamMismatch { expected, found } => write!(
-                f,
-                "checkpoint carries {found} parameters but the architecture has {expected}"
-            ),
             CheckpointError::Inconsistent(what) => {
                 write!(f, "inconsistent frozen artifact: {what}")
             }
@@ -752,12 +727,11 @@ impl<'m> BranchSource<'m> {
                 BranchSource::Graph(hsgc.begin(g, store, table, ctx.hsg.distances()))
             }
             _ => {
-                let pu = branch.plain_user.as_ref().expect("plain tables present");
-                let pc = branch.plain_city.as_ref().expect("plain tables present");
+                let (users, cities) = branch.tables();
                 BranchSource::Plain {
-                    users: g.param(store, pu.table()),
-                    cities: g.param(store, pc.table()),
-                    dim: pu.dim(),
+                    users: g.param(store, users),
+                    cities: g.param(store, cities),
+                    dim: store.value(users).cols(),
                 }
             }
         }
@@ -836,7 +810,6 @@ mod tests {
     use super::*;
     use crate::features::{CandidateInput, FeatureExtractor};
     use od_data::{FliggyConfig, FliggyDataset};
-    use od_hsg::HsgBuilder;
 
     fn dataset() -> FliggyDataset {
         FliggyDataset::generate(FliggyConfig::tiny())
@@ -844,14 +817,7 @@ mod tests {
 
     fn build_model(variant: Variant, ds: &FliggyDataset) -> OdNetModel {
         let cfg = OdnetConfig::tiny();
-        let hsg = variant.uses_graph().then(|| {
-            let coords = ds.world.cities.iter().map(|c| c.coords).collect();
-            let mut b = HsgBuilder::new(ds.world.num_users(), coords);
-            for it in ds.hsg_interactions() {
-                b.add_interaction(it);
-            }
-            b.build()
-        });
+        let hsg = variant.uses_graph().then(|| ds.hsg());
         OdNetModel::new(
             variant,
             cfg,

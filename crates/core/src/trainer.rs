@@ -426,21 +426,13 @@ mod tests {
     use crate::features::FeatureExtractor;
     use crate::model::Variant;
     use od_data::{FliggyConfig, FliggyDataset};
-    use od_hsg::HsgBuilder;
 
     fn setup(variant: Variant, workers: usize) -> (OdNetModel, Vec<GroupInput>) {
         let ds = FliggyDataset::generate(FliggyConfig::tiny());
         let mut cfg = OdnetConfig::tiny();
         cfg.workers = workers;
         cfg.epochs = 2;
-        let hsg = variant.uses_graph().then(|| {
-            let coords = ds.world.cities.iter().map(|c| c.coords).collect();
-            let mut b = HsgBuilder::new(ds.world.num_users(), coords);
-            for it in ds.hsg_interactions() {
-                b.add_interaction(it);
-            }
-            b.build()
-        });
+        let hsg = variant.uses_graph().then(|| ds.hsg());
         let model = OdNetModel::new(
             variant,
             cfg,

@@ -8,7 +8,7 @@
 
 mod oracle;
 
-use od_hsg::{CityId, HsgBuilder};
+use od_hsg::CityId;
 use odnet_core::{
     CandidateInput, FeatureExtractor, GroupInput, OdNetModel, OdnetConfig, Variant, XST_DIM,
 };
@@ -30,18 +30,10 @@ fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
         let ds = od_data::FliggyDataset::generate(od_data::FliggyConfig::tiny());
-        let hsg = || {
-            let coords = ds.world.cities.iter().map(|c| c.coords).collect();
-            let mut b = HsgBuilder::new(ds.world.num_users(), coords);
-            for it in ds.hsg_interactions() {
-                b.add_interaction(it);
-            }
-            b.build()
-        };
         let build = |variant: Variant, intents: usize| {
             let mut cfg = OdnetConfig::tiny();
             cfg.intents = intents;
-            let g = variant.uses_graph().then(hsg);
+            let g = variant.uses_graph().then(|| ds.hsg());
             OdNetModel::new(variant, cfg, ds.world.num_users(), ds.world.num_cities(), g)
         };
         let models = vec![

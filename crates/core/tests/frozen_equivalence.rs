@@ -9,7 +9,7 @@
 
 mod oracle;
 
-use od_hsg::{CityId, HsgBuilder};
+use od_hsg::CityId;
 use od_tensor::infer::Workspace;
 use odnet_core::{
     CandidateInput, CheckpointError, FeatureExtractor, FrozenOdNet, GroupInput, OdNetModel,
@@ -32,25 +32,16 @@ struct Fixture {
     /// A real group (with history) providing the user context.
     template: GroupInput,
     num_cities: usize,
-    num_users: usize,
 }
 
 fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
         let ds = od_data::FliggyDataset::generate(od_data::FliggyConfig::tiny());
-        let hsg = || {
-            let coords = ds.world.cities.iter().map(|c| c.coords).collect();
-            let mut b = HsgBuilder::new(ds.world.num_users(), coords);
-            for it in ds.hsg_interactions() {
-                b.add_interaction(it);
-            }
-            b.build()
-        };
         let build = |variant: Variant, intents: usize| {
             let mut cfg = OdnetConfig::tiny();
             cfg.intents = intents;
-            let g = variant.uses_graph().then(hsg);
+            let g = variant.uses_graph().then(|| ds.hsg());
             let live =
                 OdNetModel::new(variant, cfg, ds.world.num_users(), ds.world.num_cities(), g);
             (live.freeze(), live)
@@ -87,7 +78,6 @@ fn fixture() -> &'static Fixture {
             reloaded,
             template,
             num_cities: ds.world.num_cities(),
-            num_users: ds.world.num_users(),
         }
     })
 }
@@ -236,36 +226,53 @@ fn workspace_reuse_is_stateless_across_groups() {
     assert_eq!(first, frozen.score_group_with(&mut Workspace::new(), &a));
 }
 
-/// v2 training checkpoints embed the frozen artifact; extracting it needs
-/// no HSG and — for every variant — round-trips metadata and scores exactly
-/// as freezing the live model directly. This is the one JSON route to an
-/// artifact.
+/// A checkpoint holds weights only, so the road from one to a served
+/// artifact is reload + `freeze()`: for every variant a *trained* model's
+/// `save_json` → `load_json` → `freeze()` → `save_bin` writes the very bytes
+/// its in-process `freeze().save_bin` does (the graph variants re-sample
+/// their neighbour tables from `config.seed`).
 #[test]
-fn checkpoint_embeds_extractable_artifact() {
-    let fix = fixture();
+fn reloaded_checkpoint_freezes_to_the_same_odz_bytes() {
+    let ds = od_data::FliggyDataset::generate(od_data::FliggyConfig::tiny());
+    let groups = FeatureExtractor::new(6, 4).groups_from_samples(&ds, &ds.train);
+    let odz_bytes = |frozen: FrozenOdNet| {
+        let path = std::env::temp_dir().join(format!("odnet_reload_{}.odz", std::process::id()));
+        frozen.save_bin(&path).expect("save .odz");
+        let bytes = std::fs::read(&path).expect("read .odz back");
+        let _ = std::fs::remove_file(&path);
+        bytes
+    };
     let mut ckpt = String::new();
-    for (frozen, live) in &fix.pairs {
-        ckpt = live.save_json(fix.num_users, fix.num_cities);
-        let back = FrozenOdNet::from_checkpoint_json(&ckpt).expect("v2 checkpoint embeds frozen");
-        assert_eq!(back.variant(), frozen.variant());
-        assert_eq!(back.theta(), frozen.theta());
-        assert_eq!(back.num_users(), fix.num_users);
-        assert_eq!(back.num_cities(), fix.num_cities);
-        assert_eq!(
-            back.score_group(&fix.template),
-            frozen.score_group(&fix.template)
+    for variant in [
+        Variant::Odnet,
+        Variant::OdnetG,
+        Variant::StlPlusG,
+        Variant::StlG,
+    ] {
+        let hsg = || variant.uses_graph().then(|| ds.hsg());
+        let mut cfg = OdnetConfig::tiny();
+        cfg.epochs = 1;
+        let (users, cities) = (ds.world.num_users(), ds.world.num_cities());
+        let mut live = OdNetModel::new(variant, cfg, users, cities, hsg());
+        odnet_core::train(&mut live, &groups[..30]);
+        ckpt = live.save_json();
+        let reloaded = OdNetModel::load_json(&ckpt, hsg()).expect("own checkpoint reloads");
+        assert!(
+            odz_bytes(reloaded.freeze()) == odz_bytes(live.freeze()),
+            "{}: reload + freeze wrote a different .odz",
+            variant.name()
         );
     }
     assert!(matches!(
-        FrozenOdNet::from_checkpoint_json("not json"),
+        OdNetModel::load_json("not json", None),
         Err(CheckpointError::Parse(_))
     ));
 
-    // A previous-version checkpoint reports its version, not a parse error.
-    let tampered = ckpt.replacen("\"format_version\":2", "\"format_version\":1", 1);
+    // Another version's checkpoint reports its version, not a parse error.
+    let tampered = ckpt.replacen("\"format_version\":3", "\"format_version\":2", 1);
     assert_ne!(ckpt, tampered, "version field not found in checkpoint JSON");
-    match FrozenOdNet::from_checkpoint_json(&tampered) {
-        Err(CheckpointError::Version(1)) => {}
-        other => panic!("expected Version(1), got {other:?}"),
+    match OdNetModel::load_json(&tampered, None) {
+        Err(CheckpointError::Version(2)) => {}
+        other => panic!("expected Version(2), got {:?}", other.err()),
     }
 }

@@ -23,17 +23,12 @@ fn frozen() -> &'static FrozenOdNet {
     static FIX: OnceLock<FrozenOdNet> = OnceLock::new();
     FIX.get_or_init(|| {
         let ds = od_data::FliggyDataset::generate(od_data::FliggyConfig::tiny());
-        let coords = ds.world.cities.iter().map(|c| c.coords).collect();
-        let mut b = od_hsg::HsgBuilder::new(ds.world.num_users(), coords);
-        for it in ds.hsg_interactions() {
-            b.add_interaction(it);
-        }
         OdNetModel::new(
             Variant::Odnet,
             OdnetConfig::tiny(),
             ds.world.num_users(),
             ds.world.num_cities(),
-            Some(b.build()),
+            Some(ds.hsg()),
         )
         .freeze()
     })

@@ -9,7 +9,7 @@
 
 use crate::stats::TemporalStats;
 use crate::world::{Booking, Click, Context, World};
-use od_hsg::{CityId, Interaction, UserId};
+use od_hsg::{CityId, Hsg, HsgBuilder, Interaction, UserId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -338,6 +338,18 @@ impl FliggyDataset {
             }
         }
         out
+    }
+
+    /// Build the Heterogeneous Spatial Graph over this dataset's universe
+    /// from [`hsg_interactions`](Self::hsg_interactions) — what every graph
+    /// variant trains on and what a checkpoint reload rebuilds.
+    pub fn hsg(&self) -> Hsg {
+        let coords = self.world.cities.iter().map(|c| c.coords).collect();
+        let mut b = HsgBuilder::new(self.world.num_users(), coords);
+        for it in self.hsg_interactions() {
+            b.add_interaction(it);
+        }
+        b.build()
     }
 
     /// Table-I-style statistics of the generated dataset.
@@ -673,6 +685,11 @@ mod tests {
             .map(|h| h.bookings.iter().filter(|b| b.day < cut).count())
             .sum();
         assert_eq!(interactions.len(), expected);
+        // The graph built from them spans the dataset's whole universe.
+        let hsg = ds.hsg();
+        assert_eq!(hsg.num_users(), ds.world.num_users());
+        assert_eq!(hsg.num_cities(), ds.world.num_cities());
+        assert!(hsg.num_edges() > 0);
     }
 
     #[test]

@@ -137,11 +137,6 @@ impl Hsg {
         self.user_to_city[metapath.edge_type().index()].neighbors(user.index())
     }
 
-    /// Users adjacent to a city under the given edge type.
-    pub fn city_neighbor_users(&self, city: CityId, edge_type: EdgeType) -> &[u32] {
-        self.city_to_user[edge_type.index()].neighbors(city.index())
-    }
-
     /// A city's metapath-based 1st-order neighbor cities `N¹_ρ(c)` (Def. 3):
     /// the other cities visited (under the same edge type) by users who
     /// visited `c` — i.e. a two-hop walk city → user → city along ρ,

@@ -19,7 +19,7 @@
 //! CLI's `trace`). The engine's [`FailPoint`] is the one way a fault —
 //! panic or stall — is injected.
 
-use od_hsg::{HsgBuilder, UserId};
+use od_hsg::UserId;
 use od_http::{http_request, read_http_response, Featurizer, HttpResponse, Server, ServerConfig};
 use od_retrieval::{RetrievalConfig, ScoredPair, Tier};
 use od_serve::{EngineConfig, FailPoint, FailSite, Funnel, FunnelConfig};
@@ -41,18 +41,13 @@ fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
         let ds = od_data::FliggyDataset::generate(od_data::FliggyConfig::tiny());
-        let coords = ds.world.cities.iter().map(|c| c.coords).collect();
-        let mut b = HsgBuilder::new(ds.world.num_users(), coords);
-        for it in ds.hsg_interactions() {
-            b.add_interaction(it);
-        }
         let model = Arc::new(
             OdNetModel::new(
                 Variant::Odnet,
                 OdnetConfig::tiny(),
                 ds.world.num_users(),
                 ds.world.num_cities(),
-                Some(b.build()),
+                Some(ds.hsg()),
             )
             .freeze(),
         );

@@ -1,5 +1,5 @@
-//! Exposition: render a [`Snapshot`] as Prometheus text format or JSON,
-//! with no serializer dependency.
+//! Exposition: render a [`Snapshot`] as Prometheus text format, with no
+//! serializer dependency.
 //!
 //! The Prometheus renderer follows the text exposition format: one
 //! `# HELP` / `# TYPE` block per metric name, histograms expanded into
@@ -136,101 +136,6 @@ pub fn render_prometheus(snap: &Snapshot) -> String {
     out
 }
 
-/// Escape a string for a JSON literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A JSON-safe float literal (JSON has no NaN/∞; they render as null).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // `{}` on f64 is shortest-round-trip and always includes enough
-        // digits; integral values print without a dot, still valid JSON.
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Render the snapshot as a JSON document:
-/// `{"series": [{"name": …, "kind": …, "labels": {…}, …}]}` — scalar
-/// series carry `"value"`, histograms carry `count`/`sum`/`max`/`mean`,
-/// conservative `p50`/`p95`/`p99` bounds, and the non-empty `buckets`.
-pub fn render_json(snap: &Snapshot) -> String {
-    let mut out = String::from("{\"series\":[");
-    for (i, s) in snap.series.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"help\":\"{}\",\"labels\":{{",
-            escape_json(&s.name),
-            escape_json(&s.help)
-        );
-        for (j, (k, v)) in s.labels.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":\"{}\"", escape_json(k), escape_json(v));
-        }
-        out.push_str("},");
-        match &s.value {
-            Value::Counter(v) => {
-                let _ = write!(out, "\"kind\":\"counter\",\"value\":{v}");
-            }
-            Value::Gauge(v) => {
-                let _ = write!(out, "\"kind\":\"gauge\",\"value\":{v}");
-            }
-            Value::Float(v) => {
-                let _ = write!(out, "\"kind\":\"float_gauge\",\"value\":{}", json_f64(*v));
-            }
-            Value::Histogram(h) => {
-                let _ = write!(
-                    out,
-                    "\"kind\":\"histogram\",\"count\":{},\"sum\":{},\"max\":{},\"mean\":{},\
-                     \"p50\":{},\"p95\":{},\"p99\":{},\"buckets\":[",
-                    h.count(),
-                    h.sum,
-                    h.max,
-                    json_f64(h.mean()),
-                    h.quantile(0.50),
-                    h.quantile(0.95),
-                    h.quantile(0.99),
-                );
-                for (j, b) in h.buckets().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(
-                        out,
-                        "{{\"lo\":{},\"hi\":{},\"count\":{}}}",
-                        b.lo, b.hi, b.count
-                    );
-                }
-                out.push(']');
-            }
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use crate::registry::Registry;
@@ -272,23 +177,5 @@ mod tests {
             .lines()
             .filter(|l| l.starts_with("odnet_e2e_ns_bucket"))
             .any(|l| !l.contains(" # ")));
-    }
-
-    #[test]
-    fn json_is_wellformed_for_odd_strings() {
-        let reg = Registry::new();
-        reg.counter_with(
-            "c_total",
-            "has \"quotes\" and \\slashes\\",
-            &[("k", "v\n2")],
-        )
-        .inc();
-        let json = reg.snapshot().to_json();
-        // Quick structural sanity (od-obs is dependency-free, so there is
-        // no JSON parser here to read it back with).
-        assert!(json.starts_with("{\"series\":["));
-        assert!(json.ends_with("]}"));
-        assert!(json.contains("\\\"quotes\\\""));
-        assert!(json.contains("\"k\":\"v\\n2\""));
     }
 }

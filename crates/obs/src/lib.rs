@@ -24,8 +24,7 @@
 //!   Registering hands back a cheap clonable handle; a
 //!   [snapshot](Registry::snapshot) merges same-named series (so several
 //!   engines sum into one process-level view) and renders as Prometheus
-//!   text exposition or a JSON document, both without any serializer
-//!   dependency.
+//!   text exposition without any serializer dependency.
 //!
 //! # Cost model
 //!
@@ -54,7 +53,7 @@ mod registry;
 mod scalar;
 pub mod trace;
 
-pub use expo::{render_json, render_prometheus};
+pub use expo::render_prometheus;
 pub use hist::{
     bucket_bounds, bucket_index, Bucket, Exemplar, HistogramSnapshot, LatencyHistogram,
 };

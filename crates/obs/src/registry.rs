@@ -222,7 +222,7 @@ impl Series {
 }
 
 /// A point-in-time, merged view of a registry; renders to Prometheus text
-/// ([`to_prometheus`](Self::to_prometheus)) or JSON ([`to_json`](Self::to_json)).
+/// ([`to_prometheus`](Self::to_prometheus)).
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     /// The merged series, sorted by `(name, labels)`.
@@ -269,11 +269,6 @@ impl Snapshot {
     /// Render as Prometheus text exposition format.
     pub fn to_prometheus(&self) -> String {
         crate::expo::render_prometheus(self)
-    }
-
-    /// Render as a JSON document.
-    pub fn to_json(&self) -> String {
-        crate::expo::render_json(self)
     }
 }
 

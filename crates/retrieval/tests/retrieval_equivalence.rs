@@ -9,7 +9,7 @@
 //! bit-for-bit, so candidate selection can never drift across deployment
 //! hardware or artifact load paths.
 
-use od_hsg::{HsgBuilder, UserId};
+use od_hsg::UserId;
 use od_retrieval::{RetrievalConfig, Retriever, ScoredPair, Tier};
 use od_tensor::simd::{self, SimdLevel};
 use odnet_core::{FrozenOdNet, OdnetConfig, Variant};
@@ -128,18 +128,13 @@ fn graph_variant_artifact_retrieves_identically_across_levels() {
     // The full ODNET variant materializes K-step HSGC aggregates into its
     // tables — a structurally different artifact than the graph-free one.
     let ds = od_data::FliggyDataset::generate(od_data::FliggyConfig::tiny());
-    let coords = ds.world.cities.iter().map(|c| c.coords).collect();
-    let mut b = HsgBuilder::new(ds.world.num_users(), coords);
-    for it in ds.hsg_interactions() {
-        b.add_interaction(it);
-    }
     let frozen = Arc::new(
         odnet_core::OdNetModel::new(
             Variant::Odnet,
             OdnetConfig::tiny(),
             ds.world.num_users(),
             ds.world.num_cities(),
-            Some(b.build()),
+            Some(ds.hsg()),
         )
         .freeze(),
     );

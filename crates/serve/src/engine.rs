@@ -177,6 +177,8 @@ pub struct ScoredResponse {
     pub scores: Vec<(f32, f32)>,
     /// The artifact generation that scored this request.
     pub version: ArtifactVersion,
+    /// That generation's loss weight θ — what Eq. 11 blends `scores` with.
+    pub theta: f32,
 }
 
 /// What a worker sends back through the oneshot.
@@ -940,6 +942,7 @@ fn score_set(
         req.take_tx().send(Ok(ScoredResponse {
             scores: out[offset..offset + n].to_vec(),
             version: slot.version,
+            theta: slot.model.theta(),
         }));
         offset += n;
     }

@@ -93,7 +93,8 @@ pub struct RankedPair {
     pub p_origin: f32,
     /// Ranker destination-task probability `p^D`.
     pub p_dest: f32,
-    /// Final blended score `θ·p^O + (1−θ)·p^D` — the rank key.
+    /// Final blended score `θ·p^O + (1−θ)·p^D` — the rank key — under the
+    /// θ of the generation that ranked (`ranked_by`).
     pub rank_score: f32,
 }
 
@@ -367,9 +368,10 @@ impl Funnel {
             None => ticket.wait_versioned()?,
         };
 
-        // Blend with the retrieval generation's θ (mid-swap the ranker
-        // may be newer; both stamps are returned for attribution).
-        let model = slot.retriever.model();
+        // Blend with the θ of the generation that produced the
+        // probabilities: mid-swap the ranker may be newer than the
+        // retriever, and Eq. 11 is a statement about one model.
+        let theta = response.theta;
         let mut pairs: Vec<RankedPair> = retrieved
             .pairs
             .iter()
@@ -380,7 +382,7 @@ impl Funnel {
                 retrieval_score: p.score,
                 p_origin,
                 p_dest,
-                rank_score: model.serving_score(p_origin, p_dest),
+                rank_score: theta * p_origin + (1.0 - theta) * p_dest,
             })
             .collect();
         pairs.sort_by(|x, y| {

@@ -22,8 +22,9 @@
 //!   scores of per-request forwards (the trunk is context-only and every
 //!   kernel accumulates per output element independently of batch size),
 //!   extending the live → batched → frozen oracle chain one more link:
-//!   engine output equals direct [`FrozenOdNet::score_group`]
-//!   (odnet_core) calls under any interleaving.
+//!   engine output equals direct
+//!   [`FrozenOdNet::score_group`](odnet_core::FrozenOdNet::score_group)
+//!   calls under any interleaving.
 //! - **Fault tolerance.** Every accepted request resolves exactly once as
 //!   `Result<scores, `[`ServeError`]`>`: invalid inputs are refused at
 //!   admission, deadlines drop stale requests at drain time, and a worker

@@ -1,4 +1,5 @@
-//! Engine observability: the od-obs instruments one [`Engine`] owns, and
+//! Engine observability: the od-obs instruments one
+//! [`Engine`](crate::Engine) owns, and
 //! the serializable histogram summary embedded in reports.
 //!
 //! Every engine registers a **fresh** set of instruments into the

@@ -15,7 +15,6 @@
 //! threads or rely on global batch sequence numbers serialize on
 //! `TEST_LOCK`.
 
-use od_hsg::HsgBuilder;
 use od_serve::{Engine, EngineConfig, FailPoint, FailSite, ServeError, Submit, Ticket};
 use odnet_core::{FeatureExtractor, FrozenOdNet, GroupInput, OdNetModel, OdnetConfig, Variant};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -65,17 +64,12 @@ fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
         let ds = od_data::FliggyDataset::generate(od_data::FliggyConfig::tiny());
-        let coords = ds.world.cities.iter().map(|c| c.coords).collect();
-        let mut b = HsgBuilder::new(ds.world.num_users(), coords);
-        for it in ds.hsg_interactions() {
-            b.add_interaction(it);
-        }
         let model = OdNetModel::new(
             Variant::Odnet,
             OdnetConfig::tiny(),
             ds.world.num_users(),
             ds.world.num_cities(),
-            Some(b.build()),
+            Some(ds.hsg()),
         );
         let fx = FeatureExtractor::new(6, 4);
         let groups: Vec<GroupInput> = fx

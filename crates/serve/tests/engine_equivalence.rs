@@ -4,7 +4,6 @@
 //! single-threaded `FrozenOdNet::score_group` calls — coalescing must be
 //! observationally invisible.
 
-use od_hsg::HsgBuilder;
 use od_serve::{Engine, EngineConfig, PublishError, Submit, Ticket};
 use odnet_core::{FeatureExtractor, FrozenOdNet, GroupInput, OdNetModel, OdnetConfig, Variant};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,17 +37,12 @@ fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
         let ds = od_data::FliggyDataset::generate(od_data::FliggyConfig::tiny());
-        let coords = ds.world.cities.iter().map(|c| c.coords).collect();
-        let mut b = HsgBuilder::new(ds.world.num_users(), coords);
-        for it in ds.hsg_interactions() {
-            b.add_interaction(it);
-        }
         let model = OdNetModel::new(
             Variant::Odnet,
             OdnetConfig::tiny(),
             ds.world.num_users(),
             ds.world.num_cities(),
-            Some(b.build()),
+            Some(ds.hsg()),
         );
         let fx = FeatureExtractor::new(6, 4);
         let mut groups = Vec::new();

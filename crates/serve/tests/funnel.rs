@@ -3,7 +3,6 @@
 //! stamp the artifact generation that served them — including across hot
 //! publishes, where the retrieval index must be rebuilt and re-keyed.
 
-use od_hsg::HsgBuilder;
 use od_retrieval::{RetrievalConfig, Tier};
 use od_serve::{EngineConfig, Funnel, FunnelConfig};
 use odnet_core::{FeatureExtractor, FrozenOdNet, GroupInput, OdNetModel, OdnetConfig, Variant};
@@ -21,18 +20,13 @@ fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
         let ds = od_data::FliggyDataset::generate(od_data::FliggyConfig::tiny());
-        let coords = ds.world.cities.iter().map(|c| c.coords).collect();
-        let mut b = HsgBuilder::new(ds.world.num_users(), coords);
-        for it in ds.hsg_interactions() {
-            b.add_interaction(it);
-        }
         let model = Arc::new(
             OdNetModel::new(
                 Variant::Odnet,
                 OdnetConfig::tiny(),
                 ds.world.num_users(),
                 ds.world.num_cities(),
-                Some(b.build()),
+                Some(ds.hsg()),
             )
             .freeze(),
         );
@@ -41,6 +35,7 @@ fn fixture() -> &'static Fixture {
                 Variant::OdnetG,
                 OdnetConfig {
                     seed: 0xC0FFEE,
+                    theta_init: 0.8,
                     ..OdnetConfig::tiny()
                 },
                 ds.world.num_users(),
@@ -217,6 +212,37 @@ fn hot_publish_rebuilds_and_rekeys_the_retrieval_index_mid_stream() {
         .map(|p| (p.origin.0, p.dest.0, p.retrieval_score.to_bits()))
         .collect();
     assert_eq!(pre, post);
+    funnel.shutdown();
+}
+
+/// Inside `Funnel::publish` the engine is on generation N+1 before the
+/// retriever leaves N. A response from that window is Eq. 11 under the
+/// *ranking* generation's θ — the model that produced the probabilities
+/// and the one `ranked_by` names — never N+1's probabilities mixed by N's.
+#[test]
+fn mid_swap_rank_scores_blend_with_the_ranking_generations_theta() {
+    let fix = fixture();
+    assert_ne!(fix.alt.theta().to_bits(), fix.model.theta().to_bits());
+    let funnel = funnel_over(&fix.model, Tier::Exact);
+    let template = &fix.templates[0];
+    // Publish to the engine only: the state between `publish_versioned`
+    // and the retriever swap, held still.
+    let v1 = funnel
+        .engine()
+        .publish_versioned(Arc::clone(&fix.alt), 0xBEEF)
+        .expect("publish alt generation to the ranker");
+    let rec = funnel
+        .recommend(template.user, 8, |pairs| featurize(template, pairs))
+        .expect("mid-swap request");
+    assert_eq!(rec.retrieved_by.epoch, 0);
+    assert_eq!(rec.ranked_by, v1);
+    for p in &rec.pairs {
+        assert_eq!(
+            p.rank_score.to_bits(),
+            fix.alt.serving_score(p.p_origin, p.p_dest).to_bits(),
+            "{p:?} not blended by the ranking generation"
+        );
+    }
     funnel.shutdown();
 }
 

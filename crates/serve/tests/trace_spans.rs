@@ -6,7 +6,6 @@
 //! so this file holds exactly one test and tags every request id with a
 //! per-case nonce to filter its own traces out of the shared ring.
 
-use od_hsg::HsgBuilder;
 use od_obs::trace::{self, check_well_formed, TraceConfig};
 use od_retrieval::{RetrievalConfig, Tier};
 use od_serve::{EngineConfig, Funnel, FunnelConfig};
@@ -30,17 +29,12 @@ fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
         let ds = od_data::FliggyDataset::generate(od_data::FliggyConfig::tiny());
-        let coords = ds.world.cities.iter().map(|c| c.coords).collect();
-        let mut b = HsgBuilder::new(ds.world.num_users(), coords);
-        for it in ds.hsg_interactions() {
-            b.add_interaction(it);
-        }
         let frozen = OdNetModel::new(
             Variant::Odnet,
             OdnetConfig::tiny(),
             ds.world.num_users(),
             ds.world.num_cities(),
-            Some(b.build()),
+            Some(ds.hsg()),
         )
         .freeze();
         let path = std::env::temp_dir().join(format!("od_trace_spans_{}.odz", std::process::id()));

@@ -56,8 +56,6 @@ enum Op {
     /// Row-wise scale: `out[i, :] = w[i] * a[i, :]` with `w` a length-rows vector.
     ScaleRows(Value, Value),
     Reshape(Value, Shape),
-    /// Elementwise multiply by a constant mask (inverted dropout).
-    MaskMul(Value, Tensor),
     /// Numerically-stable binary cross-entropy with logits against constant
     /// targets; output is a scalar mean loss.
     BceWithLogits(Value, Tensor),
@@ -444,14 +442,6 @@ impl Graph {
         self.push(out, Op::ScaleRows(a, w), rg)
     }
 
-    /// Inverted-dropout: multiply by a constant 0/(1/keep) mask. The caller
-    /// samples the mask so that evaluation mode is simply "don't call this".
-    pub fn mask_mul(&mut self, a: Value, mask: Tensor) -> Value {
-        let data = self.data(a).zip(&mask, |x, m| x * m);
-        let rg = self.needs_grad(a);
-        self.push(data, Op::MaskMul(a, mask), rg)
-    }
-
     // ---- losses ----------------------------------------------------------------
 
     /// Mean binary cross-entropy over logits, computed in the numerically
@@ -720,7 +710,6 @@ impl Graph {
                     }
                     Deferred::Two(*a, da, *w, dw)
                 }
-                Op::MaskMul(a, mask) => Deferred::One(*a, g.zip(mask, |gi, m| gi * m)),
                 Op::BceWithLogits(logits, targets) => {
                     let z = &self.nodes[logits.0].data;
                     let n = z.len().max(1) as f32;

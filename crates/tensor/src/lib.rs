@@ -60,7 +60,7 @@ pub use linalg::{
     dot, matmul, matmul_naive, matmul_nt, matmul_tn, mean_rows, sigmoid, sigmoid_in_place,
     softmax_in_place, softmax_rows, softmax_rows_backward, stable_sigmoid, sum_rows, transpose,
 };
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer};
 pub use param::{ParamId, ParamStore};
 pub use shape::Shape;
 pub use simd::SimdLevel;

@@ -215,12 +215,6 @@ impl Embedding {
         let table = g.param(store, self.table);
         g.gather_rows(table, ids)
     }
-
-    /// Look up one id as a vector.
-    pub fn forward_one(&self, g: &mut Graph, store: &ParamStore, id: usize) -> Value {
-        let rows = self.forward(g, store, &[id]);
-        g.row(rows, 0)
-    }
 }
 
 /// Multi-head self-attention (Vaswani et al.), the encoding layer of the
@@ -819,30 +813,6 @@ impl LstmCell {
     }
 }
 
-/// Sample an inverted-dropout mask (0 with probability `p`, `1/(1−p)`
-/// otherwise) and apply it. Call only in training mode.
-pub fn dropout(g: &mut Graph, x: Value, p: f32, rng: &mut impl Rng) -> Value {
-    assert!((0.0..1.0).contains(&p), "dropout rate must be in [0, 1)");
-    if p == 0.0 {
-        return x;
-    }
-    let keep = 1.0 - p;
-    let shape = g.value(x).shape();
-    let mask = Tensor::new(
-        shape,
-        (0..shape.len())
-            .map(|_| {
-                if rng.gen::<f32>() < keep {
-                    1.0 / keep
-                } else {
-                    0.0
-                }
-            })
-            .collect(),
-    );
-    g.mask_mul(x, mask)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1059,22 +1029,5 @@ mod tests {
         let mut ws = Workspace::new();
         let x = [1.0f32, -2.0, 0.5];
         assert_eq!(frozen.forward(&mut ws, &x, 1), back.forward(&mut ws, &x, 1));
-    }
-
-    #[test]
-    fn dropout_zero_rate_is_identity() {
-        let mut g = Graph::new();
-        let x = g.input(Tensor::vector(&[1.0, 2.0]));
-        let y = dropout(&mut g, x, 0.0, &mut rng());
-        assert_eq!(x, y);
-    }
-
-    #[test]
-    fn dropout_preserves_expectation_roughly() {
-        let mut g = Graph::new();
-        let x = g.input(Tensor::ones(Shape::Vector(10_000)));
-        let y = dropout(&mut g, x, 0.5, &mut rng());
-        let mean = g.value(y).mean();
-        assert!((mean - 1.0).abs() < 0.05, "dropout mean {mean}");
     }
 }

@@ -1,9 +1,7 @@
 //! First-order optimizers over a [`ParamStore`].
 //!
 //! The paper trains every model with Adam (lr = 0.01, batch 128, 5 epochs,
-//! §V-A.5); [`Adam::paper_default`] encodes that setting. Plain SGD is kept
-//! for tests and ablations because its one-line update makes hand-checking
-//! trivial.
+//! §V-A.5); [`Adam::paper_default`] encodes that setting.
 
 use crate::param::ParamStore;
 use crate::tensor::Tensor;
@@ -19,38 +17,6 @@ pub trait Optimizer {
 
     /// Override the learning rate (e.g. for decay schedules).
     fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Vanilla stochastic gradient descent: `w ← w − lr · g`.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// SGD with the given learning rate.
-    pub fn new(lr: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Sgd { lr }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore) {
-        let ids: Vec<_> = store.ids().collect();
-        for id in ids {
-            let g = store.grad(id);
-            store.value_mut(id).axpy(-self.lr, &g);
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 /// Adam (Kingma & Ba) with bias correction.
@@ -177,26 +143,10 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let w = converges_to_three(&mut opt);
-        assert!((w - 3.0).abs() < 1e-3, "sgd ended at {w}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::with_lr(0.05);
         let w = converges_to_three(&mut opt);
         assert!((w - 3.0).abs() < 1e-2, "adam ended at {w}");
-    }
-
-    #[test]
-    fn sgd_single_step_is_exact() {
-        let mut store = ParamStore::new();
-        let w = store.register("w", Tensor::vector(&[1.0, 2.0]));
-        store.grad_mut(w).axpy(1.0, &Tensor::vector(&[10.0, -10.0]));
-        Sgd::new(0.1).step(&mut store);
-        assert_eq!(store.value(w).as_slice(), &[0.0, 3.0]);
     }
 
     #[test]
@@ -220,6 +170,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "learning rate must be positive")]
     fn rejects_non_positive_lr() {
-        Sgd::new(0.0);
+        Adam::with_lr(0.0);
     }
 }

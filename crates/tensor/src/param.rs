@@ -172,20 +172,6 @@ impl ParamStore {
         }
     }
 
-    /// Serialize all parameter values (not gradients) to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("ParamStore serialization cannot fail")
-    }
-
-    /// Restore a store from [`ParamStore::to_json`] output. Handles issued by
-    /// the original store remain valid because registration order is
-    /// preserved.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        let mut store: ParamStore = serde_json::from_str(json)?;
-        store.reindex();
-        Ok(store)
-    }
-
     /// Rebuild the name → handle index. Must be called after obtaining a
     /// store through serde deserialization embedded in a larger structure
     /// (the index is `serde(skip)` because it is derivable).
@@ -202,7 +188,6 @@ impl ParamStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shape::Shape;
 
     #[test]
     fn register_and_lookup() {
@@ -246,18 +231,5 @@ mod tests {
         // Clipping below the threshold is a no-op.
         s.clip_grad_norm(10.0);
         assert!((s.grad_norm() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn json_round_trip_preserves_ids_and_values() {
-        let mut s = ParamStore::new();
-        let a = s.register("alpha", Tensor::matrix(2, 2, &[1.0, 2.0, 3.0, 4.0]));
-        let b = s.register("beta", Tensor::scalar(0.5));
-        let json = s.to_json();
-        let restored = ParamStore::from_json(&json).unwrap();
-        assert_eq!(restored.value(a).as_slice(), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(restored.value(b).item(), 0.5);
-        assert_eq!(restored.lookup("alpha"), Some(a));
-        assert_eq!(restored.value(a).shape(), Shape::Matrix(2, 2));
     }
 }

@@ -127,11 +127,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume into the flat buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// The single value of a scalar tensor.
     ///
     /// # Panics

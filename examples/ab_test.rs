@@ -11,7 +11,6 @@
 use od_baselines::{CityMeta, MostPop};
 use od_bench::{heuristic_candidates, rank_pairs};
 use od_data::{AbTestConfig, AbTestHarness, FliggyConfig, FliggyDataset};
-use od_hsg::HsgBuilder;
 use odnet_core::{train, FeatureExtractor, OdNetModel, OdScorer, OdnetConfig, Variant};
 
 fn main() {
@@ -28,21 +27,17 @@ fn main() {
     let fx = FeatureExtractor::new(model_cfg.max_long_seq, model_cfg.max_short_seq);
     let train_groups = fx.groups_from_samples(&ds, &ds.train);
 
-    // Arm 1: ODNET.
+    // Arm 1: ODNET, deployed as the frozen artifact.
     println!("training ODNET…");
-    let coords = ds.world.cities.iter().map(|c| c.coords).collect();
-    let mut builder = HsgBuilder::new(ds.world.num_users(), coords);
-    for it in ds.hsg_interactions() {
-        builder.add_interaction(it);
-    }
     let mut odnet = OdNetModel::new(
         Variant::Odnet,
         model_cfg,
         ds.world.num_users(),
         ds.world.num_cities(),
-        Some(builder.build()),
+        Some(ds.hsg()),
     );
     train(&mut odnet, &train_groups);
+    let odnet = odnet.freeze();
 
     // Arm 2: MostPop.
     let coords2 = ds.world.cities.iter().map(|c| c.coords).collect();

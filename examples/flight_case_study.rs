@@ -10,7 +10,7 @@
 
 use od_bench::{heuristic_candidates, rank_pairs};
 use od_data::{FliggyConfig, FliggyDataset, Pattern};
-use od_hsg::{CityId, HsgBuilder, UserId};
+use od_hsg::{CityId, UserId};
 use odnet_core::{train, FeatureExtractor, OdNetModel, OdnetConfig, Variant};
 
 fn main() {
@@ -19,11 +19,6 @@ fn main() {
         num_cities: 30,
         ..FliggyConfig::default()
     });
-    let coords = ds.world.cities.iter().map(|c| c.coords).collect();
-    let mut builder = HsgBuilder::new(ds.world.num_users(), coords);
-    for it in ds.hsg_interactions() {
-        builder.add_interaction(it);
-    }
     let cfg = OdnetConfig {
         epochs: 3,
         ..OdnetConfig::default()
@@ -34,11 +29,12 @@ fn main() {
         cfg,
         ds.world.num_users(),
         ds.world.num_cities(),
-        Some(builder.build()),
+        Some(ds.hsg()),
     );
     println!("training ODNET for the case study…");
     let groups = fx.groups_from_samples(&ds, &ds.train);
     train(&mut model, &groups);
+    let model = model.freeze();
 
     // Case: a user whose most recent booking is a fresh outbound trip —
     // like the paper's user B who just bought Beijing → Chengdu.

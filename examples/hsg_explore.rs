@@ -8,7 +8,7 @@
 //! ```
 
 use od_data::{FliggyConfig, FliggyDataset, Pattern};
-use od_hsg::{CityId, HsgBuilder, Metapath, UserId};
+use od_hsg::{CityId, Metapath, UserId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -18,12 +18,7 @@ fn main() {
         num_cities: 25,
         ..FliggyConfig::default()
     });
-    let coords = ds.world.cities.iter().map(|c| c.coords).collect();
-    let mut builder = HsgBuilder::new(ds.world.num_users(), coords);
-    for it in ds.hsg_interactions() {
-        builder.add_interaction(it);
-    }
-    let hsg = builder.build();
+    let hsg = ds.hsg();
     println!(
         "HSG(V, E, D): {} users + {} cities = {} nodes, {} typed edges",
         hsg.num_users(),

@@ -50,7 +50,7 @@ fn main() {
             hsg,
         );
         train(&mut model, &train_groups);
-        let eval = evaluate_on_checkin(&model, &ds, &fx);
+        let eval = evaluate_on_checkin(&model.freeze(), &ds, &fx);
         results.push((variant.name(), eval));
     }
 

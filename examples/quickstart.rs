@@ -1,5 +1,6 @@
 //! Quickstart: generate a small OD-booking world, train the full ODNET
-//! model, evaluate it offline, and serve a top-5 flight list for one user.
+//! model, freeze it, then evaluate the artifact offline and rank a top-5
+//! flight list for one user with it.
 //!
 //! Run with:
 //! ```sh
@@ -8,7 +9,6 @@
 
 use od_bench::{heuristic_candidates, rank_pairs};
 use od_data::{FliggyConfig, FliggyDataset};
-use od_hsg::HsgBuilder;
 use odnet_core::{evaluate_on_fliggy, train, FeatureExtractor, OdNetModel, OdnetConfig, Variant};
 
 fn main() {
@@ -32,12 +32,7 @@ fn main() {
     );
 
     // 2. Build the Heterogeneous Spatial Graph from training interactions.
-    let coords = ds.world.cities.iter().map(|c| c.coords).collect();
-    let mut builder = HsgBuilder::new(ds.world.num_users(), coords);
-    for it in ds.hsg_interactions() {
-        builder.add_interaction(it);
-    }
-    let hsg = builder.build();
+    let hsg = ds.hsg();
     println!("HSG: {} nodes, {} edges", hsg.num_nodes(), hsg.num_edges());
 
     // 3. Train ODNET (heads = 4, K = 2, Adam 0.01 — the paper's setting).
@@ -68,14 +63,17 @@ fn main() {
     );
     println!("  learned θ = {:.3} (Eq. 8 loss weight)", model.theta());
 
-    // 4. Offline evaluation: AUC + ranking metrics.
+    // 4. Freeze: everything after training reads the serving artifact.
+    let model = model.freeze();
+
+    // 5. Offline evaluation: AUC + ranking metrics.
     let eval = evaluate_on_fliggy(&model, &ds, &fx);
     println!(
         "offline: AUC-O {:.4}, AUC-D {:.4}, HR@5 {:.4}, MRR@5 {:.4}",
         eval.auc_o, eval.auc_d, eval.ranking.hr5, eval.ranking.mrr5
     );
 
-    // 5. Serving: recall candidates for a user and rank them (Eq. 11).
+    // 6. Serving: recall candidates for a user and rank them (Eq. 11).
     let user = ds.test.first().map(|s| s.user).unwrap_or(od_hsg::UserId(0));
     let day = ds.train_end_day();
     let candidates = heuristic_candidates(&ds, user, day, 30);

@@ -12,7 +12,6 @@
 //! ```
 
 use od_data::{generate_corridor_cities, FliggyConfig, FliggyDataset, World};
-use od_hsg::HsgBuilder;
 use odnet_core::{evaluate_on_fliggy, train, FeatureExtractor, OdNetModel, OdnetConfig, Variant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,11 +34,6 @@ fn main() {
         ds.eval_cases.len()
     );
 
-    let coords = ds.world.cities.iter().map(|c| c.coords).collect();
-    let mut builder = HsgBuilder::new(ds.world.num_users(), coords);
-    for it in ds.hsg_interactions() {
-        builder.add_interaction(it);
-    }
     let model_cfg = OdnetConfig {
         epochs: 3,
         ..OdnetConfig::default()
@@ -50,11 +44,12 @@ fn main() {
         model_cfg,
         ds.world.num_users(),
         ds.world.num_cities(),
-        Some(builder.build()),
+        Some(ds.hsg()),
     );
     println!("training ODNET on rail itineraries…");
     let groups = fx.groups_from_samples(&ds, &ds.train);
     train(&mut model, &groups);
+    let model = model.freeze();
     let eval = evaluate_on_fliggy(&model, &ds, &fx);
     println!(
         "rail OD recommendation: AUC-O {:.4}, AUC-D {:.4}, HR@5 {:.4}, MRR@5 {:.4}",

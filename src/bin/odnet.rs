@@ -3,17 +3,20 @@
 //! ```text
 //! odnet train --variant odnet --users 400 --cities 30 --epochs 5 --out model.json
 //! odnet eval  --model model.json
-//! odnet recommend --model model.json --user 7 --top-k 5
+//! odnet freeze --model model.json --out model.odz
+//! odnet recommend --artifact model.odz --user 7 --top-k 5
 //! ```
 //!
-//! The synthetic dataset is regenerated deterministically from the
-//! parameters embedded in the model file, so `eval` and `recommend` need no
-//! separate data artifact.
+//! The model file holds weights plus the dataset parameters; the synthetic
+//! dataset (and its graph) is regenerated deterministically from them, so
+//! `eval` and `freeze` need no separate data artifact. Everything after
+//! `train` reads the frozen artifact: `eval` scores `freeze()` in process,
+//! `recommend` and `serve` load the `.odz` `freeze` wrote.
 
 use od_data::{FliggyConfig, FliggyDataset};
-use od_hsg::{HsgBuilder, UserId};
+use od_hsg::UserId;
 use odnet_core::{
-    evaluate_on_fliggy, try_train, FeatureExtractor, FrozenOdNet, OdNetModel, OdnetConfig, Variant,
+    evaluate_on_fliggy, try_train, FeatureExtractor, OdNetModel, OdnetConfig, Variant,
 };
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -44,8 +47,7 @@ const COMMANDS: &[(&str, &str, Run)] = &[
     ("eval", "--model FILE", cmd_eval),
     (
         "recommend",
-        "(--model FILE | --artifact FILE [--seed N]) --user ID\n\
-         [--top-k K]",
+        "--artifact FILE [--seed N] --user ID [--top-k K]",
         cmd_recommend,
     ),
     (
@@ -115,17 +117,20 @@ fn usage() -> String {
 const NOTES: &str = "
 `freeze` writes the serving artifact to FILE in the .odz format (the
 zero-copy binary that serving replicas mmap; see DESIGN.md §12) — the
-one format serving loads. From --model it extracts the trained artifact
-embedded in the checkpoint; without it, it freezes an untrained model of
-the given universe size — the paper-scale cold-start path (odnet-g needs
-no graph, so freezing 2.6M users is cheap).
+one format serving loads. From --model it reloads the `train` checkpoint
+(weights only; the dataset and graph regenerate from the parameters
+beside them) and freezes it; without it, it freezes an untrained model
+of the given universe size — the paper-scale cold-start path (odnet-g
+needs no graph, so freezing 2.6M users is cheap).
+
+`eval` scores that same frozen artifact, built in process from the
+checkpoint: the metrics describe what `freeze --model` would serve.
 
 `recommend` serves one user through the full funnel (DESIGN.md S14): the
 retrieval tier proposes the --top-k best OD pairs straight from the
 frozen dense tables, the live engine ranks them, and the listing is
 stamped with the artifact generation that served each stage. --artifact
-serves from an .odz artifact on disk (mmap'd); --model extracts the
-artifact embedded in a training checkpoint.
+is the .odz on disk (mmap'd) that `freeze` wrote.
 
 `serve` exposes the artifact over the hardened od-http tier (DESIGN.md
 S15): POST /v1/score ranks a raw request group, POST /v1/recommend runs
@@ -204,15 +209,6 @@ fn build_dataset(cfg: &FliggyConfig) -> FliggyDataset {
     FliggyDataset::generate(cfg.clone())
 }
 
-fn build_hsg(ds: &FliggyDataset) -> od_hsg::Hsg {
-    let coords = ds.world.cities.iter().map(|c| c.coords).collect();
-    let mut b = HsgBuilder::new(ds.world.num_users(), coords);
-    for it in ds.hsg_interactions() {
-        b.add_interaction(it);
-    }
-    b.build()
-}
-
 fn cmd_train(flags: &Flags) -> Result<(), String> {
     let out = flags.get("out").ok_or("--out FILE is required")?;
     let variant = parse_variant(flags.get("variant").map(String::as_str).unwrap_or("odnet"))?;
@@ -232,7 +228,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     );
     let ds = build_dataset(&data_config);
     let fx = FeatureExtractor::new(model_config.max_long_seq, model_config.max_short_seq);
-    let hsg = variant.uses_graph().then(|| build_hsg(&ds));
+    let hsg = variant.uses_graph().then(|| ds.hsg());
     let mut model = OdNetModel::new(
         variant,
         model_config,
@@ -267,7 +263,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     let bundle = ModelFile {
         data_config,
         variant: variant.name().to_string(),
-        checkpoint: model.save_json(ds.world.num_users(), ds.world.num_cities()),
+        checkpoint: model.save_json(),
     };
     let json = serde_json::to_string(&bundle).map_err(|e| e.to_string())?;
     std::fs::write(out, json).map_err(|e| format!("writing {out}: {e}"))?;
@@ -275,17 +271,15 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn read_bundle(flags: &Flags) -> Result<ModelFile, String> {
+/// Rebuild what `train` saved to `--model FILE`: the dataset from its
+/// parameters, the graph from the dataset, the model from its weights.
+fn load_bundle(flags: &Flags) -> Result<(FliggyDataset, OdNetModel), String> {
     let path = flags.get("model").ok_or("--model FILE is required")?;
     let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    serde_json::from_str(&json).map_err(|e| e.to_string())
-}
-
-fn load_bundle(flags: &Flags) -> Result<(FliggyDataset, OdNetModel), String> {
-    let bundle = read_bundle(flags)?;
+    let bundle: ModelFile = serde_json::from_str(&json).map_err(|e| e.to_string())?;
     let ds = build_dataset(&bundle.data_config);
     let variant = parse_variant(&bundle.variant)?;
-    let hsg = variant.uses_graph().then(|| build_hsg(&ds));
+    let hsg = variant.uses_graph().then(|| ds.hsg());
     let model = OdNetModel::load_json(&bundle.checkpoint, hsg).map_err(|e| e.to_string())?;
     Ok((ds, model))
 }
@@ -298,7 +292,7 @@ fn cmd_eval(flags: &Flags) -> Result<(), String> {
         model.variant.name(),
         ds.eval_cases.len()
     );
-    let eval = evaluate_on_fliggy(&model, &ds, &fx);
+    let eval = evaluate_on_fliggy(&model.freeze(), &ds, &fx);
     println!(
         "AUC-O {:.4}\nAUC-D {:.4}\nHR@1  {:.4}\nHR@5  {:.4}\nHR@10 {:.4}\nMRR@5 {:.4}\nMRR@10 {:.4}\ntheta {:.4}",
         eval.auc_o,
@@ -314,8 +308,8 @@ fn cmd_eval(flags: &Flags) -> Result<(), String> {
 }
 
 /// Write a frozen serving artifact to `--out FILE` as `.odz`. From
-/// `--model` it extracts the artifact a training run embedded in its
-/// checkpoint; otherwise it freezes an untrained model of the requested
+/// `--model` it reloads a training run's checkpoint as `eval` does and
+/// freezes it; otherwise it freezes an untrained model of the requested
 /// universe size, which is how paper-scale (2.6M user) artifacts are
 /// produced for cold-start experiments without a week of training.
 fn cmd_freeze(flags: &Flags) -> Result<(), String> {
@@ -324,8 +318,7 @@ fn cmd_freeze(flags: &Flags) -> Result<(), String> {
         .filter(|p| !p.is_empty())
         .ok_or("--out FILE is required (the .odz artifact to write)")?;
     let frozen = if flags.contains_key("model") {
-        let bundle = read_bundle(flags)?;
-        FrozenOdNet::from_checkpoint_json(&bundle.checkpoint).map_err(|e| e.to_string())?
+        load_bundle(flags)?.1.freeze()
     } else {
         let variant = parse_variant(
             flags
@@ -355,7 +348,7 @@ fn cmd_freeze(flags: &Flags) -> Result<(), String> {
                     seed: get_usize(flags, "seed", 0xF11667)? as u64,
                     ..FliggyConfig::default()
                 });
-                Ok::<_, String>(build_hsg(&ds))
+                Ok::<_, String>(ds.hsg())
             })
             .transpose()?;
         eprintln!(
@@ -437,7 +430,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
                 OdnetConfig::tiny(),
                 ds.world.num_users(),
                 ds.world.num_cities(),
-                Some(build_hsg(&ds)),
+                Some(ds.hsg()),
             )
             .freeze();
             let checksum = frozen.fingerprint();
@@ -622,28 +615,15 @@ fn cmd_recommend(flags: &Flags) -> Result<(), String> {
 
     // Serving path, full funnel: no HSG rebuild and no autograd tape —
     // retrieval and ranking both read the frozen dense tables.
-    if !flags.contains_key("artifact") && !flags.contains_key("model") {
-        return Err("recommend needs --artifact FILE or --model FILE".into());
-    }
-    let (frozen, checksum, data_config) = match load_artifact_flag(flags)? {
-        Some(loaded) => {
-            let data_config = FliggyConfig {
-                num_users: loaded.frozen.num_users(),
-                num_cities: loaded.frozen.num_cities(),
-                seed: get_usize(flags, "seed", 0xF11667)? as u64,
-                ..FliggyConfig::tiny()
-            };
-            (loaded.frozen, loaded.checksum, data_config)
-        }
-        None => {
-            let bundle = read_bundle(flags)?;
-            let frozen =
-                FrozenOdNet::from_checkpoint_json(&bundle.checkpoint).map_err(|e| e.to_string())?;
-            let checksum = frozen.fingerprint();
-            (frozen, checksum, bundle.data_config)
-        }
-    };
-    let ds = Arc::new(build_dataset(&data_config));
+    let od_serve::LoadedArtifact {
+        frozen, checksum, ..
+    } = load_artifact_flag(flags)?.ok_or("--artifact FILE is required (see `odnet freeze`)")?;
+    let ds = Arc::new(build_dataset(&FliggyConfig {
+        num_users: frozen.num_users(),
+        num_cities: frozen.num_cities(),
+        seed: get_usize(flags, "seed", 0xF11667)? as u64,
+        ..FliggyConfig::tiny()
+    }));
     let featurize = odnet_repro::serving_featurizer(&frozen, Arc::clone(&ds))?;
     let user = UserId(get_usize(flags, "user", 0)? as u32);
     if user.index() >= ds.world.num_users() {

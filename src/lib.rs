@@ -19,8 +19,8 @@
 //! that `odnet serve`, `odnet recommend` and the online loop all serve
 //! through.
 //!
-//! See `examples/quickstart.rs` for the end-to-end train → evaluate →
-//! serve loop.
+//! See `examples/quickstart.rs` for the end-to-end train → freeze →
+//! evaluate → rank loop.
 
 #![warn(missing_docs)]
 

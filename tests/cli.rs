@@ -1,6 +1,6 @@
-//! Integration tests of the `odnet` CLI binary: train → eval → recommend
-//! (→ freeze → recommend from the `.odz`) round-trips through a real
-//! process and real files, plus the argument errors every command shares.
+//! Integration tests of the `odnet` CLI binary: train → eval → freeze →
+//! recommend from the `.odz` round-trips through a real process and real
+//! files, plus the argument errors every command shares.
 
 use std::process::Command;
 
@@ -14,96 +14,73 @@ fn tmp_model_path(tag: &str) -> std::path::PathBuf {
     p
 }
 
+/// `odnet <args>` must exit 0; returns its (stdout, stderr).
+fn run_ok(args: &[&str]) -> (String, String) {
+    let out = odnet().args(args).output().expect("spawn odnet");
+    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+    assert!(
+        out.status.success(),
+        "odnet {args:?} failed: {}",
+        text(&out.stderr)
+    );
+    (text(&out.stdout), text(&out.stderr))
+}
+
+/// The one operator path, for a plain and a graph variant: `train` writes
+/// a weights-only checkpoint, `eval` and `freeze --model` rebuild dataset
+/// (and graph) from it, `recommend --artifact` serves the `.odz` through
+/// the funnel.
 #[test]
 fn train_eval_recommend_round_trip() {
-    let model = tmp_model_path("roundtrip");
-    let out = odnet()
-        .args([
+    for variant in ["odnet-g", "odnet"] {
+        let model = tmp_model_path(&format!("roundtrip_{variant}"));
+        let model_arg = model.to_str().unwrap();
+        let artifact = model.with_extension("odz");
+        let artifact_arg = artifact.to_str().unwrap();
+        run_ok(&[
             "train",
             "--out",
-            model.to_str().unwrap(),
+            model_arg,
             "--variant",
-            "odnet-g",
+            variant,
             "--users",
             "80",
             "--cities",
             "12",
             "--epochs",
             "1",
-        ])
-        .output()
-        .expect("spawn odnet train");
-    assert!(
-        out.status.success(),
-        "train failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(model.exists(), "model file not written");
+        ]);
+        assert!(model.exists(), "model file not written");
 
-    let out = odnet()
-        .args(["eval", "--model", model.to_str().unwrap()])
-        .output()
-        .expect("spawn odnet eval");
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("AUC-O"),
-        "eval output missing metrics: {stdout}"
-    );
-    assert!(stdout.contains("HR@5"));
+        let (stdout, _) = run_ok(&["eval", "--model", model_arg]);
+        assert!(
+            stdout.contains("AUC-O"),
+            "eval output missing metrics: {stdout}"
+        );
+        assert!(stdout.contains("HR@5"));
 
-    let out = odnet()
-        .args([
+        // Freeze the checkpoint to an `.odz` and recommend from the mmap'd
+        // file. The listing is stamped with the file's header checksum for
+        // both funnel stages.
+        run_ok(&["freeze", "--model", model_arg, "--out", artifact_arg]);
+        let (stdout, stderr) = run_ok(&[
             "recommend",
-            "--model",
-            model.to_str().unwrap(),
+            "--artifact",
+            artifact_arg,
             "--user",
             "3",
             "--top-k",
             "4",
-        ])
-        .output()
-        .expect("spawn odnet recommend");
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("top-4 flights"), "got: {stdout}");
-    // Four ranked lines with arrows.
-    assert_eq!(stdout.matches("->").count(), 4, "got: {stdout}");
+        ]);
+        assert!(stdout.contains("top-4 flights"), "got: {stdout}");
+        // Four ranked lines with arrows.
+        assert_eq!(stdout.matches("->").count(), 4, "got: {stdout}");
+        assert_eq!(stdout.matches("by gen 0 [").count(), 2, "got: {stdout}");
+        assert!(stderr.contains("mmap mode"));
 
-    // The operator path: freeze the checkpoint's artifact to an `.odz` and
-    // recommend from the mmap'd file. The listing is stamped with the
-    // file's header checksum for both funnel stages.
-    let artifact = model.with_extension("odz");
-    let out = odnet()
-        .args(["freeze", "--model", model.to_str().unwrap(), "--out"])
-        .arg(&artifact)
-        .output()
-        .expect("spawn odnet freeze");
-    assert!(
-        out.status.success(),
-        "freeze failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let out = odnet()
-        .arg("recommend")
-        .arg("--artifact")
-        .arg(&artifact)
-        .args(["--user", "3", "--top-k", "4"])
-        .output()
-        .expect("spawn odnet recommend --artifact");
-    assert!(
-        out.status.success(),
-        "recommend --artifact failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("top-4 flights"), "got: {stdout}");
-    assert_eq!(stdout.matches("->").count(), 4, "got: {stdout}");
-    assert_eq!(stdout.matches("by gen 0 [").count(), 2, "got: {stdout}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("mmap mode"));
-
-    let _ = std::fs::remove_file(artifact);
-    let _ = std::fs::remove_file(model);
+        let _ = std::fs::remove_file(artifact);
+        let _ = std::fs::remove_file(model);
+    }
 }
 
 /// A flag the command's synopsis does not name is an error that names it,
@@ -132,11 +109,20 @@ fn unknown_flags_and_stray_arguments_exit_nonzero_naming_them() {
         );
     }
     // Flags are per command: `--smoke` is not a `serve` flag (any more),
-    // `--top` not a `recommend` one.
-    for args in [["serve", "--smoke"], ["recommend", "--top"]] {
-        let out = odnet().args(args).output().expect("spawn");
-        assert_eq!(out.status.code(), Some(1), "{args:?}");
-        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+    // `--top` not a `recommend` one — nor `--model`: a checkpoint holds no
+    // artifact to recommend from, `freeze --model` makes one.
+    for [command, flag] in [
+        ["serve", "--smoke"],
+        ["recommend", "--top"],
+        ["recommend", "--model"],
+    ] {
+        let out = odnet().args([command, flag]).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{command} {flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {flag} for '{command}'")),
+            "{command} {flag}: {stderr}"
+        );
     }
     let out = odnet()
         .args(["freeze", "artifact.odz"])
@@ -167,41 +153,42 @@ fn helpful_errors_and_usage() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--model"));
 
+    // recommend without --artifact.
+    let out = odnet().arg("recommend").output().expect("spawn");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--artifact"));
+
     // recommend with out-of-range user.
     let model = tmp_model_path("range");
-    let ok = odnet()
-        .args([
-            "train",
-            "--out",
-            model.to_str().unwrap(),
-            "--variant",
-            "stl-g",
-            "--users",
-            "40",
-            "--cities",
-            "10",
-            "--epochs",
-            "1",
-        ])
-        .output()
-        .expect("spawn");
-    assert!(
-        ok.status.success(),
-        "{}",
-        String::from_utf8_lossy(&ok.stderr)
-    );
+    let artifact = model.with_extension("odz");
+    run_ok(&[
+        "train",
+        "--out",
+        model.to_str().unwrap(),
+        "--variant",
+        "stl-g",
+        "--users",
+        "40",
+        "--cities",
+        "10",
+        "--epochs",
+        "1",
+    ]);
+    run_ok(&[
+        "freeze",
+        "--model",
+        model.to_str().unwrap(),
+        "--out",
+        artifact.to_str().unwrap(),
+    ]);
     let out = odnet()
-        .args([
-            "recommend",
-            "--model",
-            model.to_str().unwrap(),
-            "--user",
-            "9999",
-        ])
+        .args(["recommend", "--user", "9999", "--artifact"])
+        .arg(&artifact)
         .output()
         .expect("spawn");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("out of range"));
+    let _ = std::fs::remove_file(artifact);
     let _ = std::fs::remove_file(model);
 }
 
