@@ -29,9 +29,9 @@ echo "==> cargo test --workspace (every test binary, once)"
 #                head_equivalence
 #                (fused, prefix-seeded MMoE head vs the per-layer forward),
 #                artifact_corruption (.odz loader rejects tampered files)
-#   od-retrieval retrieval_equivalence (SIMD top-k bit-exact vs the scalar
-#                oracle, owned == mmap), recall_gate (recall@64 >= 0.99 at
-#                >= 5x scan reduction)
+#   od-retrieval retrieval_equivalence (top-k bit-exact vs the scalar oracle at
+#                every SimdLevel, owned == mmap, pruned tier == exact tier
+#                incl. planted ties, pruned scans <= 1/5 at 200 cities)
 #   od-obs       unit + property suites, exposition (render -> parse-back
 #                lint), trace hammer
 #   od-serve     engine_equivalence (engine vs direct scoring, coalescing
@@ -44,6 +44,12 @@ echo "==> cargo test --workspace (every test binary, once)"
 #                request tail-captured with its span chain + Chrome export),
 #                wire (golden head + body bytes of both scoring 200s)
 cargo test -q --workspace
+
+echo "==> bit-exactness gates again, optimized"
+# The two suites whose subject is float bits the optimizer could reorder:
+# what ships is the release build, so they also run against it.
+cargo test -q --release -p od-tensor --test kernel_equivalence
+cargo test -q --release -p od-retrieval --test retrieval_equivalence
 
 echo "==> vendored serde + serde_json tests"
 # vendor/ is outside the workspace, so the run above never builds these:

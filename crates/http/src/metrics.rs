@@ -17,10 +17,10 @@
 //! | `od_http_connection_panics_total` | counter | connection handlers that panicked (caught) |
 //! | `od_http_active_connections` | gauge | connections currently held |
 //! | `od_http_draining` | gauge | 1 while the drain state machine is past Running |
-//! | `od_http_read_ns` | histogram | request read+parse time |
+//! | `od_http_read_ns` | histogram | request read+parse time, from its first byte (keep-alive idle excluded) |
 //! | `od_http_handle_ns{route=…}` | histogram | route handling time (engine wait included) |
 //! | `od_http_write_ns` | histogram | response serialization+write time |
-//! | `od_http_e2e_ns{route=…}` | histogram | first byte parsed → response written |
+//! | `od_http_e2e_ns{route=…}` | histogram | first byte available → response written |
 //!
 //! Counter handles for the known status codes are pre-registered so the
 //! hot path never takes the registry lock; an unexpected code lands in

@@ -22,6 +22,7 @@
 //! client pipelines past one request's body are kept for the next
 //! request — keep-alive never drops or re-reads wire bytes.
 
+use od_obs::clock::{self, Stamp};
 use std::io::Read;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -86,6 +87,11 @@ pub struct ParsedRequest {
     pub request_id: Option<String>,
     /// The (de-chunked) body bytes.
     pub body: Vec<u8>,
+    /// When this request's first byte was available to the parser: on
+    /// entry for bytes pipelined behind the previous request, otherwise
+    /// the first read that returned data. The request's clock starts
+    /// here, so a keep-alive client's think time is nobody's latency.
+    pub started: Stamp,
 }
 
 /// Buffered reader pinned to one connection: keeps pipelined bytes
@@ -100,6 +106,9 @@ pub struct ConnReader<R> {
     pos: usize,
     /// End of the bytes received so far.
     end: usize,
+    /// [`ParsedRequest::started`] of the request being read; `None` until
+    /// its first byte is buffered.
+    started: Option<Stamp>,
 }
 
 /// Least room offered to one `read`: a typical request arrives whole.
@@ -126,6 +135,7 @@ impl<R: Read> ConnReader<R> {
             buf: vec![0; MIN_READ],
             pos: 0,
             end: 0,
+            started: None,
         }
     }
 
@@ -157,6 +167,7 @@ impl<R: Read> ConnReader<R> {
             Ok(0) => Fill::Eof,
             Ok(n) => {
                 self.end += n;
+                self.started.get_or_insert_with(clock::now);
                 Fill::Data
             }
             Err(e) => match e.kind() {
@@ -386,6 +397,7 @@ pub fn parse_request<R: Read>(
     body_timeout: Duration,
     abort: &AtomicBool,
 ) -> Result<ParsedRequest, ParseError> {
+    reader.started = (!reader.unread().is_empty()).then(clock::now);
     let head = reader.read_head(limits, Instant::now() + header_timeout, abort)?;
     let head =
         std::str::from_utf8(&head).map_err(|_| ParseError::Malformed("non-utf8 header block"))?;
@@ -448,6 +460,9 @@ pub fn parse_request<R: Read>(
         deadline_ms: headers.deadline_ms,
         request_id: headers.request_id,
         body,
+        started: reader
+            .started
+            .expect("a request's head holds at least one buffered byte"),
     })
 }
 

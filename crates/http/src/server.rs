@@ -426,7 +426,6 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
         max_body_bytes: cfg.max_body_bytes,
     };
     loop {
-        let t0 = od_obs::clock::now();
         // Per-request deadline reset: each trip through this loop re-arms
         // the header window from "now" — keep-alive reuse never inherits
         // the previous request's spent budget.
@@ -464,6 +463,9 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
                 return;
             }
         };
+        // The clock starts at the request's first byte, not at the idle
+        // wait before it.
+        let t0 = req.started;
         let t_read = od_obs::clock::now();
         m.read_ns.record(od_obs::clock::ns_between(t0, t_read));
 

@@ -21,7 +21,7 @@
 
 use od_hsg::UserId;
 use od_http::{http_request, read_http_response, Featurizer, HttpResponse, Server, ServerConfig};
-use od_retrieval::{RetrievalConfig, ScoredPair, Tier};
+use od_retrieval::{ScoredPair, Tier};
 use od_serve::{EngineConfig, FailPoint, FailSite, Funnel, FunnelConfig};
 use odnet_core::{FeatureExtractor, FrozenOdNet, GroupInput, OdNetModel, OdnetConfig, Variant};
 use std::io::{Read, Write};
@@ -101,9 +101,8 @@ fn funnel_with(cfg: EngineConfig) -> Arc<Funnel> {
         0xF00D,
         cfg,
         FunnelConfig {
-            retrieval: RetrievalConfig::default(),
             tier: Tier::Exact,
-            recall_probe_every: 1,
+            ..FunnelConfig::default()
         },
     ))
 }
@@ -1047,6 +1046,28 @@ fn gated_slow_request_is_tail_captured_with_its_span_chain_and_exports_to_chrome
             .is_some_and(|events| events.len() >= names.len()),
         "Chrome export carries fewer events than the trace has spans"
     );
+
+    // A request's clock starts at its first byte, not at the keep-alive
+    // idle wait before it: keep every trace, pause 300 ms before a second
+    // request on this connection, and its root span must not hold the
+    // pause.
+    od_obs::trace::global().enable(od_obs::trace::TraceConfig {
+        slow_ns: 40_000_000,
+        sample_every: 1,
+    });
+    std::thread::sleep(Duration::from_millis(300));
+    let after = [("X-Request-Id", "after-a-pause")];
+    let resp = http_request(&mut conn, "GET", "/healthz", &after, None).expect("answered");
+    assert_eq!(resp.status, 200);
+    let doc = json_of(&mut conn, "/debug/traces");
+    let traces = doc.get("traces").and_then(|t| t.as_array());
+    let root_ns = traces
+        .expect("traces array")
+        .iter()
+        .find(|t| str_of(t, "request_id") == Some("after-a-pause"))
+        .and_then(|t| t.get("dur_ns")?.as_f64())
+        .expect("the request after the pause was not captured");
+    assert!(root_ns < 100e6, "root span of {root_ns} ns holds the pause");
 
     drop(conn);
     assert!(server.shutdown().clean);

@@ -14,7 +14,10 @@
 //! it is dropped (components that want their *gauges* to stop
 //! contributing reset them to zero on drop, as the serving engine does).
 //! Registration is O(1) amortized and happens at component construction,
-//! never per request.
+//! never per request. The one way out is [`Registry::fold_counter`], for
+//! a label value minted per event (a publish epoch): its count moves into
+//! a catch-all series and its entry goes, so neither the catalogue nor a
+//! snapshot grows with uptime.
 
 use crate::hist::{HistogramSnapshot, LatencyHistogram};
 use crate::scalar::{Counter, FloatGauge, Gauge};
@@ -102,6 +105,15 @@ impl Registry {
         let c = Counter::new();
         self.push(name, help, labels, Instrument::Counter(c.clone()));
         c
+    }
+
+    /// Retire `from`: add its total to `into` and drop its entry. One step
+    /// under the catalogue lock, so every snapshot sees the count exactly
+    /// once. The caller guarantees nothing increments `from` any more.
+    pub fn fold_counter(&self, from: &Counter, into: &Counter) {
+        let mut entries = self.entries.lock().unwrap_or_else(|p| p.into_inner());
+        entries.retain(|e| !matches!(&e.inst, Instrument::Counter(c) if c.same_as(from)));
+        into.add(from.get());
     }
 
     /// Create and register a gauge.
@@ -317,6 +329,21 @@ mod tests {
         let merged = reg.snapshot().histogram("lat_ns");
         assert_eq!(merged.count(), 2);
         assert_eq!(merged.max, 30);
+    }
+
+    #[test]
+    fn a_folded_counter_leaves_its_count_behind_and_its_entry_goes() {
+        let reg = Registry::new();
+        let older = reg.counter_with("served_total", "s", &[("epoch", "older")]);
+        let gen7 = reg.counter_with("served_total", "s", &[("epoch", "7")]);
+        let live = reg.counter_with("served_total", "s", &[("epoch", "8")]);
+        gen7.add(5);
+        live.add(2);
+        reg.fold_counter(&gen7, &older);
+        let snap = reg.snapshot();
+        assert_eq!(snap.series.len(), 2, "epoch 7 is gone: {:?}", snap.series);
+        assert_eq!(older.get(), 5);
+        assert!(snap.find_with("served_total", &[("epoch", "8")]).is_some());
     }
 
     #[test]

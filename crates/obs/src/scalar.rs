@@ -62,6 +62,11 @@ impl Counter {
             .map(|s| s.0.load(Ordering::Relaxed))
             .sum()
     }
+
+    /// Do the two handles share one set of shards?
+    pub(crate) fn same_as(&self, other: &Counter) -> bool {
+        Arc::ptr_eq(&self.shards, &other.shards)
+    }
 }
 
 impl std::fmt::Debug for Counter {

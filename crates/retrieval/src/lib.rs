@@ -19,34 +19,30 @@
 //! ```
 //!
 //! so one GEMV per branch ([`od_tensor::simd::table_scores`]) reduces the
-//! pair sweep to `a[o] + b[d]` adds — which the SIMD threshold scan
-//! ([`od_tensor::simd::scan_add_ge`]) retires 8 lanes at a time against
-//! the top-k heap floor. Two tiers share that machinery:
+//! pair sweep to `a[o] + b[d]` adds — which the SIMD threshold sweep
+//! ([`od_tensor::simd::sweep_scan_add_ge`]) retires 8 lanes at a time
+//! against the top-k heap floor. Retrieval is **exact**: both tiers
+//! return the same pairs, bit for bit, and differ only in how much of
+//! the universe they look at.
 //!
 //! - [`Tier::Exact`] — brute force over all `n²−n` pairs. Bit-exact
-//!   across SIMD levels and artifact table modes (owned and mmap), so it
-//!   doubles as the recall oracle for the pruned tier.
-//! - [`Tier::Pruned`] — three pair-level pruning stages compose: an
-//!   [`IvfIndex`] over the destination city table routes each user to
-//!   `nprobe` spherical caps (members deduplicated across the 2-way
-//!   spill lists); an optional *refinement cut* keeps only the `refine`
-//!   best probed destinations by exact affinity; and the pair sweep
-//!   walks origins in descending `a[o]` with an exact cutoff — once
-//!   `a[o] + max(b)` falls strictly below the top-k floor, no remaining
-//!   origin can contribute, so the sweep stops. Together: >10x fewer
-//!   pair candidates for <1% recall@k loss (gated ≥0.99 at ≥5x in
-//!   `tests/recall_gate.rs`).
+//!   across SIMD levels and artifact table modes (owned and mmap); the
+//!   reference the tests and the benchmark compare against.
+//! - [`Tier::Pruned`] — the same sweep with origins sorted by descending
+//!   `a[o]` and an exact cutoff: once `a[o] + max(b)` falls strictly
+//!   below the top-k floor, no remaining origin can contribute, so the
+//!   sweep stops. At 200 cities and k = 64 that is ~11x fewer pair
+//!   candidates on a trained table and ~10x on an untrained one (gated
+//!   ≥5x, with pair equality, in `tests/retrieval_equivalence.rs`).
 //!
-//! A [`Retriever`] is built per artifact *generation* — `od-serve`'s
-//! `Funnel` rebuilds it on every hot publish and stamps retrievals with
-//! the generation's `ArtifactVersion`, exactly like ranking responses.
+//! A [`Retriever`] holds no derived state beyond its artifact and a
+//! resolved SIMD level; `od-serve`'s `Funnel` still builds one per
+//! artifact *generation* so retrievals are stamped with the generation's
+//! `ArtifactVersion`, exactly like ranking responses.
 
 #![warn(missing_docs)]
 
-mod ivf;
 mod topk;
-
-pub use ivf::IvfIndex;
 
 use od_hsg::{CityId, UserId};
 use od_tensor::simd::{self, SimdLevel};
@@ -54,26 +50,10 @@ use odnet_core::FrozenOdNet;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Retrieval tuning knobs. `Default` picks auto sizing from the city
-/// universe and the best SIMD level the host supports.
+/// Retrieval configuration. `Default` picks the best SIMD level the host
+/// supports.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RetrievalConfig {
-    /// IVF cluster count for the pruned tier; `0` = `√n`-flavored auto.
-    pub ncentroids: usize,
-    /// Clusters probed per query; `0` = `max(1, 3·ncentroids/4)`. The
-    /// auto default probes generously — destination coverage is what
-    /// recall@k lives or dies on, while the scan-reduction gates are
-    /// carried by the refinement cut and the origin cutoff, which prune
-    /// at the pair level.
-    pub nprobe: usize,
-    /// Refinement cut for the pruned tier: after probing, only the
-    /// `refine` best probed destinations (by their exact scan affinity)
-    /// enter the O(n·refine) pair sweep. `0` disables the cut. The top-k
-    /// pair set only ever spans the top `k+1` destinations by affinity,
-    /// so any `refine > k` is lossless relative to the probe set; the
-    /// recall gate runs tighter cuts (~0.6k) that trade <1% recall@k for
-    /// the bulk of the scan reduction.
-    pub refine: usize,
     /// Kernel dispatch level; `None` = [`SimdLevel::detect`]. An
     /// explicitly requested level the host cannot execute degrades to
     /// scalar inside the kernels.
@@ -83,10 +63,9 @@ pub struct RetrievalConfig {
 /// Which retrieval tier serves a query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tier {
-    /// Brute-force scored top-k over every OD pair (the exact baseline
-    /// and recall oracle).
+    /// Brute-force scored top-k over every OD pair (the reference).
     Exact,
-    /// IVF-pruned destination scan: `nprobe` clusters per query.
+    /// The same pairs from a sweep that stops at the origin cutoff.
     Pruned,
 }
 
@@ -118,9 +97,8 @@ pub struct RetrievalStats {
     /// Candidate pairs examined by the scan (the ≥5x pruning gate
     /// compares this between tiers).
     pub scanned: u64,
-    /// IVF clusters probed (0 for the exact tier).
-    pub probed: u32,
-    /// Routing time (centroid bounds + member gather); 0 for exact.
+    /// Always 0: no tier routes. Kept so [`stages`](Self::stages) still
+    /// has the three rows `benchmark/` lays out.
     pub route_ns: u64,
     /// Table-scoring time (the per-city GEMVs).
     pub scan_ns: u64,
@@ -130,9 +108,9 @@ pub struct RetrievalStats {
 
 impl RetrievalStats {
     /// The three timed stages in execution order, as `(name, ns)` pairs.
-    /// Tracing uses this to synthesize `route`/`scan`/`select` child
-    /// spans under a query's `retrieval` span without the trace layer
-    /// knowing the stage set.
+    /// Tracing uses this to synthesize `scan`/`select` child spans (a
+    /// zero-length stage gets none) under a query's `retrieval` span
+    /// without the trace layer knowing the stage set.
     pub fn stages(&self) -> [(&'static str, u64); 3] {
         [
             ("route", self.route_ns),
@@ -154,10 +132,10 @@ pub struct Retrieved {
 
 thread_local! {
     /// Reusable per-thread query buffers for [`Retriever::top_k`]: the
-    /// affinity tables, sweep order, and probed member list. Queries
-    /// are tens of microseconds, so a handful of allocator round trips
-    /// per call is real, *level-independent* overhead — it dilutes the
-    /// SIMD speedup without making either level better.
+    /// affinity tables and sweep order. Queries are tens of
+    /// microseconds, so a handful of allocator round trips per call is
+    /// real, *level-independent* overhead — it dilutes the SIMD speedup
+    /// without making either level better.
     static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
 }
 
@@ -165,45 +143,28 @@ thread_local! {
 struct Scratch {
     /// Origin affinities `a[o]`.
     a: Vec<f32>,
-    /// Destination affinities `b[j]`.
+    /// Destination affinities `b[d]`.
     b: Vec<f32>,
-    /// Probed destination ids (pruned tier).
-    members: Vec<u32>,
     /// Origin sweep order.
     order: Vec<u32>,
 }
 
 /// The retrieval stage over one frozen artifact generation: pinned
-/// tables (owned or mmap — scoring borrows either way), a pruned
-/// destination index built once at construction, and a resolved SIMD
-/// level.
+/// tables (owned or mmap — scoring borrows either way) and a resolved
+/// SIMD level.
 pub struct Retriever {
     model: Arc<FrozenOdNet>,
-    index: IvfIndex,
     level: SimdLevel,
-    nprobe: usize,
-    refine: usize,
 }
 
 impl Retriever {
-    /// Build the retrieval stage for an artifact: resolves the SIMD
-    /// level and clusters the destination table. At the paper's universe
-    /// (200 cities × d=16) the index build is microseconds; it is meant
-    /// to run on every artifact load *and* every hot publish.
+    /// Pin the artifact and resolve the SIMD level. Nothing is derived
+    /// from the tables, so this costs nothing per artifact load or hot
+    /// publish.
     pub fn build(model: Arc<FrozenOdNet>, cfg: RetrievalConfig) -> Retriever {
-        let ev = model.embeddings();
-        let index = IvfIndex::build(ev.dest_cities, ev.num_cities, ev.dim, cfg.ncentroids);
-        let nprobe = if cfg.nprobe == 0 {
-            (index.ncentroids() * 3 / 4).max(1)
-        } else {
-            cfg.nprobe.min(index.ncentroids())
-        };
         Retriever {
             model,
-            index,
             level: cfg.level.unwrap_or_else(SimdLevel::detect),
-            nprobe,
-            refine: cfg.refine,
         }
     }
 
@@ -217,16 +178,11 @@ impl Retriever {
         self.level
     }
 
-    /// Clusters in the pruned index.
-    pub fn ncentroids(&self) -> usize {
-        self.index.ncentroids()
-    }
-
     /// Best `k` OD pairs for `user` over the whole universe (self-pairs
     /// `o == d` excluded), best first. Deterministic: the result is the
     /// prefix of the total order (score desc, pair index asc), identical
-    /// across SIMD levels and table modes. `k` is clamped to the `n·(n−1)`
-    /// pairs that exist, so asking for more returns all of them.
+    /// across tiers, SIMD levels and table modes. `k` is clamped to the
+    /// `n·(n−1)` pairs that exist, so asking for more returns all of them.
     ///
     /// Panics if `user` is outside the artifact's universe — callers on
     /// the serving path (the `Funnel`) validate ids at admission.
@@ -236,12 +192,7 @@ impl Retriever {
 
     /// [`top_k`](Self::top_k) against caller-provided scratch buffers.
     fn top_k_into(&self, scratch: &mut Scratch, user: UserId, k: usize, tier: Tier) -> Retrieved {
-        let Scratch {
-            a,
-            b,
-            members,
-            order,
-        } = scratch;
+        let Scratch { a, b, order } = scratch;
         let ev = self.model.embeddings();
         let n = ev.num_cities;
         assert!(
@@ -260,19 +211,6 @@ impl Retriever {
             };
         }
 
-        // Route: pick the destination subset (pruned) or all (exact).
-        members.clear();
-        if tier == Tier::Pruned {
-            let t = Instant::now();
-            stats.probed = self.index.route(
-                self.level,
-                ev.dest_user_row(user.index()),
-                self.nprobe,
-                members,
-            ) as u32;
-            stats.route_ns = t.elapsed().as_nanos() as u64;
-        }
-
         // Scan: one scaled GEMV per branch. θ folds into the city
         // affinities so the pair score is a plain add.
         let t = Instant::now();
@@ -287,55 +225,18 @@ impl Retriever {
             a,
         );
         b.clear();
-        b.resize(
-            if tier == Tier::Pruned {
-                members.len()
-            } else {
-                n
-            },
-            0.0,
+        b.resize(n, 0.0);
+        simd::table_scores(
+            self.level,
+            ev.dest_user_row(user.index()),
+            ev.dest_cities,
+            ev.dim,
+            1.0 - ev.theta,
+            b,
         );
-        match tier {
-            Tier::Exact => simd::table_scores(
-                self.level,
-                ev.dest_user_row(user.index()),
-                ev.dest_cities,
-                ev.dim,
-                1.0 - ev.theta,
-                b,
-            ),
-            Tier::Pruned => simd::table_scores_indexed(
-                self.level,
-                ev.dest_user_row(user.index()),
-                ev.dest_cities,
-                ev.dim,
-                1.0 - ev.theta,
-                members,
-                b,
-            ),
-        }
-        // Refine: keep only the best `refine` probed destinations by
-        // their exact affinity before paying the O(n·len(b)) pair sweep.
-        // Deterministic cut: affinity descending, destination id
-        // ascending — same total-order discipline as the selection.
-        if tier == Tier::Pruned && self.refine > 0 && members.len() > self.refine {
-            let mut keep: Vec<u32> = (0..members.len() as u32).collect();
-            keep.sort_unstable_by(|&x, &y| {
-                b[y as usize]
-                    .total_cmp(&b[x as usize])
-                    .then_with(|| members[x as usize].cmp(&members[y as usize]))
-            });
-            keep.truncate(self.refine);
-            // Back to id order for scan locality and stable output.
-            keep.sort_unstable_by_key(|&x| members[x as usize]);
-            let kept: Vec<u32> = keep.iter().map(|&x| members[x as usize]).collect();
-            let kept_b: Vec<f32> = keep.iter().map(|&x| b[x as usize]).collect();
-            *members = kept;
-            *b = kept_b;
-        }
         stats.scan_ns = t.elapsed().as_nanos() as u64;
 
-        // Select: sweep `a[o] + b[j]` through the bounded heap. Until
+        // Select: sweep `a[o] + b[d]` through the bounded heap. Until
         // the heap fills, every candidate goes through the exact push;
         // after that the SIMD threshold scan discards lanes below the
         // heap floor and the rare survivor takes the exact order test.
@@ -353,19 +254,12 @@ impl Retriever {
         // sound if every later origin is no better (candidates *at*
         // the floor are still swept, so index tie-breaks are
         // preserved). The exact tier keeps the full n² sweep — it is
-        // the brute-force baseline and recall oracle — so it only
-        // fronts the `LEAD` best origins with an O(n) partition and
-        // leaves the rest in index order: the floor is essentially
-        // final after those rows, and skipping the full sort keeps the
-        // level-independent overhead out of the SIMD speedup.
+        // the brute-force reference — so it only fronts the `LEAD` best
+        // origins with an O(n) partition and leaves the rest in index
+        // order: the floor is essentially final after those rows, and
+        // skipping the full sort keeps the level-independent overhead
+        // out of the SIMD speedup.
         let t = Instant::now();
-        let dest_of = |j: u32| -> u32 {
-            if tier == Tier::Pruned {
-                members[j as usize]
-            } else {
-                j
-            }
-        };
         let by_affinity_desc = |&x: &u32, &y: &u32| {
             a[y as usize]
                 .total_cmp(&a[x as usize])
@@ -380,7 +274,6 @@ impl Retriever {
             order.select_nth_unstable_by(LEAD - 1, by_affinity_desc);
             order[..LEAD].sort_unstable_by(by_affinity_desc);
         }
-        let bmax = b.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut heap = topk::PairHeap::new(k);
         // Cold phase: row-by-row until the heap fills and has a floor.
         let mut warm_from = 0usize;
@@ -389,31 +282,23 @@ impl Retriever {
                 break;
             }
             let bias = a[o as usize];
+            let idx_base = o as u64 * n as u64;
+            let row = b
+                .iter()
+                .enumerate()
+                .filter(|&(d, _)| d as u32 != o)
+                .map(|(d, &bd)| topk::Entry {
+                    idx: idx_base + d as u64,
+                    score: bias + bd,
+                });
             if heap.is_empty() {
                 // Seed with this row's canonical top-k in one partition
                 // pass instead of a sift per candidate.
-                let idx_base = o as u64 * n as u64;
-                let cands: Vec<topk::Entry> = b
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(j, &bd)| {
-                        let d = dest_of(j as u32);
-                        (d != o).then(|| topk::Entry {
-                            idx: idx_base + d as u64,
-                            score: bias + bd,
-                        })
-                    })
-                    .collect();
-                heap = topk::PairHeap::from_candidates(k, cands);
+                heap = topk::PairHeap::from_candidates(k, row.collect());
             } else {
-                for (j, &bd) in b.iter().enumerate() {
-                    let d = dest_of(j as u32);
-                    if d != o {
-                        heap.push(o as u64 * n as u64 + d as u64, bias + bd);
-                    }
-                }
+                row.for_each(|e| heap.push(e.idx, e.score));
             }
-            stats.scanned += b.len() as u64;
+            stats.scanned += n as u64;
             warm_from += 1;
         }
         // Warm phase: one monomorphized kernel call sweeps every
@@ -422,7 +307,8 @@ impl Retriever {
         // for the rest of the sweep immediately. The pruned tier hands
         // the kernel its stop margin (`max(b)`).
         if heap.is_full() && warm_from < order.len() {
-            let stop = (tier == Tier::Pruned).then_some(bmax);
+            let stop =
+                (tier == Tier::Pruned).then(|| b.iter().copied().fold(f32::NEG_INFINITY, f32::max));
             let swept = simd::sweep_scan_add_ge(
                 self.level,
                 &order[warm_from..],
@@ -430,15 +316,14 @@ impl Retriever {
                 b,
                 heap.floor(),
                 stop,
-                &mut |o, j, s| {
-                    let d = dest_of(j);
+                &mut |o, d, s| {
                     if d != o {
                         heap.push(o as u64 * n as u64 + d as u64, s);
                     }
                     heap.floor()
                 },
             );
-            stats.scanned += swept as u64 * b.len() as u64;
+            stats.scanned += swept as u64 * n as u64;
         }
         let pairs = heap
             .into_sorted()
@@ -455,22 +340,6 @@ impl Retriever {
     }
 }
 
-/// Fraction of `exact`'s pairs that `pruned` also retrieved — the
-/// recall@k of a pruned answer against the exact oracle for the same
-/// `(user, k)`. 1.0 when `exact` is empty.
-pub fn recall_against_exact(exact: &[ScoredPair], pruned: &[ScoredPair]) -> f64 {
-    if exact.is_empty() {
-        return 1.0;
-    }
-    let got: std::collections::HashSet<(u32, u32)> =
-        pruned.iter().map(|p| (p.origin.0, p.dest.0)).collect();
-    let hit = exact
-        .iter()
-        .filter(|p| got.contains(&(p.origin.0, p.dest.0)))
-        .count();
-    hit as f64 / exact.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,23 +348,6 @@ mod tests {
     fn tier_and_config_defaults() {
         assert_eq!(Tier::Exact.name(), "exact");
         assert_eq!(Tier::Pruned.name(), "pruned");
-        let cfg = RetrievalConfig::default();
-        assert_eq!(cfg.ncentroids, 0);
-        assert_eq!(cfg.nprobe, 0);
-        assert_eq!(cfg.refine, 0);
-        assert!(cfg.level.is_none());
-    }
-
-    #[test]
-    fn recall_helper_counts_overlap() {
-        let p = |o: u32, d: u32| ScoredPair {
-            origin: CityId(o),
-            dest: CityId(d),
-            score: 0.0,
-        };
-        let exact = vec![p(0, 1), p(1, 2), p(2, 3), p(3, 4)];
-        let pruned = vec![p(1, 2), p(0, 1), p(9, 9)];
-        assert_eq!(recall_against_exact(&exact, &pruned), 0.5);
-        assert_eq!(recall_against_exact(&[], &pruned), 1.0);
+        assert!(RetrievalConfig::default().level.is_none());
     }
 }

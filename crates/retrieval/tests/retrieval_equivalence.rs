@@ -8,21 +8,74 @@
 //! production path (bounded heap + SIMD threshold scan) must equal it
 //! bit-for-bit, so candidate selection can never drift across deployment
 //! hardware or artifact load paths.
+//!
+//! The pruned tier carries one more gate: at the paper's 200-city
+//! universe and k = 64 its origin cutoff must leave it at most a fifth of
+//! the exact tier's pairs to scan, on a trained table (real structure) and
+//! an untrained one (random init, the flattest affinities it will meet).
 
 use od_hsg::UserId;
 use od_retrieval::{RetrievalConfig, Retriever, ScoredPair, Tier};
 use od_tensor::simd::{self, SimdLevel};
-use odnet_core::{FrozenOdNet, OdnetConfig, Variant};
+use odnet_core::{train, FeatureExtractor, FrozenOdNet, OdNetModel, OdnetConfig, Variant};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 /// Untrained graph-free artifact at arbitrary table geometry.
 fn frozen_at(users: usize, cities: usize, dim: usize) -> FrozenOdNet {
+    frozen_with_twins(users, cities, dim, &[])
+}
+
+/// [`frozen_at`] with planted ties: for each `(dst, src)` city `dst` gets
+/// city `src`'s row in both branches, so `a[dst] == a[src]` and
+/// `b[dst] == b[src]` to the bit for every user.
+fn frozen_with_twins(
+    users: usize,
+    cities: usize,
+    dim: usize,
+    twins: &[(usize, usize)],
+) -> FrozenOdNet {
     let config = OdnetConfig {
         embed_dim: dim,
         ..OdnetConfig::tiny()
     };
-    odnet_core::OdNetModel::new(Variant::OdnetG, config, users, cities, None).freeze()
+    let mut model = OdNetModel::new(Variant::OdnetG, config, users, cities, None);
+    for table in ["origin.cities", "dest.cities"] {
+        let id = model.store.lookup(table).expect("graph-free city table");
+        let rows = model.store.value_mut(id);
+        for &(dst, src) in twins {
+            let row = rows.row(src % cities).to_vec();
+            rows.row_mut(dst % cities).copy_from_slice(&row);
+        }
+    }
+    model.freeze()
+}
+
+/// Seeded 200-city world (the paper's universe size) with a trained
+/// ODNET-G frozen on top, so the tables carry real structure.
+fn trained_200_cities() -> FrozenOdNet {
+    let ds = od_data::FliggyDataset::generate(od_data::FliggyConfig {
+        num_users: 120,
+        num_cities: 200,
+        horizon_days: 400,
+        bookings_per_user: (3, 6),
+        ..od_data::FliggyConfig::default()
+    });
+    let config = OdnetConfig {
+        epochs: 2,
+        ..OdnetConfig::tiny()
+    };
+    let fx = FeatureExtractor::new(config.max_long_seq, config.max_short_seq);
+    let groups = fx.groups_from_samples(&ds, &ds.train);
+    let mut model = OdNetModel::new(
+        Variant::OdnetG,
+        config,
+        ds.world.num_users(),
+        ds.world.num_cities(),
+        None,
+    );
+    train(&mut model, &groups);
+    model.freeze()
 }
 
 /// Full-enumeration scalar oracle in canonical order.
@@ -105,10 +158,7 @@ fn exact_tier_matches_oracle_across_levels_and_sizes() {
                 for level in SimdLevel::available() {
                     let r = Retriever::build(
                         Arc::clone(&frozen),
-                        RetrievalConfig {
-                            level: Some(level),
-                            ..RetrievalConfig::default()
-                        },
+                        RetrievalConfig { level: Some(level) },
                     );
                     let got = r.top_k(UserId(user as u32), k, Tier::Exact);
                     assert_same(
@@ -140,85 +190,77 @@ fn graph_variant_artifact_retrieves_identically_across_levels() {
     );
     let want = oracle_top_k(&frozen, UserId(11), 32);
     for level in SimdLevel::available() {
-        let r = Retriever::build(
-            Arc::clone(&frozen),
-            RetrievalConfig {
-                level: Some(level),
-                ..RetrievalConfig::default()
-            },
-        );
-        let got = r.top_k(UserId(11), 32, Tier::Exact);
-        assert_same(&got.pairs, &want, &format!("graph variant {level}"));
+        let r = Retriever::build(Arc::clone(&frozen), RetrievalConfig { level: Some(level) });
+        for tier in [Tier::Exact, Tier::Pruned] {
+            let got = r.top_k(UserId(11), 32, tier);
+            assert_same(
+                &got.pairs,
+                &want,
+                &format!("graph variant {tier:?} {level}"),
+            );
+        }
     }
 }
 
+/// The pruned tier *is* the exact tier with fewer rows swept: for every
+/// user of a 200-city artifact, every k that matters (1, the served 8 and
+/// 64, and — on the trained table; a debug build spends 40 s there — all
+/// `n²−n` pairs), every SIMD level and both table modes, both tiers
+/// return the pairs the owned scalar exact tier returns — same order,
+/// same score bits — and at k = 64 the pruned tier scans at most a fifth
+/// of the exact tier's candidates.
 #[test]
-fn mmap_backed_tables_retrieve_identically_to_owned() {
-    let frozen = frozen_at(9, 31, 16);
+fn pruned_equals_exact_everywhere_and_scans_a_fifth_at_200_cities() {
     let dir = std::env::temp_dir().join(format!("od_retrieval_eq_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let path = dir.join("artifact.odz");
-    frozen.save_bin(&path).expect("write .odz");
-    let mapped = Arc::new(FrozenOdNet::load_bin_mmap(&path).expect("mmap load"));
-    let owned = Arc::new(frozen);
-
-    for tier in [Tier::Exact, Tier::Pruned] {
-        for level in SimdLevel::available() {
-            let cfg = RetrievalConfig {
-                ncentroids: 6,
-                nprobe: 2,
-                refine: 12,
-                level: Some(level),
-            };
-            let a = Retriever::build(Arc::clone(&owned), cfg).top_k(UserId(4), 40, tier);
-            let b = Retriever::build(Arc::clone(&mapped), cfg).top_k(UserId(4), 40, tier);
-            assert_same(
-                &a.pairs,
-                &b.pairs,
-                &format!("owned vs mmap, {tier:?} {level}"),
-            );
-            assert_eq!(a.stats.scanned, b.stats.scanned, "{tier:?} scanned differs");
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn pruned_pairs_carry_exact_scores_in_canonical_order() {
-    let frozen = Arc::new(frozen_at(6, 50, 8));
-    let (a, b) = affinities(&frozen, UserId(2));
-    let r = Retriever::build(
-        Arc::clone(&frozen),
-        RetrievalConfig {
-            ncentroids: 8,
-            nprobe: 3,
-            refine: 20,
-            level: None,
-        },
-    );
-    let got = r.top_k(UserId(2), 64, Tier::Pruned);
-    assert!(!got.pairs.is_empty());
-    assert!(got.stats.scanned < 50 * 50, "pruned tier did not prune");
-    assert_eq!(got.stats.probed, 3);
-    for w in got.pairs.windows(2) {
-        let canonical = match w[0].score.total_cmp(&w[1].score) {
-            std::cmp::Ordering::Greater => true,
-            std::cmp::Ordering::Less => false,
-            std::cmp::Ordering::Equal => {
-                (w[0].origin.0, w[0].dest.0) < (w[1].origin.0, w[1].dest.0)
+    for (what, frozen, ks) in [
+        ("trained", trained_200_cities(), &[1, 8, 64, 200 * 199][..]),
+        ("untrained", frozen_at(120, 200, 16), &[1, 8, 64]),
+    ] {
+        frozen.save_bin(&path).expect("write .odz");
+        let mapped = Arc::new(FrozenOdNet::load_bin_mmap(&path).expect("mmap load"));
+        let owned = Arc::new(frozen);
+        let users = owned.num_users();
+        let mut retrievers = Vec::new();
+        for (mode, model) in [("owned", &owned), ("mmap", &mapped)] {
+            for level in SimdLevel::available() {
+                let cfg = RetrievalConfig { level: Some(level) };
+                retrievers.push((mode, level, Retriever::build(Arc::clone(model), cfg)));
             }
-        };
-        assert!(canonical, "pruned output not in canonical order");
-    }
-    for p in &got.pairs {
-        assert_ne!(p.origin, p.dest);
-        let want = a[p.origin.index()] + b[p.dest.index()];
-        assert_eq!(
-            p.score.to_bits(),
-            want.to_bits(),
-            "pruned pair score is not the exact separable score"
+        }
+        // `available()` lists scalar first: the owned scalar exact tier,
+        // which the tests above hold to the oracle, is the reference.
+        let reference = &retrievers[0].2;
+        let (mut scanned_exact, mut scanned_pruned) = (0u64, 0u64);
+        for &k in ks {
+            for u in 0..users {
+                let user = UserId(u as u32);
+                let want = reference.top_k(user, k, Tier::Exact).pairs;
+                assert_eq!(want.len(), k);
+                for (mode, level, r) in &retrievers {
+                    let exact = r.top_k(user, k, Tier::Exact);
+                    let pruned = r.top_k(user, k, Tier::Pruned);
+                    let at = format!("{what} {mode} {level} k={k} u={u}");
+                    assert_same(&exact.pairs, &want, &format!("exact, {at}"));
+                    assert_same(&pruned.pairs, &want, &format!("pruned, {at}"));
+                    if k == 64 {
+                        scanned_exact += exact.stats.scanned;
+                        scanned_pruned += pruned.stats.scanned;
+                    }
+                }
+            }
+        }
+        println!(
+            "{what}: pruned scans {:.2}x fewer candidates than exact at k=64",
+            scanned_exact as f64 / scanned_pruned as f64
+        );
+        assert!(
+            scanned_pruned * 5 <= scanned_exact,
+            "{what}: pruned scanned {scanned_pruned} of exact's {scanned_exact} (gate: a fifth)"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -227,14 +269,7 @@ fn k_beyond_the_universe_returns_every_pair_there_is() {
     // heap by the pairs that exist, not by the number asked for.
     let (cities, all) = (12usize, 12 * 11);
     let frozen = Arc::new(frozen_at(4, cities, 8));
-    let r = Retriever::build(
-        Arc::clone(&frozen),
-        RetrievalConfig {
-            ncentroids: 4,
-            nprobe: 2,
-            ..RetrievalConfig::default()
-        },
-    );
+    let r = Retriever::build(Arc::clone(&frozen), RetrievalConfig::default());
     let user = UserId(1);
     for tier in [Tier::Exact, Tier::Pruned] {
         let capped = r.top_k(user, all, tier);
@@ -258,26 +293,31 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// SIMD top-k equals the scalar full-sort oracle — same pairs, same
-    /// tie-breaks, same bits — across random geometries, k, and users.
+    /// Top-k equals the scalar full-sort oracle — same pairs, same
+    /// tie-breaks, same bits — at every SIMD level and both tiers, across
+    /// random geometries, k, users, and planted twin cities (tied scores
+    /// must break by pair index, also across the pruned tier's cutoff).
     #[test]
-    fn simd_top_k_is_identical_to_scalar_oracle(
+    fn top_k_is_identical_to_scalar_oracle(
         users in 1usize..10,
         cities in 2usize..36,
         half_dim in 1usize..13, // tiny() runs 2 attention heads: dim must be even
         k in 1usize..90,
         user_sel in 0usize..10,
+        twins in proptest::collection::vec((0usize..36, 0usize..36), 0..8),
     ) {
-        let frozen = Arc::new(frozen_at(users, cities, 2 * half_dim));
+        let frozen = Arc::new(frozen_with_twins(users, cities, 2 * half_dim, &twins));
         let user = UserId((user_sel % users) as u32);
         let want = oracle_top_k(&frozen, user, k);
         for level in SimdLevel::available() {
             let r = Retriever::build(
                 Arc::clone(&frozen),
-                RetrievalConfig { level: Some(level), ..RetrievalConfig::default() },
+                RetrievalConfig { level: Some(level) },
             );
-            let got = r.top_k(user, k, Tier::Exact);
-            assert_same(&got.pairs, &want, &format!("proptest {level}"));
+            for tier in [Tier::Exact, Tier::Pruned] {
+                let got = r.top_k(user, k, tier);
+                assert_same(&got.pairs, &want, &format!("proptest {tier:?} {level}"));
+            }
         }
     }
 }

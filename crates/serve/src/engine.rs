@@ -377,7 +377,7 @@ impl Engine {
         metrics.artifact_checksum.set(checksum as i64);
         let shared = Arc::new(Shared {
             queue: Queue::new(config.queue_capacity),
-            handle: ModelHandle::new(VersionSlot::register(model, 0, checksum), config.swap_grace),
+            handle: ModelHandle::new(model, checksum, config.swap_grace),
             metrics,
             supervisor: Supervisor {
                 state: Mutex::new(SupState {
@@ -930,7 +930,7 @@ fn score_set(
             }
         }
     }
-    slot.scores.add(out.len() as u64);
+    slot.counts.scores.add(out.len() as u64);
     let mut offset = 0;
     for &i in set {
         let req = &mut batch[i];
@@ -938,7 +938,7 @@ fn score_set(
         // Count before sending: the oneshot's lock handoff then publishes
         // the increment to whoever observes the response.
         metrics.completed.inc();
-        slot.requests.inc();
+        slot.counts.requests.inc();
         req.take_tx().send(Ok(ScoredResponse {
             scores: out[offset..offset + n].to_vec(),
             version: slot.version,

@@ -8,27 +8,24 @@
 //! build the ranking [`GroupInput`], scores them through the engine, and
 //! returns pairs re-ranked by the full personalized model.
 //!
-//! # Hot swap: the index is versioned like the model
+//! # Hot swap: retrieval is versioned like the model
 //!
-//! The retrieval index is derived state — cluster assignments over one
-//! artifact's destination table. [`Funnel::publish`] therefore rebuilds
-//! the retriever as part of publishing a generation and re-keys it with
-//! the [`ArtifactVersion`] the engine assigned. Mid-swap, a response can
-//! legitimately be retrieved by one generation and ranked by the next
-//! (workers pick up the new model at batch-drain granularity); a
-//! [`Recommendation`] carries **both** stamps so callers can attribute
-//! each stage exactly — the swap test in `tests/funnel.rs` pins this
-//! down.
+//! The retriever pins one artifact's tables. [`Funnel::publish`]
+//! therefore swaps in a retriever over the new generation as part of
+//! publishing it, keyed with the [`ArtifactVersion`] the engine
+//! assigned. Mid-swap, a response can legitimately be retrieved by one
+//! generation and ranked by the next (workers pick up the new model at
+//! batch-drain granularity); a [`Recommendation`] carries **both** stamps
+//! so callers can attribute each stage exactly — the swap test in
+//! `tests/funnel.rs` pins this down.
 //!
 //! # Observability
 //!
 //! The funnel owns the `od_retrieval_*` series (see
 //! [`FunnelMetrics`](struct@FunnelMetrics)): per-stage timing histograms
-//! (route/scan/select), a scanned-candidates counter, tier-labeled
-//! request counters, and a sampled recall gauge — every
-//! `recall_probe_every`-th pruned retrieval also runs the exact tier and
-//! records recall@k against it, so a recall regression in production
-//! shows up on the dashboard rather than in a quarterly eval.
+//! (scan/select), a scanned-candidates counter and tier-labeled request
+//! counters. Both tiers return the exact top-k, so there is no recall to
+//! watch.
 
 use crate::engine::{Engine, EngineConfig, Submit};
 use crate::error::ServeError;
@@ -36,22 +33,22 @@ use crate::handle::ArtifactVersion;
 use crate::sync;
 use od_hsg::{CityId, UserId};
 use od_obs::trace::{self, TraceContext, NO_ATTRS};
-use od_obs::{global, Counter, FloatGauge, LatencyHistogram};
-use od_retrieval::{recall_against_exact, RetrievalConfig, RetrievalStats, Retriever, Tier};
+use od_obs::{global, Counter, LatencyHistogram};
+use od_retrieval::{RetrievalConfig, RetrievalStats, Retriever, Tier};
 use odnet_core::{FrozenOdNet, GroupInput};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Funnel tuning: the retrieval knobs plus funnel-level policy.
+/// Funnel tuning: the retrieval configuration plus the tier served.
 #[derive(Clone, Copy, Debug)]
 pub struct FunnelConfig {
-    /// Retrieval stage configuration (index sizing, SIMD level).
+    /// Retrieval stage configuration (SIMD level).
     pub retrieval: RetrievalConfig,
-    /// Tier served by [`Funnel::recommend`].
+    /// Tier served by [`Funnel::recommend`]. Both return the same pairs;
+    /// `Pruned` scans fewer.
     pub tier: Tier,
-    /// Run the exact tier alongside every Nth pruned retrieval and
-    /// record recall@k into the `od_retrieval_recall` gauge. `0`
-    /// disables probing.
+    /// Inert: nothing reads it but `benchmark/`'s echo of the server
+    /// configuration, which a product change may not edit. There is no
+    /// recall probe — both tiers are exact.
     pub recall_probe_every: u64,
 }
 
@@ -110,11 +107,8 @@ struct FunnelMetrics {
     requests_exact: Counter,
     requests_pruned: Counter,
     scanned: Counter,
-    route_ns: LatencyHistogram,
     scan_ns: LatencyHistogram,
     select_ns: LatencyHistogram,
-    rebuilds: Counter,
-    recall: FloatGauge,
 }
 
 impl FunnelMetrics {
@@ -134,10 +128,6 @@ impl FunnelMetrics {
                 "od_retrieval_scanned_total",
                 "OD pair candidates examined by the retrieval scan",
             ),
-            route_ns: reg.histogram(
-                "od_retrieval_route_ns",
-                "IVF routing time (cap affinities + member gather)",
-            ),
             scan_ns: reg.histogram(
                 "od_retrieval_scan_ns",
                 "Affinity GEMV time over the candidate tables",
@@ -145,14 +135,6 @@ impl FunnelMetrics {
             select_ns: reg.histogram(
                 "od_retrieval_select_ns",
                 "Pair sweep + top-k selection time",
-            ),
-            rebuilds: reg.counter(
-                "od_retrieval_index_rebuilds_total",
-                "Retrieval indexes built (artifact loads and publishes)",
-            ),
-            recall: reg.float_gauge(
-                "od_retrieval_recall",
-                "Sampled recall@k of the pruned tier against the exact tier",
             ),
         }
     }
@@ -163,9 +145,6 @@ impl FunnelMetrics {
             Tier::Pruned => self.requests_pruned.inc(),
         }
         self.scanned.add(stats.scanned);
-        if stats.route_ns > 0 {
-            self.route_ns.record(stats.route_ns);
-        }
         self.scan_ns.record(stats.scan_ns);
         self.select_ns.record(stats.select_ns);
     }
@@ -177,12 +156,11 @@ pub struct Funnel {
     slot: Mutex<Arc<VersionedRetriever>>,
     config: FunnelConfig,
     metrics: FunnelMetrics,
-    served: AtomicU64,
 }
 
 impl Funnel {
     /// Build the full funnel around a first artifact generation: a
-    /// versioned engine plus a retrieval index over the same tables.
+    /// versioned engine plus a retriever over the same tables.
     pub fn new(
         model: Arc<FrozenOdNet>,
         checksum: u32,
@@ -192,7 +170,6 @@ impl Funnel {
         let engine = Engine::new_versioned(Arc::clone(&model), checksum, engine_config);
         let metrics = FunnelMetrics::register();
         let retriever = Retriever::build(model, config.retrieval);
-        metrics.rebuilds.inc();
         Funnel {
             slot: Mutex::new(Arc::new(VersionedRetriever {
                 version: engine.version(),
@@ -201,7 +178,6 @@ impl Funnel {
             engine,
             config,
             metrics,
-            served: AtomicU64::new(0),
         }
     }
 
@@ -231,9 +207,9 @@ impl Funnel {
 
     /// Publish a new artifact generation into both funnel stages: the
     /// engine swaps its model slot (in-flight batches finish on the old
-    /// generation) and the retrieval index is rebuilt and re-keyed with
-    /// the version the engine assigned. On a rejected publish the
-    /// retrieval slot is left untouched.
+    /// generation) and the retriever is replaced by one over the new
+    /// tables, keyed with the version the engine assigned. On a rejected
+    /// publish the retrieval slot is left untouched.
     pub fn publish(
         &self,
         model: Arc<FrozenOdNet>,
@@ -243,7 +219,6 @@ impl Funnel {
             .engine
             .publish_versioned(Arc::clone(&model), checksum)?;
         let retriever = Retriever::build(model, self.config.retrieval);
-        self.metrics.rebuilds.inc();
         *sync::lock(&self.slot) = Arc::new(VersionedRetriever { version, retriever });
         Ok(version)
     }
@@ -273,7 +248,7 @@ impl Funnel {
     /// never parked past `deadline` even when the engine is stalled;
     /// `None` falls back to the unbounded wait. With an active `ctx` the
     /// retrieval stage records a `retrieval` span with
-    /// `route`/`scan`/`select` children synthesized from
+    /// `scan`/`select` children synthesized from
     /// [`RetrievalStats`], and the ranking submit threads the context
     /// into the engine so one trace shows the whole funnel. Pass
     /// [`TraceContext::NONE`] when untraced.
@@ -326,21 +301,6 @@ impl Funnel {
             }
         }
         self.metrics.record(tier, &retrieved.stats);
-
-        // Sampled recall probe: every Nth pruned request also runs the
-        // exact tier (off the request's critical path in cost terms —
-        // one extra scan) and publishes recall@k.
-        if tier == Tier::Pruned && self.config.recall_probe_every > 0 {
-            let n = self.served.fetch_add(1, Ordering::Relaxed);
-            if n.is_multiple_of(self.config.recall_probe_every) {
-                let exact = slot.retriever.top_k(user, k, Tier::Exact);
-                self.metrics
-                    .recall
-                    .set(recall_against_exact(&exact.pairs, &retrieved.pairs));
-            }
-        } else {
-            self.served.fetch_add(1, Ordering::Relaxed);
-        }
 
         if retrieved.pairs.is_empty() {
             return Ok(Recommendation {

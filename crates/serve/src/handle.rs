@@ -20,7 +20,12 @@
 //! plus the artifact's FNV checksum (the `.odz` header's meta checksum for
 //! on-disk artifacts, [`FrozenOdNet::fingerprint`] for in-memory ones) —
 //! and a pair of per-epoch od-obs counters, so CTR/AUC and request volume
-//! can be attributed to the exact model that served each request.
+//! can be attributed to the exact model that served each request. Only a
+//! generation that can still score (live, inside its grace period, or held
+//! by a batch in flight) has an `epoch="N"` label of its own: when its
+//! slot is finally dropped the counts fold into `epoch="older"` and the
+//! entries leave the registry, so a process that publishes every second
+//! exposes a handful of series, not one pair per publish.
 
 use crate::error::PublishError;
 use crate::sync;
@@ -44,28 +49,23 @@ pub struct ArtifactVersion {
     pub checksum: u32,
 }
 
-/// One published model generation: the artifact, its identity, and the
-/// per-epoch attribution counters.
-pub(crate) struct VersionSlot {
-    pub version: ArtifactVersion,
-    pub model: Arc<FrozenOdNet>,
+/// The `od_engine_version_{requests,scores}_total` pair of one `epoch`
+/// label value.
+#[derive(Clone)]
+pub(crate) struct VersionCounters {
     /// `od_engine_version_requests_total{epoch=…}`
     pub requests: Counter,
     /// `od_engine_version_scores_total{epoch=…}`
     pub scores: Counter,
 }
 
-impl VersionSlot {
-    /// Build a slot and register its per-epoch series in the global
-    /// registry (idempotent per label set — republishing an epoch label in
-    /// another engine merges at snapshot like every other series).
-    pub(crate) fn register(model: Arc<FrozenOdNet>, epoch: u64, checksum: u32) -> Arc<VersionSlot> {
+impl VersionCounters {
+    /// Register the pair in the global registry (same-label series of
+    /// several engines merge at snapshot like every other series).
+    fn register(epoch: &str) -> VersionCounters {
         let reg = od_obs::global();
-        let label = epoch.to_string();
-        let labels: &[(&str, &str)] = &[("epoch", &label)];
-        Arc::new(VersionSlot {
-            version: ArtifactVersion { epoch, checksum },
-            model,
+        let labels: &[(&str, &str)] = &[("epoch", epoch)];
+        VersionCounters {
             requests: reg.counter_with(
                 "od_engine_version_requests_total",
                 "Requests answered, by artifact publish epoch",
@@ -76,7 +76,25 @@ impl VersionSlot {
                 "Candidate scores produced, by artifact publish epoch",
                 labels,
             ),
-        })
+        }
+    }
+}
+
+/// One published model generation: the artifact, its identity, and the
+/// per-epoch attribution counters.
+pub(crate) struct VersionSlot {
+    pub version: ArtifactVersion,
+    pub model: Arc<FrozenOdNet>,
+    pub counts: VersionCounters,
+    /// The engine's `epoch="older"` pair, which inherits `counts` on drop.
+    older: VersionCounters,
+}
+
+impl Drop for VersionSlot {
+    fn drop(&mut self) {
+        let reg = od_obs::global();
+        reg.fold_counter(&self.counts.requests, &self.older.requests);
+        reg.fold_counter(&self.counts.scores, &self.older.scores);
     }
 }
 
@@ -91,17 +109,35 @@ pub(crate) struct ModelHandle {
     /// relaxed load instead of a lock acquisition.
     retired_count: AtomicUsize,
     grace: Duration,
+    older: VersionCounters,
 }
 
 impl ModelHandle {
-    pub(crate) fn new(initial: Arc<VersionSlot>, grace: Duration) -> ModelHandle {
-        initial.model.prepare();
+    /// A handle whose live generation is `model` at epoch 0.
+    pub(crate) fn new(model: Arc<FrozenOdNet>, checksum: u32, grace: Duration) -> ModelHandle {
+        model.prepare();
+        let older = VersionCounters::register("older");
         ModelHandle {
-            current: Mutex::new(initial),
+            current: Mutex::new(Self::slot(model, 0, checksum, &older)),
             retired: Mutex::new(Vec::new()),
             retired_count: AtomicUsize::new(0),
             grace,
+            older,
         }
+    }
+
+    fn slot(
+        model: Arc<FrozenOdNet>,
+        epoch: u64,
+        checksum: u32,
+        older: &VersionCounters,
+    ) -> Arc<VersionSlot> {
+        Arc::new(VersionSlot {
+            version: ArtifactVersion { epoch, checksum },
+            model,
+            counts: VersionCounters::register(&epoch.to_string()),
+            older: older.clone(),
+        })
     }
 
     /// Clone out the live generation. Callers hold their own strong
@@ -131,7 +167,7 @@ impl ModelHandle {
         model.prepare();
         let mut cur = sync::lock(&self.current);
         check_compatible(&cur.model, &model)?;
-        let slot = VersionSlot::register(model, cur.version.epoch + 1, checksum);
+        let slot = Self::slot(model, cur.version.epoch + 1, checksum, &self.older);
         let version = slot.version;
         let old = std::mem::replace(&mut *cur, slot);
         drop(cur);

@@ -49,8 +49,8 @@
 //!   generator in front of the engine over the same artifact slot:
 //!   retrieve the best `k` OD pairs out of the whole city universe from
 //!   the frozen tables, featurize, rank with the full model. The
-//!   retrieval index is rebuilt and re-keyed on every publish, and a
-//!   [`Recommendation`] stamps both the retrieving and the ranking
+//!   retriever moves to the new tables and is re-keyed on every publish,
+//!   and a [`Recommendation`] stamps both the retrieving and the ranking
 //!   generation for mid-swap attribution. DESIGN.md §14 documents the
 //!   retrieval tier.
 //!

@@ -28,8 +28,8 @@
 //! | `od_engine_respawns_total` | counter | supervisor respawns |
 //! | `od_engine_publishes_total` | counter | model generations published |
 //! | `od_engine_publish_rejected_total` | counter | publishes refused (typed error) |
-//! | `od_engine_version_requests_total{epoch=…}` | counter | requests answered, per artifact generation |
-//! | `od_engine_version_scores_total{epoch=…}` | counter | candidate scores produced, per generation |
+//! | `od_engine_version_requests_total{epoch=…}` | counter | requests answered, per artifact generation still able to score; `epoch="older"` holds the rest |
+//! | `od_engine_version_scores_total{epoch=…}` | counter | candidate scores produced, per generation (same labels) |
 //! | `od_engine_artifact_epoch` | gauge | publish epoch of the live artifact |
 //! | `od_engine_artifact_checksum` | gauge | FNV checksum of the live artifact |
 //! | `od_engine_queue_depth` | gauge | requests currently queued |

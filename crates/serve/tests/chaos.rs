@@ -755,6 +755,65 @@ fn retired_generations_are_reclaimed_after_grace() {
     }
 }
 
+/// A generation's `od_engine_version_*{epoch=N}` pair lives as long as
+/// the generation can score. A hundred publishes under load leave the
+/// live epoch and `epoch="older"` holding everything else — and the
+/// labels still add up to every request the process ever completed.
+#[test]
+fn a_hundred_publishes_leave_a_bounded_number_of_version_series() {
+    let _guard = test_lock();
+    let fix = fixture();
+    let engine = Engine::new(
+        Arc::clone(&fix.model),
+        EngineConfig {
+            workers: 2,
+            swap_grace: Duration::from_millis(2),
+            ..EngineConfig::default()
+        },
+    );
+    let publishing = AtomicBool::new(true);
+    std::thread::scope(|s| {
+        for c in 0..2 {
+            let (engine, publishing) = (&engine, &publishing);
+            s.spawn(move || {
+                while publishing.load(Ordering::Relaxed) {
+                    // Backpressure is fine; the load only has to exist.
+                    let _ = engine.score(fix.groups[c].clone());
+                }
+            });
+        }
+        for i in 0..100 {
+            let model = Arc::clone(&fix.alt_models[i % fix.alt_models.len()]);
+            engine.publish(model).expect("compatible publish");
+        }
+        publishing.store(false, Ordering::Relaxed);
+    });
+    // Quiescent (the suite's lock keeps every other engine away): let the
+    // last grace periods run out and a drain reap them.
+    std::thread::sleep(Duration::from_millis(10));
+    engine.score(fix.groups[0].clone()).expect("still serving");
+
+    let snap = od_obs::global().snapshot();
+    let by_epoch = |name: &str| -> Vec<(&str, u64)> {
+        let of_name = snap.series.iter().filter(|s| s.name == name);
+        of_name
+            .map(|s| match s.value {
+                od_obs::Value::Counter(v) => (s.labels[0].1.as_str(), v),
+                _ => panic!("{name} is a counter"),
+            })
+            .collect()
+    };
+    let requests = by_epoch("od_engine_version_requests_total");
+    for series in [&requests, &by_epoch("od_engine_version_scores_total")] {
+        let epochs: Vec<&str> = series.iter().map(|s| s.0).collect();
+        assert_eq!(epochs, ["100", "older"]);
+    }
+    assert_eq!(
+        requests.iter().map(|s| s.1).sum::<u64>(),
+        snap.counter("od_engine_completed_total")
+    );
+}
+
 /// Publishing into an engine that is tearing down (or already shut down)
 /// must neither hang nor panic: the slot swap is independent of the
 /// worker pool, so it simply succeeds and the next epoch is visible in

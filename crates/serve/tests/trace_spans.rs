@@ -7,7 +7,7 @@
 //! per-case nonce to filter its own traces out of the shared ring.
 
 use od_obs::trace::{self, check_well_formed, TraceConfig};
-use od_retrieval::{RetrievalConfig, Tier};
+use od_retrieval::Tier;
 use od_serve::{EngineConfig, Funnel, FunnelConfig};
 use odnet_core::{FeatureExtractor, FrozenOdNet, GroupInput, OdNetModel, OdnetConfig, Variant};
 use proptest::prelude::*;
@@ -103,9 +103,8 @@ fn funnel_over(model: &Arc<FrozenOdNet>, checksum: u32) -> Funnel {
             ..EngineConfig::default()
         },
         FunnelConfig {
-            retrieval: RetrievalConfig::default(),
             tier: Tier::Exact,
-            recall_probe_every: 0,
+            ..FunnelConfig::default()
         },
     )
 }

@@ -1,18 +1,17 @@
 //! Runtime-dispatched SIMD kernels for the retrieval tier.
 //!
 //! The retrieval stage (crate `od-retrieval`) reduces "best k OD pairs out
-//! of ~40k" to three dense primitives over the frozen artifact's embedding
+//! of ~40k" to two dense primitives over the frozen artifact's embedding
 //! tables:
 //!
 //! - [`table_scores`] — a scaled GEMV: one dot product per table row
 //!   against a query vector (per-city origin/destination affinities),
-//! - [`table_scores_indexed`] — the same over a scattered row subset (the
-//!   members of the IVF clusters a query routes to),
-//! - [`scan_add_ge`] — a branch-light threshold scan over `bias + xs[i]`
-//!   (the separable pair score `a[o] + b[d]` against the current top-k
-//!   heap floor), reporting only the surviving lanes; each survivor's
-//!   callback returns the (monotonically rising) threshold for the rest
-//!   of the scan, so a tightening heap floor takes effect mid-row.
+//! - [`sweep_scan_add_ge`] — a branch-light threshold sweep over
+//!   `biases[o] + xs[j]` (the separable pair score `a[o] + b[d]` against
+//!   the current top-k heap floor), reporting only the surviving lanes;
+//!   each survivor's callback returns the (monotonically rising)
+//!   threshold for the rest of the sweep, so a tightening heap floor
+//!   takes effect mid-row.
 //!
 //! Every kernel exists at three [`SimdLevel`]s — scalar, AVX2 (x86_64,
 //! runtime-detected via `is_x86_feature_detected!`), and NEON (aarch64,
@@ -172,100 +171,27 @@ pub fn table_scores(
     }
 }
 
-/// [`table_scores`] over a scattered row subset: `out[i] = scale *
-/// dot(query, table[ids[i]])`. The pruned tier scores only the
-/// destinations inside the probed IVF clusters.
+/// Threshold sweep: for each origin `o` in `order`, scan
+/// `biases[o] + xs[j]` for every `j` and call `visit(o, j, s)` for
+/// survivors `s >= threshold`, origins in `order` sequence and lanes in
+/// ascending `j`. Each call returns the threshold for the rest of the
+/// sweep, which **must be ≥ the value it replaces** — the caller is
+/// tracking a top-k heap floor, which only rises as survivors displace
+/// entries.
 ///
-/// Panics if any id is out of range — callers index with ids produced by
-/// the index build over the same table.
-pub fn table_scores_indexed(
-    level: SimdLevel,
-    query: &[f32],
-    table: &[f32],
-    dim: usize,
-    scale: f32,
-    ids: &[u32],
-    out: &mut [f32],
-) {
-    assert_eq!(query.len(), dim, "query/dim mismatch");
-    assert_eq!(ids.len(), out.len(), "ids/out mismatch");
-    let rows = table.len() / dim;
-    match level.effective() {
-        SimdLevel::Scalar => {
-            for (&id, o) in ids.iter().zip(out.iter_mut()) {
-                let r = id as usize;
-                assert!(r < rows, "row id {r} out of range ({rows} rows)");
-                *o = scale * dot8(query, &table[r * dim..(r + 1) * dim]);
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 presence established by `effective()`; row bounds
-        // are asserted inside the kernel before any unchecked access.
-        SimdLevel::Avx2 => unsafe {
-            avx2::table_scores_indexed(query, table, dim, scale, ids, out)
-        },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64; bounds asserted inside.
-        SimdLevel::Neon => unsafe {
-            neon::table_scores_indexed(query, table, dim, scale, ids, out)
-        },
-        #[allow(unreachable_patterns)]
-        _ => unreachable!("effective() only returns host-supported levels"),
-    }
-}
-
-/// Threshold scan: call `visit(i, bias + xs[i])` for every `i` with
-/// `bias + xs[i] >= threshold`, in ascending `i`. Each call returns the
-/// threshold for the rest of the scan, which **must be ≥ the value it
-/// replaces** — the caller is tracking a top-k heap floor, which only
-/// rises as survivors displace entries.
-///
-/// This is the inner loop of the brute-force pair scan: `bias` is the
-/// origin affinity `a[o]`, `xs` the destination affinities `b`, and
-/// `threshold` the current top-k heap floor — with a warm heap almost
-/// every lane fails the compare, so the vector levels retire 8 candidate
-/// pairs per compare+movemask and only survivors take the call. Letting
-/// a survivor raise the threshold mid-scan keeps the floor *live*: a
-/// strong early lane immediately disqualifies the rest of the row
-/// instead of flooding the heap with doomed candidates. The comparison
-/// is IEEE `>=` at every level (quiet-NaN lanes never survive), and
-/// survivors are visited in index order against the identical live
-/// threshold at every level (the vector paths re-test block survivors
-/// against it before visiting), so selection downstream is deterministic
-/// and level-independent.
-pub fn scan_add_ge<F: FnMut(u32, f32) -> f32>(
-    level: SimdLevel,
-    bias: f32,
-    xs: &[f32],
-    mut threshold: f32,
-    visit: &mut F,
-) {
-    match level.effective() {
-        SimdLevel::Scalar => {
-            for (i, &x) in xs.iter().enumerate() {
-                let s = bias + x;
-                if s >= threshold {
-                    threshold = visit(i as u32, s);
-                }
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 presence established by `effective()`.
-        SimdLevel::Avx2 => unsafe { avx2::scan_add_ge(bias, xs, threshold, visit) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64.
-        SimdLevel::Neon => unsafe { neon::scan_add_ge(bias, xs, threshold, visit) },
-        #[allow(unreachable_patterns)]
-        _ => unreachable!("effective() only returns host-supported levels"),
-    }
-}
-
-/// Warm-heap sweep: [`scan_add_ge`] over many rows in one call. For
-/// each origin `o` in `order`, scans `biases[o] + xs[j]` for every `j`
-/// and calls `visit(o, j, s)` for survivors `s >= threshold`, origins in
-/// `order` sequence and lanes in ascending `j` — the same visit sequence
-/// at every level, under the same live monotone-threshold contract as
-/// [`scan_add_ge`].
+/// This is the inner loop of the pair scan: `biases` are the origin
+/// affinities `a`, `xs` the destination affinities `b`, and `threshold`
+/// the current top-k heap floor — with a warm heap almost every lane
+/// fails the compare, so the vector levels retire 8 candidate pairs per
+/// compare+movemask and only survivors take the call. Letting a survivor
+/// raise the threshold mid-row keeps the floor *live*: a strong early
+/// lane immediately disqualifies the rest of the sweep instead of
+/// flooding the heap with doomed candidates. The comparison is IEEE `>=`
+/// at every level (quiet-NaN lanes never survive), and survivors are
+/// visited in the same sequence against the identical live threshold at
+/// every level (the vector paths re-test block survivors against it
+/// before visiting), so selection downstream is deterministic and
+/// level-independent.
 ///
 /// When `stop_margin` is `Some(m)`, the sweep stops *before* the first
 /// origin with `biases[o] + m < threshold` (the caller passes `m =
@@ -273,10 +199,10 @@ pub fn scan_add_ge<F: FnMut(u32, f32) -> f32>(
 /// bias, every later one — provably unable to produce a survivor).
 /// Returns the number of origins actually swept.
 ///
-/// This exists because the per-row entry cost is not free: a
-/// `#[target_feature]` kernel cannot inline into its caller, so a
-/// row-at-a-time loop pays call + register setup per origin. Hoisting
-/// the loop inside the kernel pays it once per query.
+/// The row loop lives inside the kernel because the per-row entry cost
+/// is not free: a `#[target_feature]` kernel cannot inline into its
+/// caller, so a row-at-a-time loop would pay call + register setup per
+/// origin instead of once per query.
 pub fn sweep_scan_add_ge<F: FnMut(u32, u32, f32) -> f32>(
     level: SimdLevel,
     order: &[u32],
@@ -377,26 +303,6 @@ mod avx2 {
         }
     }
 
-    /// # Safety
-    /// Caller guarantees AVX2 is available, `query.len() == dim`, and
-    /// `ids.len() == out.len()`. Row ids are bounds-checked here.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn table_scores_indexed(
-        query: &[f32],
-        table: &[f32],
-        dim: usize,
-        scale: f32,
-        ids: &[u32],
-        out: &mut [f32],
-    ) {
-        let rows = table.len() / dim;
-        for (&id, o) in ids.iter().zip(out.iter_mut()) {
-            let r = id as usize;
-            assert!(r < rows, "row id {r} out of range ({rows} rows)");
-            *o = scale * dot_row(query, &table[r * dim..(r + 1) * dim]);
-        }
-    }
-
     /// Drain one 8-lane block's survivors in index order, re-testing
     /// each against the live threshold (an earlier lane in the block may
     /// have raised it) — exactly the lane sequence the scalar oracle
@@ -429,64 +335,6 @@ mod avx2 {
     /// # Safety
     /// Caller guarantees AVX2 is available.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn scan_add_ge<F: FnMut(u32, f32) -> f32>(
-        bias: f32,
-        xs: &[f32],
-        mut threshold: f32,
-        visit: &mut F,
-    ) {
-        let n = xs.len();
-        let n8 = n / 8 * 8;
-        let n16 = n / 16 * 16;
-        let p = xs.as_ptr();
-        let vb = _mm256_set1_ps(bias);
-        let mut vt = _mm256_set1_ps(threshold);
-        let mut i = 0;
-        // Two blocks per iteration: with a warm heap floor the OR'd
-        // movemask almost always tests zero, so the all-fail fast path
-        // pays one branch per 16 lanes. The second block's pre-filter
-        // may use a threshold that block-one survivors have since
-        // raised — harmless, because the pre-filter only ever
-        // over-approximates and the drain re-tests every lane against
-        // the live value.
-        while i < n16 {
-            // SAFETY: i + 16 <= n16 <= n keeps both loads in bounds.
-            let s0 = _mm256_add_ps(vb, _mm256_loadu_ps(p.add(i)));
-            let s1 = _mm256_add_ps(vb, _mm256_loadu_ps(p.add(i + 8)));
-            // GE, ordered+quiet: NaN lanes compare false, like scalar >=.
-            let m0 = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(s0, vt)) as u32;
-            let m1 = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(s1, vt)) as u32;
-            if (m0 | m1) != 0 {
-                if m0 != 0 {
-                    drain_block(i as u32, s0, m0, &mut threshold, visit);
-                }
-                if m1 != 0 {
-                    drain_block(i as u32 + 8, s1, m1, &mut threshold, visit);
-                }
-                vt = _mm256_set1_ps(threshold);
-            }
-            i += 16;
-        }
-        if i < n8 {
-            // SAFETY: i + 8 <= n8 <= n keeps the load in bounds.
-            let s = _mm256_add_ps(vb, _mm256_loadu_ps(p.add(i)));
-            let mask = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(s, vt)) as u32;
-            if mask != 0 {
-                drain_block(i as u32, s, mask, &mut threshold, visit);
-            }
-            i += 8;
-        }
-        for (j, &x) in xs.iter().enumerate().skip(i) {
-            let s = bias + x;
-            if s >= threshold {
-                threshold = visit(j as u32, s);
-            }
-        }
-    }
-
-    /// # Safety
-    /// Caller guarantees AVX2 is available.
-    #[target_feature(enable = "avx2")]
     pub unsafe fn sweep_scan_add_ge<F: FnMut(u32, u32, f32) -> f32>(
         order: &[u32],
         biases: &[f32],
@@ -512,12 +360,19 @@ mod avx2 {
             let vb = _mm256_set1_ps(bias);
             let visit_row = &mut |j: u32, s: f32| visit(o, j, s);
             let mut i = 0;
-            // Same two-blocks-per-branch shape as `scan_add_ge`, same
-            // conservative-pre-filter argument for exactness.
+            // Two blocks per iteration: with a warm heap floor the OR'd
+            // movemask almost always tests zero, so the all-fail fast
+            // path pays one branch per 16 lanes. The second block's
+            // pre-filter may use a threshold that block-one survivors
+            // have since raised — harmless, because the pre-filter only
+            // ever over-approximates and the drain re-tests every lane
+            // against the live value.
             while i < n16 {
                 // SAFETY: i + 16 <= n16 <= n keeps both loads in bounds.
                 let s0 = _mm256_add_ps(vb, _mm256_loadu_ps(p.add(i)));
                 let s1 = _mm256_add_ps(vb, _mm256_loadu_ps(p.add(i + 8)));
+                // GE, ordered+quiet: NaN lanes compare false, like
+                // scalar >=.
                 let m0 = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(s0, vt)) as u32;
                 let m1 = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(s1, vt)) as u32;
                 if (m0 | m1) != 0 {
@@ -617,71 +472,6 @@ mod neon {
     }
 
     /// # Safety
-    /// Caller guarantees `query.len() == dim` and `ids.len() ==
-    /// out.len()`. Row ids are bounds-checked here.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn table_scores_indexed(
-        query: &[f32],
-        table: &[f32],
-        dim: usize,
-        scale: f32,
-        ids: &[u32],
-        out: &mut [f32],
-    ) {
-        let rows = table.len() / dim;
-        for (&id, o) in ids.iter().zip(out.iter_mut()) {
-            let r = id as usize;
-            assert!(r < rows, "row id {r} out of range ({rows} rows)");
-            *o = scale * dot_row(query, &table[r * dim..(r + 1) * dim]);
-        }
-    }
-
-    /// # Safety
-    /// NEON is the aarch64 baseline; no further preconditions.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn scan_add_ge<F: FnMut(u32, f32) -> f32>(
-        bias: f32,
-        xs: &[f32],
-        mut threshold: f32,
-        visit: &mut F,
-    ) {
-        let n = xs.len();
-        let n4 = n / 4 * 4;
-        let p = xs.as_ptr();
-        let vb = vdupq_n_f32(bias);
-        let mut vt = vdupq_n_f32(threshold);
-        let mut i = 0;
-        while i < n4 {
-            // SAFETY: i + 4 <= n4 <= n keeps the load in bounds.
-            let s = vaddq_f32(vb, vld1q_f32(p.add(i)));
-            let ge = vcgeq_f32(s, vt);
-            // Any lane set? maxv over the mask is cheap on aarch64.
-            if vmaxvq_u32(ge) != 0 {
-                let mut lanes = [0.0f32; 4];
-                let mut mask = [0u32; 4];
-                vst1q_f32(lanes.as_mut_ptr(), s);
-                vst1q_u32(mask.as_mut_ptr(), ge);
-                // The block compared against the threshold as of block
-                // entry; re-test survivors against the live one so the
-                // visit sequence matches the scalar oracle exactly.
-                for j in 0..4 {
-                    if mask[j] != 0 && lanes[j] >= threshold {
-                        threshold = visit((i + j) as u32, lanes[j]);
-                    }
-                }
-                vt = vdupq_n_f32(threshold);
-            }
-            i += 4;
-        }
-        for j in n4..n {
-            let s = bias + xs[j];
-            if s >= threshold {
-                threshold = visit(j as u32, s);
-            }
-        }
-    }
-
-    /// # Safety
     /// NEON is the aarch64 baseline; no further preconditions.
     #[target_feature(enable = "neon")]
     pub unsafe fn sweep_scan_add_ge<F: FnMut(u32, u32, f32) -> f32>(
@@ -711,13 +501,16 @@ mod neon {
                 // SAFETY: i + 4 <= n4 <= n keeps the load in bounds.
                 let s = vaddq_f32(vb, vld1q_f32(p.add(i)));
                 let ge = vcgeq_f32(s, vt);
+                // Any lane set? maxv over the mask is cheap on aarch64.
                 if vmaxvq_u32(ge) != 0 {
                     let mut lanes = [0.0f32; 4];
                     let mut mask = [0u32; 4];
                     vst1q_f32(lanes.as_mut_ptr(), s);
                     vst1q_u32(mask.as_mut_ptr(), ge);
-                    // Re-test against the live threshold, as in
-                    // `scan_add_ge`.
+                    // The block compared against the threshold as of
+                    // block entry; re-test survivors against the live
+                    // one so the visit sequence matches the scalar
+                    // oracle exactly.
                     for j in 0..4 {
                         if mask[j] != 0 && lanes[j] >= threshold {
                             threshold = visit(o, (i + j) as u32, lanes[j]);
@@ -796,11 +589,8 @@ mod tests {
             let rows = 37;
             let q = noise(dim, 41 + dim as u64);
             let t = noise(rows * dim, 97 + dim as u64);
-            let ids: Vec<u32> = (0..rows as u32).rev().step_by(3).collect();
             let mut want = vec![0.0f32; rows];
             table_scores(SimdLevel::Scalar, &q, &t, dim, 0.7, &mut want);
-            let mut want_idx = vec![0.0f32; ids.len()];
-            table_scores_indexed(SimdLevel::Scalar, &q, &t, dim, 0.7, &ids, &mut want_idx);
             for level in SimdLevel::available() {
                 let mut got = vec![0.0f32; rows];
                 table_scores(level, &q, &t, dim, 0.7, &mut got);
@@ -809,15 +599,23 @@ mod tests {
                     want.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
                     "table_scores({level}) differs at dim {dim}"
                 );
-                let mut got_idx = vec![0.0f32; ids.len()];
-                table_scores_indexed(level, &q, &t, dim, 0.7, &ids, &mut got_idx);
-                assert_eq!(
-                    got_idx.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-                    want_idx.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-                    "table_scores_indexed({level}) differs at dim {dim}"
-                );
             }
         }
+    }
+
+    /// The sweep over a one-row `order`: `bias + xs[j]` against
+    /// `threshold`, survivors as `(j, score)`.
+    fn scan_row<F: FnMut(u32, f32) -> f32>(
+        level: SimdLevel,
+        bias: f32,
+        xs: &[f32],
+        threshold: f32,
+        visit: &mut F,
+    ) {
+        let swept = sweep_scan_add_ge(level, &[0], &[bias], xs, threshold, None, &mut |_, j, s| {
+            visit(j, s)
+        });
+        assert_eq!(swept, 1);
     }
 
     #[test]
@@ -826,17 +624,17 @@ mod tests {
             let xs = noise(n, 7 + n as u64);
             for threshold in [-10.0f32, -0.1, 0.0, 0.1, 10.0] {
                 let mut want = Vec::new();
-                scan_add_ge(SimdLevel::Scalar, 0.05, &xs, threshold, &mut |i, s| {
+                scan_row(SimdLevel::Scalar, 0.05, &xs, threshold, &mut |i, s| {
                     want.push((i, s.to_bits()));
                     threshold
                 });
                 for level in SimdLevel::available() {
                     let mut got = Vec::new();
-                    scan_add_ge(level, 0.05, &xs, threshold, &mut |i, s| {
+                    scan_row(level, 0.05, &xs, threshold, &mut |i, s| {
                         got.push((i, s.to_bits()));
                         threshold
                     });
-                    assert_eq!(got, want, "scan_add_ge({level}) differs at n={n}");
+                    assert_eq!(got, want, "sweep({level}) differs at n={n}");
                     assert!(
                         got.windows(2).all(|w| w[0].0 < w[1].0),
                         "not in index order"
@@ -856,7 +654,7 @@ mod tests {
             let xs = noise(n, 19 + n as u64);
             let run = |level: SimdLevel| {
                 let mut seen = Vec::new();
-                scan_add_ge(level, 0.05, &xs, f32::NEG_INFINITY, &mut |i, s| {
+                scan_row(level, 0.05, &xs, f32::NEG_INFINITY, &mut |i, s| {
                     seen.push((i, s.to_bits()));
                     s
                 });
@@ -881,7 +679,7 @@ mod tests {
         xs[11] = f32::NAN;
         for level in SimdLevel::available() {
             let mut got = Vec::new();
-            scan_add_ge(level, 0.0, &xs, f32::NEG_INFINITY, &mut |i, _| {
+            scan_row(level, 0.0, &xs, f32::NEG_INFINITY, &mut |i, _| {
                 got.push(i);
                 f32::NEG_INFINITY
             });

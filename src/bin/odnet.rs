@@ -58,8 +58,8 @@ const COMMANDS: &[(&str, &str, Run)] = &[
     ),
     (
         "serve",
-        "[--artifact FILE] [--users N] [--cities N] [--seed N]\n\
-         [--addr H:P] [--shards N] [--workers N] [--trace]",
+        "--artifact FILE [--seed N] [--addr H:P] [--shards N]\n\
+         [--workers N] [--trace]",
         cmd_serve,
     ),
     (
@@ -373,25 +373,38 @@ fn cmd_freeze(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Load the `--artifact` `.odz` file for serving commands through the one
-/// shared entry point ([`od_serve::load_frozen_auto`], zero-copy mmap),
-/// with cold-start gauges recorded into the od-obs registry and the
-/// artifact's content checksum derived for version attribution.
-fn load_artifact_flag(flags: &Flags) -> Result<Option<od_serve::LoadedArtifact>, String> {
-    let Some(path) = flags.get("artifact").filter(|p| !p.is_empty()) else {
-        return Ok(None);
-    };
+/// What `serve` and `recommend` stand on: the `--artifact` `.odz` loaded
+/// through the one shared entry point ([`od_serve::load_frozen_auto`],
+/// zero-copy mmap; cold-start gauges recorded into the od-obs registry),
+/// its content checksum for version attribution, and the `--seed` dataset
+/// of the artifact's own universe sizes that histories are drawn from.
+fn load_artifact_and_dataset(
+    flags: &Flags,
+) -> Result<(odnet_core::FrozenOdNet, u32, Arc<FliggyDataset>), String> {
+    let path = flags
+        .get("artifact")
+        .filter(|p| !p.is_empty())
+        .ok_or("--artifact FILE is required (see `odnet freeze`)")?;
     let path = std::path::Path::new(path);
-    let loaded = od_serve::load_frozen_auto(path).map_err(|e| e.to_string())?;
+    let od_serve::LoadedArtifact {
+        frozen,
+        checksum,
+        mode,
+    } = od_serve::load_frozen_auto(path).map_err(|e| e.to_string())?;
     eprintln!(
-        "loaded {} artifact {path:?} ({} mode, fnv {:08x}): {} users × {} cities",
-        loaded.frozen.variant().name(),
-        loaded.mode.name(),
-        loaded.checksum,
-        loaded.frozen.num_users(),
-        loaded.frozen.num_cities()
+        "loaded {} artifact {path:?} ({} mode, fnv {checksum:08x}): {} users × {} cities",
+        frozen.variant().name(),
+        mode.name(),
+        frozen.num_users(),
+        frozen.num_cities()
     );
-    Ok(Some(loaded))
+    let ds = Arc::new(build_dataset(&FliggyConfig {
+        num_users: frozen.num_users(),
+        num_cities: frozen.num_cities(),
+        seed: get_usize(flags, "seed", 0xF11667)? as u64,
+        ..FliggyConfig::tiny()
+    }));
+    Ok((frozen, checksum, ds))
 }
 
 /// Serve the artifact over the hardened HTTP tier (DESIGN.md §15): score
@@ -412,36 +425,10 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         .map_or("127.0.0.1:8080", String::as_str)
         .to_string();
 
-    let artifact = load_artifact_flag(flags)?;
-    let (users, cities) = artifact
-        .as_ref()
-        .map_or((60, 15), |a| (a.frozen.num_users(), a.frozen.num_cities()));
-    let ds = Arc::new(build_dataset(&FliggyConfig {
-        num_users: get_usize(flags, "users", users)?,
-        num_cities: get_usize(flags, "cities", cities)?,
-        seed: get_usize(flags, "seed", 0xF11667)? as u64,
-        ..FliggyConfig::tiny()
-    }));
-    let (frozen, checksum) = match artifact {
-        Some(loaded) => (loaded.frozen, loaded.checksum),
-        None => {
-            let frozen = OdNetModel::new(
-                Variant::Odnet,
-                OdnetConfig::tiny(),
-                ds.world.num_users(),
-                ds.world.num_cities(),
-                Some(ds.hsg()),
-            )
-            .freeze();
-            let checksum = frozen.fingerprint();
-            (frozen, checksum)
-        }
-    };
+    let (frozen, checksum, ds) = load_artifact_and_dataset(flags)?;
     // The dataset-holding half of the funnel contract, which an HTTP
     // client cannot ship over the wire.
-    let featurize = odnet_repro::serving_featurizer(&frozen, Arc::clone(&ds)).map_err(|e| {
-        format!("{e}; pass --users/--cities matching the artifact (or omit them to use its sizes)")
-    })?;
+    let featurize = odnet_repro::serving_featurizer(&frozen, Arc::clone(&ds))?;
     let day = ds.train_end_day();
     let featurizer: Featurizer = Arc::new(move |user, pairs| featurize(user, day, pairs));
     let model = Arc::new(frozen);
@@ -615,15 +602,7 @@ fn cmd_recommend(flags: &Flags) -> Result<(), String> {
 
     // Serving path, full funnel: no HSG rebuild and no autograd tape —
     // retrieval and ranking both read the frozen dense tables.
-    let od_serve::LoadedArtifact {
-        frozen, checksum, ..
-    } = load_artifact_flag(flags)?.ok_or("--artifact FILE is required (see `odnet freeze`)")?;
-    let ds = Arc::new(build_dataset(&FliggyConfig {
-        num_users: frozen.num_users(),
-        num_cities: frozen.num_cities(),
-        seed: get_usize(flags, "seed", 0xF11667)? as u64,
-        ..FliggyConfig::tiny()
-    }));
+    let (frozen, checksum, ds) = load_artifact_and_dataset(flags)?;
     let featurize = odnet_repro::serving_featurizer(&frozen, Arc::clone(&ds))?;
     let user = UserId(get_usize(flags, "user", 0)? as u32);
     if user.index() >= ds.world.num_users() {

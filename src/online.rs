@@ -14,7 +14,7 @@
 //! labeled training data, the trainer folds it in, and the refreshed model
 //! is frozen to an `.odz` artifact and hot-published into the *same*
 //! funnel via [`Funnel::publish`](od_serve::Funnel::publish), which swaps
-//! the engine's model slot and re-keys the retrieval index together.
+//! the engine's model slot and re-keys the retriever together.
 //! Every served list carries the generation that retrieved it and the
 //! generation that ranked it; the loop refuses (typed `Err`) a list either
 //! stage attributed to anything but the round's serving generation, and
@@ -265,8 +265,8 @@ pub fn run_online(config: &OnlineConfig) -> Result<OnlineReport, String> {
         let report = try_train(&mut model, &pool).map_err(|e| e.to_string())?;
 
         // One publish moves both stages: the engine swaps its model slot
-        // and the retrieval index is rebuilt over the same tables, so the
-        // next day's candidates come from the generation that ranks them.
+        // and the retriever moves to the same tables, so the next day's
+        // candidates come from the generation that ranks them.
         let loaded = freeze_to_generation(&model, &config.out_dir, u64::from(r) + 1)?;
         let published = funnel
             .publish(Arc::new(loaded.frozen), loaded.checksum)

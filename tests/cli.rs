@@ -109,10 +109,12 @@ fn unknown_flags_and_stray_arguments_exit_nonzero_naming_them() {
         );
     }
     // Flags are per command: `--smoke` is not a `serve` flag (any more),
-    // `--top` not a `recommend` one — nor `--model`: a checkpoint holds no
-    // artifact to recommend from, `freeze --model` makes one.
+    // nor `--users` (sizes are the artifact's), `--top` not a `recommend`
+    // one — nor `--model`: a checkpoint holds no artifact to recommend
+    // from, `freeze --model` makes one.
     for [command, flag] in [
         ["serve", "--smoke"],
+        ["serve", "--users"],
         ["recommend", "--top"],
         ["recommend", "--model"],
     ] {
@@ -153,10 +155,12 @@ fn helpful_errors_and_usage() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--model"));
 
-    // recommend without --artifact.
-    let out = odnet().arg("recommend").output().expect("spawn");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--artifact"));
+    // recommend and serve without --artifact: there is no built-in model.
+    for command in ["recommend", "serve"] {
+        let out = odnet().arg(command).output().expect("spawn");
+        assert!(!out.status.success(), "{command} ran without an artifact");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("--artifact FILE is required"));
+    }
 
     // recommend with out-of-range user.
     let model = tmp_model_path("range");
