@@ -40,21 +40,30 @@ echo "==> cargo test --workspace (every test binary, once)"
 #                trace_spans (well-formed span trees)
 #   od-http      parser fuzz table, socket chaos suite (every route bit-exact
 #                and version-stamped, hostile peers, overload ladder,
-#                unbounded k, X-Request-Id echo, graceful drain, a gated slow
-#                request tail-captured with its span chain + Chrome export),
-#                wire (golden head + body bytes of both scoring 200s)
+#                unbounded k, repeated keys, X-Request-Id echo, graceful
+#                drain, a gated slow request tail-captured with its span
+#                chain + Chrome export), wire (golden head + body bytes of
+#                both scoring 200s), request_decode (decoder vs encoder over
+#                any layout, prefixes, byte mutations), decode_allocs (a
+#                64-candidate body decodes in <= 32 allocations)
 cargo test -q --workspace
 
 echo "==> bit-exactness gates again, optimized"
-# The two suites whose subject is float bits the optimizer could reorder:
-# what ships is the release build, so they also run against it.
+# The suites whose subject is float bits the optimizer could reorder or
+# the decoder could round: what ships is the release build, so they also
+# run against it.
 cargo test -q --release -p od-tensor --test kernel_equivalence
 cargo test -q --release -p od-retrieval --test retrieval_equivalence
+cargo test -q --release --offline --manifest-path vendor/serde_json/Cargo.toml \
+    --target-dir target/vendor --test f32_format
+rm -f vendor/serde_json/Cargo.lock
 
 echo "==> vendored serde + serde_json tests"
 # vendor/ is outside the workspace, so the run above never builds these:
-#   serde        Content accessors, typed from_content edge cases (derive on)
-#   serde_json   parser/emitter units, f32_format (the f32 printer == Display
+#   serde        Content accessors and the tree sink (derive on)
+#   serde_json   emitter and pull-decoder units (integer rules, fixed-length
+#                sequences, unknown / repeated / missing struct keys, packing
+#                of dynamic values), f32_format (the f32 printer == Display
 #                and encode -> decode == identity over a ~1M-pattern sweep
 #                of all bit patterns), shapes (streamed text == tree text for
 #                every derive shape, compact and pretty)

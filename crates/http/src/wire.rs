@@ -2,19 +2,20 @@
 //!
 //! Bodies are the serde types below, streamed by their derived
 //! `Serialize` impls through the vendored `serde_json`'s one emitter
-//! straight into the connection's output buffer — there is no
-//! hand-written per-type encoder to keep in step with them.
+//! straight into the connection's output buffer, and read by their derived
+//! `Deserialize` impls straight from the request bytes — there is no
+//! hand-written per-type codec to keep in step with them, and no value tree
+//! in between.
 //!
-//! The float contract is `serde_json`'s `f32` printer's: the shortest
+//! The float contract is `serde_json`'s: an `f32` prints as the shortest
 //! decimal that reads back as the same `f32` (exact ties go up), never in
-//! exponent form — byte-for-byte what `Display` prints — and `-0` keeps
-//! its sign through the parser. So an `f32` score survives encode →
-//! decode **bit-exactly** (through the vendored parser: for all of the
-//! 2³² patterns but ±`7.038531e-26`, which its `f64` intermediate rounds
-//! twice; the bytes themselves are right for every pattern).
-//! `vendor/serde_json/tests/f32_format.rs` pins the printer over a sweep
-//! of all bit patterns, `tests/wire.rs` pins these bodies' bytes, and the
-//! bit-exactness assertions in `tests/chaos.rs` lean on both.
+//! exponent form — byte-for-byte what `Display` prints — and reads back by
+//! parsing its own token as an `f32`, `-0` keeping its sign. So an `f32`
+//! survives encode → decode **bit-exactly**, for all 2³² patterns.
+//! `vendor/serde_json/tests/f32_format.rs` sweeps all of them,
+//! `tests/wire.rs` pins these bodies' bytes, `tests/request_decode.rs`
+//! checks the decoder against the encoder, and the bit-exactness
+//! assertions in `tests/chaos.rs` lean on all three.
 
 use od_serve::ArtifactVersion;
 

@@ -359,6 +359,25 @@ fn malformed_requests_get_typed_statuses_not_hangs() {
         "out-of-universe user must 400, not panic the retriever"
     );
 
+    // A field given twice is a typed 400 naming it — not first-wins, which
+    // would score a different user than most JSON readers see — and the
+    // connection serves on.
+    let mut group = fixture().templates[1].clone();
+    group.candidates.truncate(1);
+    let body = serde_json::to_string(&group).expect("group serializes");
+    let twice_user = body.replacen('{', "{\"user\":0,", 1);
+    for (path, body) in [
+        ("/v1/score", twice_user.as_str()),
+        ("/v1/recommend", "{\"user\":1,\"k\":3,\"user\":2}"),
+    ] {
+        let resp = ask(&mut conn, "POST", path, Some(body.as_bytes()));
+        assert_eq!(resp.status, 400, "{path} with a repeated key");
+        let text = String::from_utf8_lossy(&resp.body).into_owned();
+        assert!(text.contains("duplicate field `user`"), "{path}: {text}");
+        let resp = ask(&mut conn, "GET", "/healthz", None);
+        assert_eq!(resp.status, 200, "{path}: connection did not serve on");
+    }
+
     // An absurd `k` is clamped to the pairs that exist: a 200 carrying all
     // of them — not an allocation the size of the ask, which used to panic
     // the connection thread or abort the process — and the same keep-alive
