@@ -12,6 +12,12 @@ cargo fmt --all --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> benchmark harness builds (the API surface benchmark/ pins)"
+# benchmark/ is its own package and may not change with the product, so a
+# product change that breaks one of its calls fails here, in seconds, under
+# this step's name. run.sh --smoke below reuses this build.
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo doc (-D broken intra-doc links)"
 # Docs name code by path; a deleted or renamed item must take its mentions
 # with it.
@@ -36,8 +42,9 @@ echo "==> cargo test --workspace (every test binary, once)"
 #                lint), trace hammer
 #   od-serve     engine_equivalence (engine vs direct scoring, coalescing
 #                engaged, stage clock populated), chaos (panic isolation,
-#                deadlines, supervision, hot swaps under load), funnel,
-#                trace_spans (well-formed span trees)
+#                deadlines, supervision, hot swaps under load), funnel
+#                (racing publishers leave both stages on the live
+#                generation), trace_spans (well-formed span trees)
 #   od-http      parser fuzz table, socket chaos suite (every route bit-exact
 #                and version-stamped, hostile peers, overload ladder,
 #                unbounded k, repeated keys, X-Request-Id echo, graceful

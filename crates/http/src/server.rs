@@ -300,7 +300,7 @@ impl Server {
         let drain_rejected = inner
             .shards
             .iter()
-            .map(|s| s.engine().health().drain_rejected)
+            .map(|s| s.engine().stats().drain_rejected)
             .sum();
         DrainReport {
             clean,
@@ -722,8 +722,8 @@ fn healthz(inner: &Arc<Inner>, out: &mut Vec<u8>) -> Head {
         return text(out, 503, "draining\n").closing();
     }
     for shard in &inner.shards {
-        let h = shard.engine().health();
-        if h.configured_workers > 0 && h.live_workers == 0 {
+        let s = shard.engine().stats();
+        if s.configured_workers > 0 && s.live_workers == 0 {
             return text(out, 503, "no live workers\n");
         }
     }
@@ -784,8 +784,7 @@ fn score(
             return error(out, 400, &format!("invalid group: {e:?}"))
         }
     };
-    let wait = deadline.saturating_duration_since(Instant::now());
-    match ticket.wait_versioned_timeout(wait) {
+    match ticket.wait_versioned(Some(deadline)) {
         Ok(scored) => {
             let body = ScoreResponse {
                 scores: scored.scores,

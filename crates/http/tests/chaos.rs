@@ -835,7 +835,7 @@ fn no_request_is_lost_under_load_with_injected_panics_and_hostile_peers() {
     let mut worker_panics = 0;
     let mut panicked_requests = 0;
     for shard in &shards {
-        let h = shard.engine().health();
+        let h = shard.engine().stats();
         worker_panics += h.worker_panics;
         panicked_requests += h.panicked_requests;
         assert_eq!(

@@ -36,9 +36,9 @@
 //!   ≥5x, with pair equality, in `tests/retrieval_equivalence.rs`).
 //!
 //! A [`Retriever`] holds no derived state beyond its artifact and a
-//! resolved SIMD level; `od-serve`'s `Funnel` still builds one per
-//! artifact *generation* so retrievals are stamped with the generation's
-//! `ArtifactVersion`, exactly like ranking responses.
+//! resolved SIMD level, so `od-serve`'s `Funnel` builds one per request
+//! over the engine's live generation and stamps the retrieval with that
+//! generation's `ArtifactVersion`, exactly like ranking responses.
 
 #![warn(missing_docs)]
 

@@ -43,9 +43,9 @@ impl ArtifactMode {
 }
 
 /// A loaded serving artifact plus its content checksum — everything
-/// [`Engine::new_versioned`](crate::Engine::new_versioned) and
-/// [`Engine::publish_versioned`](crate::Engine::publish_versioned) need to
-/// identify the generation they install.
+/// [`Engine::new`](crate::Engine::new) and
+/// [`Engine::publish`](crate::Engine::publish) need to identify the
+/// generation they install.
 #[derive(Debug)]
 pub struct LoadedArtifact {
     /// The artifact, ready to serve (wrap in an `Arc` for the engine).
@@ -64,7 +64,7 @@ pub struct LoadedArtifact {
 /// [`CheckpointError::Binary`].
 ///
 /// The returned artifact is ready to hand to
-/// [`Engine::new_versioned`](crate::Engine::new_versioned) behind an
+/// [`Engine::new`](crate::Engine::new) behind an
 /// `Arc`; for the mmap mode the first scores will fault pages in on
 /// demand, which is the point.
 pub fn load_frozen(path: &Path, mode: ArtifactMode) -> Result<LoadedArtifact, CheckpointError> {

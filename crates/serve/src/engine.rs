@@ -12,7 +12,7 @@
 //! callers ◄── oneshot Result ◄── scatter / typed error ◄───────────┘
 //!                                                                  │ panic?
 //!                  supervisor ◄── worker death ────────────────────┘
-//!                      └── join + respawn, EngineHealth counters
+//!                      └── join + respawn, EngineStats counters
 //! ```
 //!
 //! # Failure model (DESIGN.md §10)
@@ -23,7 +23,7 @@
 //! ([`Submit::Rejected`]), expired deadlines are dropped at drain time,
 //! and a worker panic mid-batch resolves the batch's unanswered tickets
 //! with [`ServeError::WorkerPanicked`] while the supervisor thread joins
-//! the corpse and respawns a replacement. [`Engine::health`] exposes the
+//! the corpse and respawns a replacement. [`Engine::stats`] exposes the
 //! live-worker count and fault counters.
 //!
 //! # Why coalescing pays
@@ -195,25 +195,17 @@ impl Ticket {
     /// a live engine — even a request dropped unscored at teardown
     /// resolves (as [`ServeError::Rejected`]).
     pub fn wait(self) -> Result<Vec<(f32, f32)>, ServeError> {
-        self.wait_versioned().map(|r| r.scores)
+        self.wait_versioned(None).map(|r| r.scores)
     }
 
     /// Like [`wait`](Self::wait), but also report which artifact
-    /// generation scored the request — the handle the swap chaos tests
-    /// (and any CTR-attribution consumer) check bit-identity against.
-    pub fn wait_versioned(self) -> Response {
-        self.rx.recv().unwrap_or(Err(ServeError::Rejected))
-    }
-
-    /// [`wait_versioned`](Self::wait_versioned) with a bound: give up
-    /// after `timeout` with [`ServeError::DeadlineExceeded`]. Bounded
-    /// even if the engine is wedged or already torn down; a response
-    /// arriving after the timeout is discarded harmlessly. The version
-    /// stamp *and* a guarantee the caller is never parked longer than
-    /// `timeout` is the combination the HTTP tier needs (attribution
-    /// headers + a connection thread that must never hang).
-    pub fn wait_versioned_timeout(self, timeout: Duration) -> Response {
-        match self.rx.recv_timeout(timeout) {
+    /// generation scored the request and θ, and give up at `deadline`
+    /// (`None` waits without bound) with [`ServeError::DeadlineExceeded`].
+    /// A bounded wait returns even if the engine is wedged or torn down;
+    /// a response arriving after the deadline is discarded harmlessly —
+    /// what an HTTP connection thread, which must never hang, needs.
+    pub fn wait_versioned(self, deadline: Option<Instant>) -> Response {
+        match self.rx.recv_until(deadline) {
             Ok(Some(resp)) => resp,
             Ok(None) => Err(ServeError::Rejected),
             Err(oneshot::TimedOut) => Err(ServeError::DeadlineExceeded),
@@ -236,7 +228,14 @@ struct Request {
     ctx: TraceContext,
 }
 
-/// Snapshot of the engine's counters.
+/// Snapshot of the engine's counters, supervision state and publish
+/// history. The live generation's identity is [`Engine::version`].
+///
+/// The accounting invariant the chaos tests assert: every accepted
+/// request resolves exactly once, so `submitted == completed + expired +
+/// panicked_requests + drain_rejected + in_flight` (with
+/// `in_flight == 0` once all tickets have resolved), and
+/// `worker_panics == respawns` once the supervisor has caught up.
 #[derive(Clone, Debug)]
 pub struct EngineStats {
     /// Requests accepted into the queue.
@@ -249,6 +248,10 @@ pub struct EngineStats {
     pub expired: u64,
     /// Requests resolved with [`ServeError::WorkerPanicked`].
     pub panicked_requests: u64,
+    /// Queued requests force-resolved [`ServeError::Rejected`] because a
+    /// [`drain`](Engine::drain) grace window expired before a worker
+    /// claimed them.
+    pub drain_rejected: u64,
     /// Requests scored and answered successfully.
     pub completed: u64,
     /// Frozen forwards executed (a coalesced forward counts once).
@@ -260,17 +263,6 @@ pub struct EngineStats {
     /// histogram, so for the usual `max_batch` the histogram loses
     /// nothing.
     pub batch_hist: od_obs::HistogramSnapshot,
-}
-
-/// Supervision + fault snapshot of the engine.
-///
-/// The accounting invariant the chaos tests assert: every accepted
-/// request resolves exactly once, so `submitted == completed + expired +
-/// panicked_requests + drain_rejected + in_flight` (with
-/// `in_flight == 0` once all tickets have resolved), and
-/// `worker_panics == respawns` once the supervisor has caught up.
-#[derive(Clone, Debug)]
-pub struct EngineHealth {
     /// Worker threads the engine was configured with.
     pub configured_workers: usize,
     /// Worker threads currently alive (dips below `configured_workers`
@@ -280,24 +272,6 @@ pub struct EngineHealth {
     pub worker_panics: u64,
     /// Replacement workers spawned by the supervisor.
     pub respawns: u64,
-    /// Requests turned away by backpressure.
-    pub rejected: u64,
-    /// Requests refused at admission validation.
-    pub invalid: u64,
-    /// Requests dropped because their deadline passed while queued.
-    pub expired: u64,
-    /// Requests resolved with [`ServeError::WorkerPanicked`].
-    pub panicked_requests: u64,
-    /// Queued requests force-resolved [`ServeError::Rejected`] because a
-    /// [`drain`](Engine::drain) grace window expired before a worker
-    /// claimed them.
-    pub drain_rejected: u64,
-    /// Publish epoch of the live artifact (0 = the construction-time
-    /// model, incremented by each successful [`Engine::publish`]).
-    pub artifact_epoch: u64,
-    /// FNV checksum of the live artifact (`.odz` meta checksum for
-    /// on-disk artifacts, [`FrozenOdNet::fingerprint`] otherwise).
-    pub artifact_checksum: u32,
     /// Successful [`Engine::publish`] calls over the engine's lifetime.
     pub publishes: u64,
     /// Publishes refused with a typed [`PublishError`].
@@ -352,19 +326,10 @@ pub struct Engine {
 
 impl Engine {
     /// Spawn `config.workers` scoring threads (plus one supervisor) over
-    /// `model`, published as epoch 0 with its in-memory
-    /// [`fingerprint`](FrozenOdNet::fingerprint) as checksum. Use
-    /// [`Engine::new_versioned`] when the artifact came off disk and its
-    /// `.odz` header checksum is at hand.
-    pub fn new(model: Arc<FrozenOdNet>, config: EngineConfig) -> Engine {
-        let checksum = model.fingerprint();
-        Engine::new_versioned(model, checksum, config)
-    }
-
-    /// [`Engine::new`] with an explicit artifact checksum (e.g. the `.odz`
-    /// header's meta checksum from
-    /// [`load_frozen`](crate::artifact::load_frozen)).
-    pub fn new_versioned(model: Arc<FrozenOdNet>, checksum: u32, config: EngineConfig) -> Engine {
+    /// `model`, published as epoch 0 under `checksum`: the `.odz` header's
+    /// meta checksum ([`LoadedArtifact`](crate::LoadedArtifact)) when the
+    /// artifact came off disk, [`FrozenOdNet::fingerprint`] otherwise.
+    pub fn new(model: Arc<FrozenOdNet>, checksum: u32, config: EngineConfig) -> Engine {
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
         if config.stage_timing {
             // One-time tick→ns calibration, paid here instead of inside
@@ -413,10 +378,8 @@ impl Engine {
         }
     }
 
-    /// Atomically swap in a new model generation, with the artifact's
-    /// in-memory [`fingerprint`](FrozenOdNet::fingerprint) as checksum.
-    /// Use [`Engine::publish_versioned`] when the `.odz` header checksum
-    /// is at hand.
+    /// Atomically swap in a new model generation under `checksum` (see
+    /// [`Engine::new`] for which one).
     ///
     /// In-flight batches finish on the generation they loaded; the next
     /// drain (and the next admission validation) observes the new epoch;
@@ -429,13 +392,7 @@ impl Engine {
     /// new one, so the id universe and sequence-length contract must
     /// match. Publishing to a shut-down engine succeeds trivially — the
     /// generation is installed but nothing will score on it.
-    pub fn publish(&self, model: Arc<FrozenOdNet>) -> Result<ArtifactVersion, PublishError> {
-        let checksum = model.fingerprint();
-        self.publish_versioned(model, checksum)
-    }
-
-    /// [`Engine::publish`] with an explicit artifact checksum.
-    pub fn publish_versioned(
+    pub fn publish(
         &self,
         model: Arc<FrozenOdNet>,
         checksum: u32,
@@ -458,6 +415,12 @@ impl Engine {
     /// Identity (publish epoch + checksum) of the live model generation.
     pub fn version(&self) -> ArtifactVersion {
         self.shared.handle.version()
+    }
+
+    /// The live generation itself, for a caller that serves a request
+    /// from it beyond the ranker (the funnel's retrieval stage).
+    pub(crate) fn live(&self) -> Arc<VersionSlot> {
+        self.shared.handle.load()
     }
 
     /// Enqueue one scoring request. Never blocks: invalid inputs come
@@ -531,7 +494,7 @@ impl Engine {
         }
     }
 
-    /// Snapshot the engine's counters.
+    /// Snapshot the engine's counters and supervision state.
     pub fn stats(&self) -> EngineStats {
         let m = &self.shared.metrics;
         EngineStats {
@@ -540,29 +503,15 @@ impl Engine {
             invalid: m.invalid.get(),
             expired: m.expired.get(),
             panicked_requests: m.panicked_requests.get(),
+            drain_rejected: m.drain_rejected.get(),
             completed: m.completed.get(),
             forwards: m.forwards.get(),
             coalesced_requests: m.coalesced_requests.get(),
             batch_hist: m.batch_size.snapshot(),
-        }
-    }
-
-    /// Snapshot the supervision state and fault counters.
-    pub fn health(&self) -> EngineHealth {
-        let m = &self.shared.metrics;
-        let version = self.shared.handle.version();
-        EngineHealth {
             configured_workers: self.shared.configured_workers,
             live_workers: m.live_workers.get().max(0) as usize,
             worker_panics: m.worker_panics.get(),
             respawns: m.respawns.get(),
-            rejected: m.rejected.get(),
-            invalid: m.invalid.get(),
-            expired: m.expired.get(),
-            panicked_requests: m.panicked_requests.get(),
-            drain_rejected: m.drain_rejected.get(),
-            artifact_epoch: version.epoch,
-            artifact_checksum: version.checksum,
             publishes: m.publishes.get(),
             publish_rejected: m.publish_rejected.get(),
             retired_artifacts: self.shared.handle.retired_len(),

@@ -25,8 +25,9 @@ pub enum ServeError {
     /// scored and is safe to retry.
     WorkerPanicked,
     /// The request's deadline passed before a worker picked it up (dropped
-    /// at drain time), or [`Ticket::wait_versioned_timeout`](crate::Ticket::wait_versioned_timeout)
-    /// gave up waiting.
+    /// at drain time), or a bounded
+    /// [`Ticket::wait_versioned`](crate::Ticket::wait_versioned) gave up
+    /// waiting.
     DeadlineExceeded,
 }
 

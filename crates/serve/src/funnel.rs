@@ -1,23 +1,23 @@
 //! The full serving funnel: retrieve → rank.
 //!
-//! A [`Funnel`] pairs the micro-batching [`Engine`] (the ranker) with an
-//! [`od_retrieval::Retriever`] (the candidate generator) over the *same*
-//! artifact generation. A request names only a user and `k`; the funnel
-//! retrieves the best `k` OD pairs out of the whole city universe from
-//! the frozen embedding tables, hands them to the caller's featurizer to
-//! build the ranking [`GroupInput`], scores them through the engine, and
-//! returns pairs re-ranked by the full personalized model.
+//! A [`Funnel`] puts an [`od_retrieval::Retriever`] (the candidate
+//! generator) in front of the micro-batching [`Engine`] (the ranker). A
+//! request names only a user and `k`; the funnel retrieves the best `k`
+//! OD pairs out of the whole city universe from the frozen embedding
+//! tables, hands them to the caller's featurizer to build the ranking
+//! [`GroupInput`], scores them through the engine, and returns pairs
+//! re-ranked by the full personalized model.
 //!
-//! # Hot swap: retrieval is versioned like the model
+//! # One generation slot
 //!
-//! The retriever pins one artifact's tables. [`Funnel::publish`]
-//! therefore swaps in a retriever over the new generation as part of
-//! publishing it, keyed with the [`ArtifactVersion`] the engine
-//! assigned. Mid-swap, a response can legitimately be retrieved by one
-//! generation and ranked by the next (workers pick up the new model at
-//! batch-drain granularity); a [`Recommendation`] carries **both** stamps
-//! so callers can attribute each stage exactly — the swap test in
-//! `tests/funnel.rs` pins this down.
+//! The engine's model slot is the only one. Each request loads the live
+//! generation from it and retrieves over that generation's tables, so
+//! [`Funnel::publish`] is a plain [`Engine::publish`] and retrieval can
+//! never be left behind by a publish. A publish that lands between
+//! retrieval and ranking makes a response retrieved by one generation
+//! and ranked by the next; a [`Recommendation`] carries **both** stamps
+//! so callers can attribute each stage exactly — `tests/funnel.rs` pins
+//! this down.
 //!
 //! # Observability
 //!
@@ -30,13 +30,13 @@
 use crate::engine::{Engine, EngineConfig, Submit};
 use crate::error::ServeError;
 use crate::handle::ArtifactVersion;
-use crate::sync;
 use od_hsg::{CityId, UserId};
 use od_obs::trace::{self, TraceContext, NO_ATTRS};
 use od_obs::{global, Counter, LatencyHistogram};
 use od_retrieval::{RetrievalConfig, RetrievalStats, Retriever, Tier};
+use od_tensor::SimdLevel;
 use odnet_core::{FrozenOdNet, GroupInput};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Funnel tuning: the retrieval configuration plus the tier served.
 #[derive(Clone, Copy, Debug)]
@@ -95,12 +95,6 @@ pub struct RankedPair {
     pub rank_score: f32,
 }
 
-/// A retriever pinned to the artifact generation it was built from.
-struct VersionedRetriever {
-    version: ArtifactVersion,
-    retriever: Retriever,
-}
-
 /// The `od_retrieval_*` instrument set (one per funnel; same-name series
 /// merge at snapshot time like the engine's).
 struct FunnelMetrics {
@@ -150,38 +144,36 @@ impl FunnelMetrics {
     }
 }
 
-/// Retrieve → rank over one hot-swappable artifact slot.
+/// Retrieve → rank over the engine's hot-swappable artifact slot.
 pub struct Funnel {
     engine: Engine,
-    slot: Mutex<Arc<VersionedRetriever>>,
     config: FunnelConfig,
+    /// `config.retrieval.level`, resolved once.
+    level: SimdLevel,
+    num_users: usize,
     metrics: FunnelMetrics,
 }
 
 impl Funnel {
-    /// Build the full funnel around a first artifact generation: a
-    /// versioned engine plus a retriever over the same tables.
+    /// Build the full funnel around a first artifact generation,
+    /// published into the engine under `checksum` (see [`Engine::new`]).
     pub fn new(
         model: Arc<FrozenOdNet>,
         checksum: u32,
         engine_config: EngineConfig,
         config: FunnelConfig,
     ) -> Funnel {
-        let engine = Engine::new_versioned(Arc::clone(&model), checksum, engine_config);
-        let metrics = FunnelMetrics::register();
-        let retriever = Retriever::build(model, config.retrieval);
+        let num_users = model.num_users();
         Funnel {
-            slot: Mutex::new(Arc::new(VersionedRetriever {
-                version: engine.version(),
-                retriever,
-            })),
-            engine,
+            engine: Engine::new(model, checksum, engine_config),
             config,
-            metrics,
+            level: config.retrieval.level.unwrap_or_else(SimdLevel::detect),
+            num_users,
+            metrics: FunnelMetrics::register(),
         }
     }
 
-    /// The ranking engine (submit raw groups, read stats/health, …).
+    /// The ranking engine (submit raw groups, read stats, …).
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
@@ -191,36 +183,23 @@ impl Funnel {
         &self.config
     }
 
-    /// The generation the *retrieval* stage currently serves from.
-    pub fn retrieval_version(&self) -> ArtifactVersion {
-        sync::lock(&self.slot).version
-    }
-
     /// Users in the artifact universe — the admission bound for
     /// [`recommend`](Self::recommend) callers (the HTTP tier validates
     /// ids against this before retrieval, which would panic on an
     /// out-of-universe user). Fixed across publishes: the publish
     /// contract refuses universe changes.
     pub fn num_users(&self) -> usize {
-        sync::lock(&self.slot).retriever.model().num_users()
+        self.num_users
     }
 
-    /// Publish a new artifact generation into both funnel stages: the
-    /// engine swaps its model slot (in-flight batches finish on the old
-    /// generation) and the retriever is replaced by one over the new
-    /// tables, keyed with the version the engine assigned. On a rejected
-    /// publish the retrieval slot is left untouched.
+    /// Publish a new artifact generation: [`Engine::publish`]. The next
+    /// request retrieves and ranks on it.
     pub fn publish(
         &self,
         model: Arc<FrozenOdNet>,
         checksum: u32,
     ) -> Result<ArtifactVersion, crate::error::PublishError> {
-        let version = self
-            .engine
-            .publish_versioned(Arc::clone(&model), checksum)?;
-        let retriever = Retriever::build(model, self.config.retrieval);
-        *sync::lock(&self.slot) = Arc::new(VersionedRetriever { version, retriever });
-        Ok(version)
+        self.engine.publish(model, checksum)
     }
 
     /// Serve one full-funnel request: retrieve the best `k` OD pairs for
@@ -263,10 +242,18 @@ impl Funnel {
     where
         F: FnOnce(&[od_retrieval::ScoredPair]) -> GroupInput,
     {
-        let slot = Arc::clone(&sync::lock(&self.slot));
+        // The live generation, held for this request only: retrieval runs
+        // on its tables and `retrieved_by` names it.
+        let slot = self.engine.live();
+        let retriever = Retriever::build(
+            Arc::clone(&slot.model),
+            RetrievalConfig {
+                level: Some(self.level),
+            },
+        );
         let tier = self.config.tier;
         let ret_start = ctx.is_active().then(od_obs::clock::now);
-        let retrieved = slot.retriever.top_k(user, k, tier);
+        let retrieved = retriever.top_k(user, k, tier);
         if let Some(t0) = ret_start {
             let t1 = od_obs::clock::now();
             let tracer = trace::global();
@@ -322,15 +309,12 @@ impl Funnel {
             Submit::Rejected(_) => return Err(ServeError::Rejected),
             Submit::Invalid { error, .. } => return Err(ServeError::InvalidInput(error)),
         };
-        let response = match deadline {
-            Some(d) => ticket
-                .wait_versioned_timeout(d.saturating_duration_since(std::time::Instant::now()))?,
-            None => ticket.wait_versioned()?,
-        };
+        let response = ticket.wait_versioned(deadline)?;
 
         // Blend with the θ of the generation that produced the
-        // probabilities: mid-swap the ranker may be newer than the
-        // retriever, and Eq. 11 is a statement about one model.
+        // probabilities: a publish between retrieval and submit makes the
+        // ranker newer than the retriever, and Eq. 11 is a statement
+        // about one model.
         let theta = response.theta;
         let mut pairs: Vec<RankedPair> = retrieved
             .pairs

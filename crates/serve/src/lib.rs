@@ -30,7 +30,7 @@
 //!   admission, deadlines drop stale requests at drain time, and a worker
 //!   panic mid-batch is caught, resolves its unanswered tickets with
 //!   [`ServeError::WorkerPanicked`], and is healed by a supervisor thread
-//!   that respawns the worker ([`Engine::health`] exposes the counters).
+//!   that respawns the worker ([`Engine::stats`] exposes the counters).
 //!   A [`FailPoint`] hook injects panics/stalls at chosen batches for the
 //!   chaos tests. DESIGN.md §10 documents the full failure model.
 //! - **Hot-swappable model.** [`Engine::publish`] atomically installs a
@@ -40,17 +40,17 @@
 //!   drain picks up the new epoch; retired generations are reclaimed
 //!   after a grace period. Every response carries the
 //!   [`ArtifactVersion`] (publish epoch + FNV checksum) that scored it
-//!   ([`Ticket::wait_versioned`]), with per-epoch od-obs counters for
+//!   ([`ScoredResponse`]), with per-epoch od-obs counters for
 //!   CTR/volume attribution. DESIGN.md §13 documents the protocol; the
 //!   `odnet online` CLI drives a full drift → retrain → freeze → publish
 //!   loop against it.
 //!
 //! - **Full funnel.** A [`Funnel`] puts the `od-retrieval` candidate
-//!   generator in front of the engine over the same artifact slot:
-//!   retrieve the best `k` OD pairs out of the whole city universe from
-//!   the frozen tables, featurize, rank with the full model. The
-//!   retriever moves to the new tables and is re-keyed on every publish,
-//!   and a [`Recommendation`] stamps both the retrieving and the ranking
+//!   generator in front of the engine: retrieve the best `k` OD pairs out
+//!   of the whole city universe from the frozen tables, featurize, rank
+//!   with the full model. Each request retrieves from the engine's live
+//!   generation — the engine's slot is the only one — and a
+//!   [`Recommendation`] stamps both the retrieving and the ranking
 //!   generation for mid-swap attribution. DESIGN.md §14 documents the
 //!   retrieval tier.
 //!
@@ -74,8 +74,7 @@ pub mod metrics;
 
 pub use artifact::{load_frozen, load_frozen_auto, ArtifactMode, LoadedArtifact};
 pub use engine::{
-    Engine, EngineConfig, EngineHealth, EngineStats, FailPoint, FailSite, ScoredResponse, Submit,
-    Ticket,
+    Engine, EngineConfig, EngineStats, FailPoint, FailSite, ScoredResponse, Submit, Ticket,
 };
 pub use error::{PublishError, ServeError};
 pub use funnel::{Funnel, FunnelConfig, RankedPair, Recommendation};

@@ -7,7 +7,7 @@
 
 use crate::sync;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 struct Slot<T> {
     value: Mutex<(Option<T>, bool)>,
@@ -19,12 +19,12 @@ pub(crate) struct Sender<T> {
     slot: Arc<Slot<T>>,
 }
 
-/// Consuming half — consumed by [`Receiver::recv`].
+/// Consuming half — consumed by [`Receiver::recv_until`].
 pub(crate) struct Receiver<T> {
     slot: Arc<Slot<T>>,
 }
 
-/// `recv_timeout` gave up before the sender resolved the slot.
+/// `recv_until` gave up before the sender resolved the slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct TimedOut;
 
@@ -67,31 +67,26 @@ impl<T> Drop for Sender<T> {
 }
 
 impl<T> Receiver<T> {
-    /// Block until the value arrives; `None` means the sender was dropped
-    /// without sending (the request was abandoned).
-    pub(crate) fn recv(self) -> Option<T> {
+    /// Block until the value arrives or `deadline` passes (`None` waits
+    /// without bound). `Ok(None)` means the sender was dropped without
+    /// sending (the request was abandoned). The receiver is consumed
+    /// either way; a value sent after the deadline is freed with the slot
+    /// when the sender lets go of it.
+    pub(crate) fn recv_until(self, deadline: Option<Instant>) -> Result<Option<T>, TimedOut> {
         let mut guard = sync::lock(&self.slot.value);
         while !guard.1 {
-            guard = sync::wait(&self.slot.ready, guard);
-        }
-        guard.0.take()
-    }
-
-    /// Like [`recv`](Self::recv), but give up after `timeout`. The
-    /// receiver is consumed either way; a value sent after the timeout is
-    /// freed with the slot when the sender lets go of it.
-    pub(crate) fn recv_timeout(self, timeout: Duration) -> Result<Option<T>, TimedOut> {
-        let deadline = Instant::now() + timeout;
-        let mut guard = sync::lock(&self.slot.value);
-        while !guard.1 {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(TimedOut);
-            }
-            let (g, _timed_out) = sync::wait_timeout(&self.slot.ready, guard, deadline - now);
-            // Re-check the predicate rather than trusting the timeout
-            // flag: a send can race the wakeup.
-            guard = g;
+            guard = match deadline {
+                None => sync::wait(&self.slot.ready, guard),
+                Some(d) => {
+                    let now = Instant::now();
+                    if now >= d {
+                        return Err(TimedOut);
+                    }
+                    // Re-check the predicate rather than trusting the
+                    // timeout flag: a send can race the wakeup.
+                    sync::wait_timeout(&self.slot.ready, guard, d - now)
+                }
+            };
         }
         Ok(guard.0.take())
     }
@@ -101,39 +96,49 @@ impl<T> Receiver<T> {
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Duration;
+
+    fn in_ms(ms: u64) -> Option<Instant> {
+        Some(Instant::now() + Duration::from_millis(ms))
+    }
 
     #[test]
     fn delivers_across_threads() {
         let (tx, rx) = channel();
-        let h = std::thread::spawn(move || rx.recv());
+        let h = std::thread::spawn(move || rx.recv_until(None));
         tx.send(99);
-        assert_eq!(h.join().unwrap(), Some(99));
+        assert_eq!(h.join().unwrap(), Ok(Some(99)));
     }
 
     #[test]
     fn dropped_sender_unblocks_receiver() {
-        let (tx, rx) = channel::<u32>();
-        drop(tx);
-        assert_eq!(rx.recv(), None);
+        for deadline in [None, in_ms(30_000)] {
+            let (tx, rx) = channel::<u32>();
+            drop(tx);
+            assert_eq!(rx.recv_until(deadline), Ok(None));
+        }
     }
 
     #[test]
     fn send_does_not_leak_the_slot() {
-        let (tx, rx) = channel::<u32>();
-        let slot = Arc::downgrade(&tx.slot);
-        tx.send(7);
-        assert_eq!(rx.recv(), Some(7));
-        assert!(
-            slot.upgrade().is_none(),
-            "slot still alive after both halves are gone"
-        );
+        // A deadline already past still takes a value already sent.
+        for deadline in [None, Some(Instant::now())] {
+            let (tx, rx) = channel::<u32>();
+            let slot = Arc::downgrade(&tx.slot);
+            tx.send(7);
+            assert_eq!(rx.recv_until(deadline), Ok(Some(7)));
+            assert!(
+                slot.upgrade().is_none(),
+                "slot still alive after both halves are gone"
+            );
+        }
     }
 
     #[test]
-    fn recv_timeout_times_out_on_silence() {
+    fn deadline_times_out_on_silence() {
         let (tx, rx) = channel::<u32>();
         assert_eq!(
-            rx.recv_timeout(Duration::from_millis(10)),
+            rx.recv_until(in_ms(10)),
             Err(TimedOut),
             "nobody sent, must time out"
         );
@@ -141,18 +146,11 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_returns_early_on_send() {
+    fn deadline_returns_early_on_send() {
         let (tx, rx) = channel();
-        let h = std::thread::spawn(move || rx.recv_timeout(Duration::from_secs(30)));
+        let h = std::thread::spawn(move || rx.recv_until(in_ms(30_000)));
         tx.send(5);
         assert_eq!(h.join().unwrap(), Ok(Some(5)));
-    }
-
-    #[test]
-    fn recv_timeout_sees_dropped_sender() {
-        let (tx, rx) = channel::<u32>();
-        drop(tx);
-        assert_eq!(rx.recv_timeout(Duration::from_secs(30)), Ok(None));
     }
 
     #[test]
@@ -162,7 +160,7 @@ mod tests {
         // park in the slot and be freed with it — no panic, no leak.
         let (tx, rx) = channel::<Vec<u32>>();
         let slot = Arc::downgrade(&tx.slot);
-        assert_eq!(rx.recv_timeout(Duration::from_millis(1)), Err(TimedOut));
+        assert_eq!(rx.recv_until(in_ms(1)), Err(TimedOut));
         tx.send(vec![1, 2, 3]);
         assert!(
             slot.upgrade().is_none(),
@@ -187,8 +185,8 @@ mod tests {
             let _g = slot.value.lock().unwrap();
             panic!("poison the slot");
         }));
-        let h = std::thread::spawn(move || rx.recv());
+        let h = std::thread::spawn(move || rx.recv_until(None));
         tx.send(11);
-        assert_eq!(h.join().unwrap(), Some(11));
+        assert_eq!(h.join().unwrap(), Ok(Some(11)));
     }
 }

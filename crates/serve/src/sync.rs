@@ -23,18 +23,16 @@ pub(crate) fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Condvar wait with a timeout; returns the guard and whether it timed out.
+/// Condvar wait with a timeout that survives poisoning. The caller
+/// re-checks its predicate, so whether the wait timed out is not reported.
 pub(crate) fn wait_timeout<'a, T>(
     cv: &Condvar,
     guard: MutexGuard<'a, T>,
     dur: Duration,
-) -> (MutexGuard<'a, T>, bool) {
+) -> MutexGuard<'a, T> {
     match cv.wait_timeout(guard, dur) {
-        Ok((g, to)) => (g, to.timed_out()),
-        Err(poisoned) => {
-            let (g, to) = poisoned.into_inner();
-            (g, to.timed_out())
-        }
+        Ok((g, _)) => g,
+        Err(poisoned) => poisoned.into_inner().0,
     }
 }
 

@@ -7,7 +7,7 @@
 //!   single-threaded `FrozenOdNet::score_group` — a panic next door never
 //!   perturbs anyone else's scores;
 //! - the supervisor joins every panicked worker and respawns it: the pool
-//!   recovers to its configured size and [`EngineHealth`] counters
+//!   recovers to its configured size and `EngineStats` counters
 //!   reconcile exactly with the injected fault count;
 //! - no worker or supervisor thread leaks across the engine's lifetime.
 //!
@@ -15,7 +15,10 @@
 //! threads or rely on global batch sequence numbers serialize on
 //! `TEST_LOCK`.
 
-use od_serve::{Engine, EngineConfig, FailPoint, FailSite, ServeError, Submit, Ticket};
+use od_serve::{
+    Engine, EngineConfig, FailPoint, FailSite, Funnel, FunnelConfig, Recommendation, ServeError,
+    Submit, Ticket,
+};
 use odnet_core::{FeatureExtractor, FrozenOdNet, GroupInput, OdNetModel, OdnetConfig, Variant};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -183,6 +186,7 @@ fn injected_panics_are_isolated_and_supervised() {
     const FAULT_SEQS: &[u64] = &[3, 7, 11];
     let engine = Engine::new(
         Arc::clone(&fix.model),
+        fix.model.fingerprint(),
         EngineConfig {
             workers: 2,
             queue_capacity: 256,
@@ -262,7 +266,7 @@ fn injected_panics_are_isolated_and_supervised() {
     // back at its configured size.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let h = engine.health();
+        let h = engine.stats();
         if h.worker_panics == FAULT_SEQS.len() as u64
             && h.respawns == h.worker_panics
             && h.live_workers == h.configured_workers
@@ -272,7 +276,7 @@ fn injected_panics_are_isolated_and_supervised() {
         assert!(
             Instant::now() < deadline,
             "supervisor did not converge: {:?}",
-            engine.health()
+            engine.stats()
         );
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -312,6 +316,7 @@ fn expired_requests_are_dropped_at_drain_time() {
     let gate = Gate::new();
     let engine = Engine::new(
         Arc::clone(&fix.model),
+        fix.model.fingerprint(),
         EngineConfig {
             workers: 1,
             queue_capacity: 64,
@@ -344,10 +349,9 @@ fn expired_requests_are_dropped_at_drain_time() {
     let stats = engine.stats();
     assert_eq!(stats.expired, 1);
     assert_eq!(stats.completed, 1);
-    assert_eq!(engine.health().expired, 1);
 }
 
-/// `wait_versioned_timeout` bounds the caller even when nothing will ever answer
+/// A bounded `wait_versioned` returns even when nothing will ever answer
 /// (a stalled/workerless engine), and tearing the engine down afterwards
 /// neither hangs nor panics.
 #[test]
@@ -356,6 +360,7 @@ fn wait_timeout_bounds_waiting_on_a_stalled_engine() {
     let fix = fixture();
     let engine = Engine::new(
         Arc::clone(&fix.model),
+        fix.model.fingerprint(),
         EngineConfig {
             workers: 0,
             queue_capacity: 8,
@@ -372,17 +377,17 @@ fn wait_timeout_bounds_waiting_on_a_stalled_engine() {
     };
     let begin = Instant::now();
     assert_eq!(
-        t.wait_versioned_timeout(Duration::from_millis(20))
+        t.wait_versioned(Some(begin + Duration::from_millis(20)))
             .map(|r| r.scores),
         Err(ServeError::DeadlineExceeded)
     );
     assert!(
         begin.elapsed() < Duration::from_secs(5),
-        "wait_versioned_timeout must be bounded"
+        "a bounded wait_versioned must return"
     );
 }
 
-/// A caller whose `wait_versioned_timeout` expires while the worker is mid-batch:
+/// A caller whose bounded wait expires while the worker is mid-batch:
 /// the late response lands in a dropped receiver harmlessly, and the
 /// engine keeps serving.
 #[test]
@@ -392,6 +397,7 @@ fn late_response_after_wait_timeout_is_harmless() {
     let gate = Gate::new();
     let engine = Engine::new(
         Arc::clone(&fix.model),
+        fix.model.fingerprint(),
         EngineConfig {
             workers: 1,
             queue_capacity: 64,
@@ -409,7 +415,7 @@ fn late_response_after_wait_timeout_is_harmless() {
     gate.wait_entered();
     // The worker is parked before scoring; the caller gives up first.
     assert_eq!(
-        t.wait_versioned_timeout(Duration::from_millis(1))
+        t.wait_versioned(Some(Instant::now() + Duration::from_millis(1)))
             .map(|r| r.scores),
         Err(ServeError::DeadlineExceeded)
     );
@@ -429,6 +435,7 @@ fn dropped_ticket_is_harmless() {
     let fix = fixture();
     let engine = Engine::new(
         Arc::clone(&fix.model),
+        fix.model.fingerprint(),
         EngineConfig {
             workers: 1,
             queue_capacity: 64,
@@ -458,6 +465,7 @@ fn shutdown_races_inflight_submits() {
     let fix = fixture();
     let engine = Engine::new(
         Arc::clone(&fix.model),
+        fix.model.fingerprint(),
         EngineConfig {
             workers: 2,
             queue_capacity: 64,
@@ -516,6 +524,7 @@ fn invalid_input_is_refused_at_admission() {
     let fix = fixture();
     let engine = Engine::new(
         Arc::clone(&fix.model),
+        fix.model.fingerprint(),
         EngineConfig {
             workers: 1,
             queue_capacity: 8,
@@ -546,7 +555,7 @@ fn invalid_input_is_refused_at_admission() {
             odnet_core::InvalidInput::MisalignedSequence { .. }
         ))
     ));
-    assert_eq!(engine.health().invalid, 2);
+    assert_eq!(engine.stats().invalid, 2);
     assert_eq!(engine.stats().submitted, 0, "nothing invalid was queued");
     // No worker ever saw them; the engine still serves valid requests.
     assert_eq!(
@@ -566,6 +575,7 @@ fn hot_swaps_under_load_keep_responses_version_consistent() {
     let fix = fixture();
     let engine = Engine::new(
         Arc::clone(&fix.model),
+        fix.model.fingerprint(),
         EngineConfig {
             workers: 2,
             queue_capacity: 256,
@@ -595,7 +605,9 @@ fn hot_swaps_under_load_keep_responses_version_consistent() {
                 while completed.load(Ordering::Relaxed) < mark {
                     std::thread::yield_now();
                 }
-                let v = engine.publish(Arc::clone(m)).expect("compatible publish");
+                let v = engine
+                    .publish(Arc::clone(m), m.fingerprint())
+                    .expect("compatible publish");
                 assert_eq!(v.epoch, i as u64 + 1, "publishes are monotone epochs");
             }
         });
@@ -608,7 +620,7 @@ fn hot_swaps_under_load_keep_responses_version_consistent() {
                     let response = loop {
                         match engine.submit(group) {
                             Submit::Accepted(t) => {
-                                break t.wait_versioned().expect("no faults injected")
+                                break t.wait_versioned(None).expect("no faults injected")
                             }
                             Submit::Rejected(back) => {
                                 group = back;
@@ -636,10 +648,10 @@ fn hot_swaps_under_load_keep_responses_version_consistent() {
         TOTAL,
         "zero lost tickets"
     );
-    let health = engine.health();
-    assert_eq!(health.publishes, 3);
-    assert_eq!(health.publish_rejected, 0);
-    assert_eq!(health.artifact_epoch, 3);
+    let stats = engine.stats();
+    assert_eq!(stats.publishes, 3);
+    assert_eq!(stats.publish_rejected, 0);
+    assert_eq!(engine.version().epoch, 3);
     // The final generation owns the slot now.
     assert_eq!(
         engine.score(fix.groups[0].clone()).expect("still serving"),
@@ -657,6 +669,7 @@ fn inflight_batch_finishes_on_its_generation_across_a_publish() {
     let gate = Gate::new();
     let engine = Engine::new(
         Arc::clone(&fix.model),
+        fix.model.fingerprint(),
         EngineConfig {
             workers: 1,
             queue_capacity: 64,
@@ -674,8 +687,9 @@ fn inflight_batch_finishes_on_its_generation_across_a_publish() {
     };
     gate.wait_entered();
     // ...a publish lands while A is mid-batch...
+    let alt = &fix.alt_models[0];
     let v = engine
-        .publish(Arc::clone(&fix.alt_models[0]))
+        .publish(Arc::clone(alt), alt.fingerprint())
         .expect("compatible publish");
     assert_eq!(v.epoch, 1);
     // ...and B is queued behind the gate, to be drained post-publish.
@@ -684,13 +698,13 @@ fn inflight_batch_finishes_on_its_generation_across_a_publish() {
         _ => panic!("submit B"),
     };
     gate.release();
-    let ra = ta.wait_versioned().expect("A scored");
+    let ra = ta.wait_versioned(None).expect("A scored");
     assert_eq!(
         (ra.version.epoch, ra.scores),
         (0, fix.expected[0].clone()),
         "in-flight batch must finish on the generation it started with"
     );
-    let rb = tb.wait_versioned().expect("B scored");
+    let rb = tb.wait_versioned(None).expect("B scored");
     assert_eq!(
         (rb.version.epoch, rb.scores),
         (1, fix.alt_expected[0][1].clone()),
@@ -701,58 +715,97 @@ fn inflight_batch_finishes_on_its_generation_across_a_publish() {
 /// Retired generations are kept alive through the grace period (a batch
 /// that loaded the old slot may still be scoring) and actually reclaimed
 /// after it — verified with a `Weak` that must die once the grace elapses
-/// and a drain runs the reaper.
+/// and a drain runs the reaper. Two inputs: publishes straight to the
+/// engine, and publishes through the funnel with a `recommend` served on
+/// each side of them — the retrieval stage pins no generation of its own.
 #[test]
 fn retired_generations_are_reclaimed_after_grace() {
     let _guard = test_lock();
     let fix = fixture();
     let grace = Duration::from_millis(20);
-    let first = Arc::new((*fix.alt_models[0]).clone());
-    let weak = Arc::downgrade(&first);
-    let engine = Engine::new(
-        first, // the engine now holds the only strong reference
-        EngineConfig {
-            workers: 1,
-            queue_capacity: 64,
-            max_batch: 16,
-            coalesce: true,
-            fail_point: None,
-            stage_timing: true,
-            swap_grace: grace,
-        },
-    );
-    assert_eq!(
-        engine.score(fix.groups[0].clone()).expect("scored"),
-        fix.alt_expected[0][0]
-    );
-    engine
-        .publish(Arc::clone(&fix.alt_models[1]))
-        .expect("compatible publish");
-    // No drain has run since the publish, so the retired generation is
-    // still parked in the grace list — alive.
-    assert_eq!(engine.health().retired_artifacts, 1);
-    assert!(
-        weak.upgrade().is_some(),
-        "retired generation must survive its grace period"
-    );
-    std::thread::sleep(grace + Duration::from_millis(5));
-    // The next drains run the reaper; the old artifact's memory must go.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        assert_eq!(
-            engine.score(fix.groups[1].clone()).expect("still serving"),
-            fix.alt_expected[1][1],
-            "post-publish scores come from the new generation"
+    for via_funnel in [false, true] {
+        let first = Arc::new((*fix.alt_models[0]).clone());
+        let weak = Arc::downgrade(&first);
+        let checksum = first.fingerprint();
+        let funnel = Funnel::new(
+            first, // the engine now holds the only strong reference
+            checksum,
+            EngineConfig {
+                workers: 1,
+                queue_capacity: 64,
+                max_batch: 16,
+                coalesce: true,
+                fail_point: None,
+                stage_timing: true,
+                swap_grace: grace,
+            },
+            FunnelConfig::default(),
         );
-        if weak.upgrade().is_none() && engine.health().retired_artifacts == 0 {
-            break;
+        let engine = funnel.engine();
+        let serve = |gi: usize| {
+            if via_funnel {
+                let rec = recommend(&funnel, &fix.groups[gi]);
+                assert_eq!(
+                    rec.retrieved_by,
+                    engine.version(),
+                    "retrieved off the live slot"
+                );
+            }
+            engine.score(fix.groups[gi].clone()).expect("scored")
+        };
+        assert_eq!(serve(0), fix.alt_expected[0][0]);
+        let next = &fix.alt_models[1];
+        if via_funnel {
+            funnel.publish(Arc::clone(next), next.fingerprint())
+        } else {
+            engine.publish(Arc::clone(next), next.fingerprint())
         }
+        .expect("compatible publish");
+        // No drain has run since the publish, so the retired generation is
+        // still parked in the grace list — alive.
+        assert_eq!(engine.stats().retired_artifacts, 1);
         assert!(
-            Instant::now() < deadline,
-            "retired artifact never reclaimed after grace"
+            weak.upgrade().is_some(),
+            "retired generation must survive its grace period"
         );
-        std::thread::sleep(Duration::from_millis(1));
+        std::thread::sleep(grace + Duration::from_millis(5));
+        // The next drains run the reaper; the old artifact's memory must go.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            assert_eq!(
+                serve(1),
+                fix.alt_expected[1][1],
+                "post-publish scores come from the new generation"
+            );
+            if weak.upgrade().is_none() && engine.stats().retired_artifacts == 0 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "retired artifact never reclaimed after grace (via_funnel: {via_funnel})"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
+}
+
+/// One `recommend` for `template.user`, the retrieved pairs grafted onto
+/// the template's context.
+fn recommend(funnel: &Funnel, template: &GroupInput) -> Recommendation {
+    funnel
+        .recommend(template.user, 4, |pairs| {
+            let mut g = template.clone();
+            g.candidates = pairs
+                .iter()
+                .map(|p| {
+                    let mut c = template.candidates[0];
+                    (c.origin, c.dest) = (p.origin, p.dest);
+                    c
+                })
+                .collect();
+            g
+        })
+        .expect("funnel recommend")
 }
 
 /// A generation's `od_engine_version_*{epoch=N}` pair lives as long as
@@ -765,6 +818,7 @@ fn a_hundred_publishes_leave_a_bounded_number_of_version_series() {
     let fix = fixture();
     let engine = Engine::new(
         Arc::clone(&fix.model),
+        fix.model.fingerprint(),
         EngineConfig {
             workers: 2,
             swap_grace: Duration::from_millis(2),
@@ -783,8 +837,10 @@ fn a_hundred_publishes_leave_a_bounded_number_of_version_series() {
             });
         }
         for i in 0..100 {
-            let model = Arc::clone(&fix.alt_models[i % fix.alt_models.len()]);
-            engine.publish(model).expect("compatible publish");
+            let model = &fix.alt_models[i % fix.alt_models.len()];
+            engine
+                .publish(Arc::clone(model), model.fingerprint())
+                .expect("compatible publish");
         }
         publishing.store(false, Ordering::Relaxed);
     });
@@ -817,13 +873,14 @@ fn a_hundred_publishes_leave_a_bounded_number_of_version_series() {
 /// Publishing into an engine that is tearing down (or already shut down)
 /// must neither hang nor panic: the slot swap is independent of the
 /// worker pool, so it simply succeeds and the next epoch is visible in
-/// health even though nothing will serve it.
+/// `version()` even though nothing will serve it.
 #[test]
 fn publish_during_teardown_is_safe() {
     let _guard = test_lock();
     let fix = fixture();
     let engine = Engine::new(
         Arc::clone(&fix.model),
+        fix.model.fingerprint(),
         EngineConfig {
             workers: 2,
             queue_capacity: 64,
@@ -841,18 +898,18 @@ fn publish_during_teardown_is_safe() {
         s.spawn(move || {
             for m in &fix.alt_models {
                 engine
-                    .publish(Arc::clone(m))
+                    .publish(Arc::clone(m), m.fingerprint())
                     .expect("publish must survive a concurrent shutdown");
             }
         });
         engine.shutdown();
     });
-    let health = engine.health();
-    assert_eq!(health.publishes, 3);
-    assert_eq!(health.artifact_epoch, 3);
+    assert_eq!(engine.stats().publishes, 3);
+    assert_eq!(engine.version().epoch, 3);
     // And one more after shutdown is fully done.
+    let alt = &fix.alt_models[0];
     let v = engine
-        .publish(Arc::clone(&fix.alt_models[0]))
+        .publish(Arc::clone(alt), alt.fingerprint())
         .expect("publish to a shut-down engine is trivially fine");
     assert_eq!(v.epoch, 4);
 }
@@ -867,6 +924,7 @@ fn teardown_resolves_unscored_tickets() {
     {
         let engine = Engine::new(
             Arc::clone(&fix.model),
+            fix.model.fingerprint(),
             EngineConfig {
                 workers: 0,
                 queue_capacity: 8,
@@ -894,6 +952,7 @@ fn drain_resolves_tickets_nobody_will_score() {
     let fix = fixture();
     let engine = Engine::new(
         Arc::clone(&fix.model),
+        fix.model.fingerprint(),
         EngineConfig {
             workers: 0,
             queue_capacity: 8,
@@ -920,13 +979,12 @@ fn drain_resolves_tickets_nobody_will_score() {
         "drain must be bounded by its grace window"
     );
     assert_eq!(waiter.join().unwrap(), Err(ServeError::Rejected));
-    let health = engine.health();
-    assert_eq!(health.drain_rejected, 1);
-    // Force-drained requests leave the accounting invariant reconciled.
     let stats = engine.stats();
+    assert_eq!(stats.drain_rejected, 1);
+    // Force-drained requests leave the accounting invariant reconciled.
     assert_eq!(
         stats.submitted,
-        stats.completed + stats.expired + stats.panicked_requests + health.drain_rejected
+        stats.completed + stats.expired + stats.panicked_requests + stats.drain_rejected
     );
 }
 
@@ -941,6 +999,7 @@ fn drain_force_rejects_behind_a_stalled_worker() {
     let gate = Gate::new();
     let engine = Engine::new(
         Arc::clone(&fix.model),
+        fix.model.fingerprint(),
         EngineConfig {
             workers: 1,
             queue_capacity: 8,
@@ -968,7 +1027,7 @@ fn drain_force_rejects_behind_a_stalled_worker() {
     assert!(begin.elapsed() < Duration::from_secs(5));
     // The request behind the stalled batch was force-resolved, not hung.
     assert_eq!(queued.wait(), Err(ServeError::Rejected));
-    assert_eq!(engine.health().drain_rejected, 1);
+    assert_eq!(engine.stats().drain_rejected, 1);
     // The stalled batch still resolves (scored, bit-exact) on release.
     gate.release();
     assert_eq!(
@@ -978,6 +1037,6 @@ fn drain_force_rejects_behind_a_stalled_worker() {
     let stats = engine.stats();
     assert_eq!(
         stats.submitted,
-        stats.completed + stats.expired + stats.panicked_requests + engine.health().drain_rejected
+        stats.completed + stats.expired + stats.panicked_requests + stats.drain_rejected
     );
 }

@@ -120,6 +120,7 @@ fn concurrent_engine_matches_direct_scoring_bitwise() {
     let fix = fixture();
     let engine = Engine::new(
         Arc::clone(&fix.model),
+        fix.model.fingerprint(),
         EngineConfig {
             workers: 2,
             queue_capacity: 256,
@@ -158,6 +159,7 @@ fn no_coalesce_engine_matches_direct_scoring_bitwise() {
     let fix = fixture();
     let engine = Engine::new(
         Arc::clone(&fix.model),
+        fix.model.fingerprint(),
         EngineConfig {
             workers: 2,
             queue_capacity: 256,
@@ -184,6 +186,7 @@ fn coalescing_engages_for_same_context_bursts() {
     for attempt in 0..20 {
         let engine = Engine::new(
             Arc::clone(&fix.model),
+            fix.model.fingerprint(),
             EngineConfig {
                 workers: 1,
                 queue_capacity: 256,
@@ -241,6 +244,7 @@ fn backpressure_rejects_and_returns_the_group() {
     // No workers: nothing drains the queue, so rejection is deterministic.
     let engine = Engine::new(
         Arc::clone(&fix.model),
+        fix.model.fingerprint(),
         EngineConfig {
             workers: 0,
             queue_capacity: 3,
@@ -279,6 +283,7 @@ fn shutdown_drains_pending_requests() {
     let fix = fixture();
     let engine = Engine::new(
         Arc::clone(&fix.model),
+        fix.model.fingerprint(),
         EngineConfig {
             workers: 1,
             queue_capacity: 64,
@@ -314,6 +319,7 @@ fn stage_clock_populates_lifecycle_histograms() {
     let fix = fixture();
     let engine = Engine::new(
         Arc::clone(&fix.model),
+        fix.model.fingerprint(),
         EngineConfig {
             workers: 2,
             queue_capacity: 256,
@@ -357,6 +363,7 @@ fn stage_clock_populates_lifecycle_histograms() {
     // needed — only the branch.
     let quiet = Engine::new(
         Arc::clone(&fix.model),
+        fix.model.fingerprint(),
         EngineConfig {
             workers: 2,
             queue_capacity: 256,
@@ -378,12 +385,14 @@ fn generation(config: OdnetConfig, users: usize, cities: usize) -> Arc<FrozenOdN
 
 /// Publishing extends the oracle chain across generations: after a swap,
 /// engine responses are bit-identical to direct `score_group` on the *new*
-/// artifact, and `EngineHealth` reports the new epoch + checksum.
+/// artifact, `version()` reports the new epoch + checksum and `stats()`
+/// counts the publish.
 #[test]
 fn published_generation_scores_bitwise_and_updates_health() {
     let fix = fixture();
     let engine = Engine::new(
         Arc::clone(&fix.model),
+        fix.model.fingerprint(),
         EngineConfig {
             workers: 2,
             queue_capacity: 256,
@@ -394,7 +403,7 @@ fn published_generation_scores_bitwise_and_updates_health() {
             ..EngineConfig::default()
         },
     );
-    assert_eq!(engine.health().artifact_epoch, 0);
+    assert_eq!(engine.version().epoch, 0);
     drive(&engine, &fix.groups, &fix.expected, 200, 4);
 
     let next = generation(
@@ -407,17 +416,18 @@ fn published_generation_scores_bitwise_and_updates_health() {
     );
     let next_expected: Vec<_> = fix.groups.iter().map(|g| next.score_group(g)).collect();
     assert_ne!(next_expected[0], fix.expected[0], "generations differ");
-    let version = engine.publish(Arc::clone(&next)).expect("compatible");
+    let version = engine
+        .publish(Arc::clone(&next), next.fingerprint())
+        .expect("compatible");
     assert_eq!(version.epoch, 1);
     assert_eq!(version.checksum, next.fingerprint());
 
     // Post-publish responses match the new generation bit-for-bit.
     drive(&engine, &fix.groups, &next_expected, 200, 4);
-    let health = engine.health();
-    assert_eq!(health.artifact_epoch, 1);
-    assert_eq!(health.artifact_checksum, next.fingerprint());
-    assert_eq!(health.publishes, 1);
-    assert_eq!(health.publish_rejected, 0);
+    assert_eq!(engine.version(), version);
+    let stats = engine.stats();
+    assert_eq!(stats.publishes, 1);
+    assert_eq!(stats.publish_rejected, 0);
 }
 
 /// Incompatible artifacts are refused with a typed error and the live
@@ -431,6 +441,7 @@ fn incompatible_publish_is_rejected_with_typed_errors() {
     let fix = fixture();
     let engine = Engine::new(
         Arc::clone(&fix.model),
+        fix.model.fingerprint(),
         EngineConfig {
             workers: 1,
             queue_capacity: 64,
@@ -444,7 +455,7 @@ fn incompatible_publish_is_rejected_with_typed_errors() {
     let (users, cities) = (fix.model.num_users(), fix.model.num_cities());
 
     let small_universe = generation(OdnetConfig::tiny(), users, cities - 1);
-    match engine.publish(small_universe) {
+    match engine.publish(Arc::clone(&small_universe), small_universe.fingerprint()) {
         Err(PublishError::UniverseMismatch {
             live_cities,
             offered_cities,
@@ -463,7 +474,7 @@ fn incompatible_publish_is_rejected_with_typed_errors() {
         users,
         cities,
     );
-    match engine.publish(longer_seqs) {
+    match engine.publish(Arc::clone(&longer_seqs), longer_seqs.fingerprint()) {
         Err(PublishError::SequenceContractMismatch {
             live_long,
             offered_long,
@@ -477,10 +488,10 @@ fn incompatible_publish_is_rejected_with_typed_errors() {
 
     // Rejections are counted, the epoch did not advance, and the original
     // generation still serves bit-exact scores.
-    let health = engine.health();
-    assert_eq!(health.publish_rejected, 2);
-    assert_eq!(health.publishes, 0);
-    assert_eq!(health.artifact_epoch, 0);
+    let stats = engine.stats();
+    assert_eq!(stats.publish_rejected, 2);
+    assert_eq!(stats.publishes, 0);
+    assert_eq!(engine.version().epoch, 0);
     assert_eq!(
         engine.score(fix.groups[0].clone()).expect("still serving"),
         fix.expected[0]
@@ -491,7 +502,11 @@ fn incompatible_publish_is_rejected_with_typed_errors() {
 #[test]
 fn empty_group_scores_to_empty() {
     let fix = fixture();
-    let engine = Engine::new(Arc::clone(&fix.model), EngineConfig::default());
+    let engine = Engine::new(
+        Arc::clone(&fix.model),
+        fix.model.fingerprint(),
+        EngineConfig::default(),
+    );
     let mut g = fix.groups[0].clone();
     g.candidates.clear();
     assert_eq!(engine.score(g).expect("accepted"), Vec::new());

@@ -1,13 +1,14 @@
 //! Full-funnel (retrieve → rank) behavior: candidate sets come from the
 //! retrieval tier, rank order comes from the full model, and both stages
 //! stamp the artifact generation that served them — including across hot
-//! publishes, where the retriever must move to the new tables and be
-//! re-keyed.
+//! publishes, racing ones included, after which both stages serve the
+//! engine's live generation.
 
 use od_retrieval::Tier;
 use od_serve::{EngineConfig, Funnel, FunnelConfig};
 use odnet_core::{FeatureExtractor, FrozenOdNet, GroupInput, OdNetModel, OdnetConfig, Variant};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Barrier, OnceLock};
+use std::time::Duration;
 
 struct Fixture {
     model: Arc<FrozenOdNet>,
@@ -158,7 +159,7 @@ fn a_pruned_funnel_recommends_exactly_what_an_exact_funnel_does() {
 }
 
 #[test]
-fn hot_publish_rekeys_the_retriever_mid_stream() {
+fn hot_publish_moves_retrieval_to_the_new_generation() {
     let fix = fixture();
     let funnel = funnel_over(&fix.model, Tier::Pruned);
     let template = &fix.templates[0];
@@ -174,12 +175,12 @@ fn hot_publish_rekeys_the_retriever_mid_stream() {
         .publish(Arc::clone(&fix.alt), 0xBEEF)
         .expect("publish alt generation");
     assert_eq!(v1.epoch, 1);
-    assert_eq!(funnel.retrieval_version(), v1);
+    assert_eq!(funnel.engine().version(), v1);
 
     let after = funnel
         .recommend(template.user, 5, |pairs| featurize(template, pairs))
         .expect("post-swap request");
-    assert_eq!(after.retrieved_by, v1, "retrieval must re-key per publish");
+    assert_eq!(after.retrieved_by, v1, "retrieval must follow the publish");
     assert_eq!(after.ranked_by, v1);
     // Different generation ⇒ different tables ⇒ different retrieval
     // scores (the fixture's generations are distinct by construction).
@@ -214,27 +215,28 @@ fn hot_publish_rekeys_the_retriever_mid_stream() {
     funnel.shutdown();
 }
 
-/// Inside `Funnel::publish` the engine is on generation N+1 before the
-/// retriever leaves N. A response from that window is Eq. 11 under the
-/// *ranking* generation's θ — the model that produced the probabilities
-/// and the one `ranked_by` names — never N+1's probabilities mixed by N's.
+/// A publish that lands after retrieval and before the ranking submit —
+/// reached here from inside the featurizer, which runs in exactly that
+/// window — makes a response retrieved by N and ranked by N+1. Its rank
+/// scores are Eq. 11 under the *ranking* generation's θ (the model that
+/// produced the probabilities, the one `ranked_by` names), never N+1's
+/// probabilities mixed by N's.
 #[test]
 fn mid_swap_rank_scores_blend_with_the_ranking_generations_theta() {
     let fix = fixture();
     assert_ne!(fix.alt.theta().to_bits(), fix.model.theta().to_bits());
     let funnel = funnel_over(&fix.model, Tier::Exact);
     let template = &fix.templates[0];
-    // Publish to the engine only: the state between `publish_versioned`
-    // and the retriever swap, held still.
-    let v1 = funnel
-        .engine()
-        .publish_versioned(Arc::clone(&fix.alt), 0xBEEF)
-        .expect("publish alt generation to the ranker");
+    let mut v1 = None;
     let rec = funnel
-        .recommend(template.user, 8, |pairs| featurize(template, pairs))
+        .recommend(template.user, 8, |pairs| {
+            let published = funnel.publish(Arc::clone(&fix.alt), 0xBEEF);
+            v1 = Some(published.expect("publish alt generation"));
+            featurize(template, pairs)
+        })
         .expect("mid-swap request");
     assert_eq!(rec.retrieved_by.epoch, 0);
-    assert_eq!(rec.ranked_by, v1);
+    assert_eq!(Some(rec.ranked_by), v1);
     for p in &rec.pairs {
         assert_eq!(
             p.rank_score.to_bits(),
@@ -242,6 +244,75 @@ fn mid_swap_rank_scores_blend_with_the_ranking_generations_theta() {
             "{p:?} not blended by the ranking generation"
         );
     }
+    funnel.shutdown();
+}
+
+/// Publishers racing into one funnel, round after round: once every
+/// publish has returned, the next request must be retrieved *and* ranked
+/// by the engine's live generation. A funnel that kept its own retriever
+/// slot, written after the engine's publish lock was released, could let
+/// a losing publisher overwrite the winner's retriever and leave
+/// retrieval a generation behind until the next publish. Four publishers
+/// on a two-core host get preempted inside that window often enough to
+/// catch it in every run; two caught it in a few runs out of ten.
+#[test]
+fn racing_publishers_leave_both_stages_on_the_live_generation() {
+    const ROUNDS: usize = 4_000;
+    const PUBLISHERS: usize = 4;
+    let fix = fixture();
+    let funnel = Funnel::new(
+        Arc::clone(&fix.model),
+        fix.model.fingerprint(),
+        EngineConfig {
+            workers: 1,
+            // Reap retired generations (and their epoch series) promptly:
+            // this test publishes thousands.
+            swap_grace: Duration::from_millis(1),
+            ..EngineConfig::default()
+        },
+        FunnelConfig::default(),
+    );
+    let template = &fix.templates[0];
+    let barrier = Barrier::new(PUBLISHERS + 1);
+    let mut stale = Vec::new();
+    std::thread::scope(|s| {
+        for i in 0..PUBLISHERS {
+            let model = [&fix.model, &fix.alt][i % 2];
+            let (funnel, barrier) = (&funnel, &barrier);
+            s.spawn(move || {
+                for _ in 0..ROUNDS {
+                    barrier.wait();
+                    funnel
+                        .publish(Arc::clone(model), model.fingerprint())
+                        .expect("compatible publish");
+                    barrier.wait();
+                }
+            });
+        }
+        // Failures are collected, not asserted, here: a panic on this
+        // thread would leave the publishers parked at the barrier.
+        for round in 0..ROUNDS {
+            barrier.wait(); // publishers go
+            barrier.wait(); // every publish returned
+            let live = funnel.engine().version();
+            let served = funnel
+                .recommend(template.user, 4, |pairs| featurize(template, pairs))
+                .map(|rec| (rec.retrieved_by, rec.ranked_by));
+            if served != Ok((live, live)) {
+                stale.push((round, live, served));
+            }
+        }
+    });
+    assert_eq!(
+        funnel.engine().version().epoch,
+        (PUBLISHERS * ROUNDS) as u64
+    );
+    assert!(
+        stale.is_empty(),
+        "{} of {ROUNDS} rounds served off the live generation, first: {:?}",
+        stale.len(),
+        stale[0]
+    );
     funnel.shutdown();
 }
 

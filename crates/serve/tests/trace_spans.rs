@@ -136,10 +136,10 @@ proptest! {
         let mut epoch = 0u64;
         for i in 0..n {
             if swap_at == Some(i) {
-                funnel
+                epoch = funnel
                     .publish(Arc::clone(&fix.alt), 0xA17A)
-                    .expect("hot publish");
-                epoch = funnel.retrieval_version().epoch;
+                    .expect("hot publish")
+                    .epoch;
                 prop_assert!(epoch > 0, "publish must advance the epoch");
             }
             let tpl = &fix.templates[i % fix.templates.len()];
