@@ -357,6 +357,7 @@ impl FeatureExtractor {
         candidates: &[(CityId, CityId)],
     ) -> GroupInput {
         let mut g = self.context(ds, user, day);
+        g.candidates.reserve_exact(candidates.len());
         for &(o, d) in candidates {
             let cand = self.candidate(ds, &g, o, d, 0.0, 0.0);
             g.candidates.push(cand);

@@ -18,22 +18,23 @@
 //! s(u, o, d) = θ·⟨u_O, c_O(o)⟩ + (1−θ)·⟨u_D, c_D(d)⟩ = a[o] + b[d]
 //! ```
 //!
-//! so one GEMV per branch ([`od_tensor::simd::table_scores`]) reduces the
-//! pair sweep to `a[o] + b[d]` adds — which the SIMD threshold sweep
-//! ([`od_tensor::simd::sweep_scan_add_ge`]) retires 8 lanes at a time
-//! against the top-k heap floor. Retrieval is **exact**: both tiers
-//! return the same pairs, bit for bit, and differ only in how much of
-//! the universe they look at.
+//! so one GEMV per branch ([`od_tensor::simd::table_scores`]) turns
+//! retrieval into "top-k of `a[o] + b[d]`". Retrieval is **exact**: both
+//! tiers return the same pairs, bit for bit, and differ only in how many
+//! pair sums they compute.
 //!
-//! - [`Tier::Exact`] — brute force over all `n²−n` pairs. Bit-exact
-//!   across SIMD levels and artifact table modes (owned and mmap); the
-//!   reference the tests and the benchmark compare against.
-//! - [`Tier::Pruned`] — the same sweep with origins sorted by descending
-//!   `a[o]` and an exact cutoff: once `a[o] + max(b)` falls strictly
-//!   below the top-k floor, no remaining origin can contribute, so the
-//!   sweep stops. At 200 cities and k = 64 that is ~11x fewer pair
-//!   candidates on a trained table and ~10x on an untrained one (gated
-//!   ≥5x, with pair equality, in `tests/retrieval_equivalence.rs`).
+//! - [`Tier::Exact`] — brute force over all `n²` sums: the SIMD threshold
+//!   sweep ([`od_tensor::simd::sweep_scan_add_ge`]) retires 8 lanes at a
+//!   time against a top-k heap floor. Bit-exact across SIMD levels and
+//!   artifact table modes (owned and mmap); the reference the tests and
+//!   the benchmark compare against.
+//! - [`Tier::Pruned`] — a top-k-of-sums selector over the two lists
+//!   ranked by affinity: it finds the k-th largest pair sum on the grid
+//!   of the top `k+1` origins × destinations, then collects the
+//!   staircase of pairs at or above it. f32 addition is monotone, so
+//!   that is the exact tier's answer (the argument is in `pairsum.rs`).
+//!   At 200 cities and k = 64 it computes under 1/50 of the exact tier's
+//!   sums (gated, with pair equality, in `tests/retrieval_equivalence.rs`).
 //!
 //! A [`Retriever`] holds no derived state beyond its artifact and a
 //! resolved SIMD level, so `od-serve`'s `Funnel` builds one per request
@@ -42,6 +43,7 @@
 
 #![warn(missing_docs)]
 
+mod pairsum;
 mod topk;
 
 use od_hsg::{CityId, UserId};
@@ -65,7 +67,8 @@ pub struct RetrievalConfig {
 pub enum Tier {
     /// Brute-force scored top-k over every OD pair (the reference).
     Exact,
-    /// The same pairs from a sweep that stops at the origin cutoff.
+    /// The same pairs from a top-k-of-sums selector over the two sorted
+    /// affinity lists.
     Pruned,
 }
 
@@ -94,15 +97,16 @@ pub struct ScoredPair {
 /// the `retrieval.*` layer metrics of `BENCHMARK.json`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RetrievalStats {
-    /// Candidate pairs examined by the scan (the ≥5x pruning gate
-    /// compares this between tiers).
+    /// Pair sums `a[o] + b[d]` computed by the select stage: `n²` for
+    /// the exact sweep, a few hundred at most for the pruned tier at the
+    /// served `k` (gated in `tests/retrieval_equivalence.rs`).
     pub scanned: u64,
     /// Always 0: no tier routes. Kept so [`stages`](Self::stages) still
     /// has the three rows `benchmark/` lays out.
     pub route_ns: u64,
     /// Table-scoring time (the per-city GEMVs).
     pub scan_ns: u64,
-    /// Pair sweep + top-k selection time.
+    /// Top-k selection time over the affinities.
     pub select_ns: u64,
 }
 
@@ -132,10 +136,9 @@ pub struct Retrieved {
 
 thread_local! {
     /// Reusable per-thread query buffers for [`Retriever::top_k`]: the
-    /// affinity tables and sweep order. Queries are tens of
+    /// affinity tables and each tier's selection buffers. Queries take
     /// microseconds, so a handful of allocator round trips per call is
-    /// real, *level-independent* overhead — it dilutes the SIMD speedup
-    /// without making either level better.
+    /// real overhead.
     static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
 }
 
@@ -145,8 +148,12 @@ struct Scratch {
     a: Vec<f32>,
     /// Destination affinities `b[d]`.
     b: Vec<f32>,
-    /// Origin sweep order.
+    /// Exact tier: origin sweep order.
     order: Vec<u32>,
+    /// Exact tier: the top-k heap's entries.
+    entries: Vec<topk::Entry>,
+    /// Pruned tier: the pair-sum selector's buffers.
+    sums: pairsum::Buffers,
 }
 
 /// The retrieval stage over one frozen artifact generation: pinned
@@ -192,7 +199,13 @@ impl Retriever {
 
     /// [`top_k`](Self::top_k) against caller-provided scratch buffers.
     fn top_k_into(&self, scratch: &mut Scratch, user: UserId, k: usize, tier: Tier) -> Retrieved {
-        let Scratch { a, b, order } = scratch;
+        let Scratch {
+            a,
+            b,
+            order,
+            entries,
+            sums,
+        } = scratch;
         let ev = self.model.embeddings();
         let n = ev.num_cities;
         assert!(
@@ -202,7 +215,7 @@ impl Retriever {
             ev.num_users
         );
         let mut stats = RetrievalStats::default();
-        // `k` arrives from the wire; the heap allocates for it.
+        // `k` arrives from the wire; the selection allocates for it.
         let k = k.min(n * n.saturating_sub(1));
         if k == 0 {
             return Retrieved {
@@ -236,30 +249,37 @@ impl Retriever {
         );
         stats.scan_ns = t.elapsed().as_nanos() as u64;
 
-        // Select: sweep `a[o] + b[d]` through the bounded heap. Until
-        // the heap fills, every candidate goes through the exact push;
-        // after that the SIMD threshold scan discards lanes below the
-        // heap floor and the rare survivor takes the exact order test.
-        //
-        // The sweep visits high-affinity origins first (ties: lower
-        // index). The heap's result is arrival-order independent, so
-        // ordering changes nothing about the answer — but it tightens
-        // the floor after the first few origins, putting the rest of
-        // the sweep on the scan's all-lanes-fail fast path instead of
-        // flooding the heap with doomed survivors.
-        //
-        // The pruned tier needs the *full* descending order: it stops
-        // at the first origin whose best possible pair (`a[o] +
-        // max(b)`) falls strictly below the heap floor, which is only
-        // sound if every later origin is no better (candidates *at*
-        // the floor are still swept, so index tie-breaks are
-        // preserved). The exact tier keeps the full n² sweep — it is
-        // the brute-force reference — so it only fronts the `LEAD` best
-        // origins with an O(n) partition and leaves the rest in index
-        // order: the floor is essentially final after those rows, and
-        // skipping the full sort keeps the level-independent overhead
-        // out of the SIMD speedup.
         let t = Instant::now();
+        let (pairs, scanned) = match tier {
+            Tier::Exact => (self.sweep(a, b, order, entries, k), (n * n) as u64),
+            Tier::Pruned => pairsum::top_k(a, b, k, sums),
+        };
+        stats.scanned = scanned;
+        stats.select_ns = t.elapsed().as_nanos() as u64;
+
+        Retrieved { pairs, stats }
+    }
+
+    /// The exact tier's select: sweep `a[o] + b[d]` over every pair
+    /// through the bounded heap. Until the heap fills, every candidate
+    /// goes through the exact push; after that the SIMD threshold scan
+    /// discards lanes below the heap floor and the rare survivor takes
+    /// the exact order test.
+    ///
+    /// The heap's result is arrival-order independent, but the sweep
+    /// fronts the `LEAD` best origins (an O(n) partition, the rest in
+    /// index order): the floor is essentially final after those rows,
+    /// which puts the rest of the sweep on the scan's all-lanes-fail fast
+    /// path instead of flooding the heap with doomed survivors.
+    fn sweep(
+        &self,
+        a: &[f32],
+        b: &[f32],
+        order: &mut Vec<u32>,
+        entries: &mut Vec<topk::Entry>,
+        k: usize,
+    ) -> Vec<ScoredPair> {
+        let n = a.len();
         let by_affinity_desc = |&x: &u32, &y: &u32| {
             a[y as usize]
                 .total_cmp(&a[x as usize])
@@ -268,54 +288,48 @@ impl Retriever {
         const LEAD: usize = 8;
         order.clear();
         order.extend(0..n as u32);
-        if tier == Tier::Pruned || n <= LEAD {
+        if n <= LEAD {
             order.sort_unstable_by(by_affinity_desc);
         } else {
             order.select_nth_unstable_by(LEAD - 1, by_affinity_desc);
             order[..LEAD].sort_unstable_by(by_affinity_desc);
         }
-        let mut heap = topk::PairHeap::new(k);
+        let row = |o: u32| {
+            let (bias, idx_base) = (a[o as usize], o as u64 * n as u64);
+            b.iter()
+                .enumerate()
+                .filter(move |&(d, _)| d as u32 != o)
+                .map(move |(d, &bd)| topk::Entry {
+                    idx: idx_base + d as u64,
+                    score: bias + bd,
+                })
+        };
+        // Seed with the lead origin's canonical top-k in one partition
+        // pass instead of a sift per candidate, in the scratch buffer.
+        let mut seed = std::mem::take(entries);
+        seed.clear();
+        seed.extend(row(order[0]));
+        let mut heap = topk::PairHeap::from_candidates(k, seed);
         // Cold phase: row-by-row until the heap fills and has a floor.
-        let mut warm_from = 0usize;
-        for &o in order.iter() {
+        let mut warm_from = 1;
+        for &o in &order[1..] {
             if heap.is_full() {
                 break;
             }
-            let bias = a[o as usize];
-            let idx_base = o as u64 * n as u64;
-            let row = b
-                .iter()
-                .enumerate()
-                .filter(|&(d, _)| d as u32 != o)
-                .map(|(d, &bd)| topk::Entry {
-                    idx: idx_base + d as u64,
-                    score: bias + bd,
-                });
-            if heap.is_empty() {
-                // Seed with this row's canonical top-k in one partition
-                // pass instead of a sift per candidate.
-                heap = topk::PairHeap::from_candidates(k, row.collect());
-            } else {
-                row.for_each(|e| heap.push(e.idx, e.score));
-            }
-            stats.scanned += n as u64;
+            row(o).for_each(|e| heap.push(e.idx, e.score));
             warm_from += 1;
         }
         // Warm phase: one monomorphized kernel call sweeps every
         // remaining row against the live heap floor — each survivor
         // returns the updated floor, so a strong lane tightens the scan
-        // for the rest of the sweep immediately. The pruned tier hands
-        // the kernel its stop margin (`max(b)`).
+        // for the rest of the sweep immediately.
         if heap.is_full() && warm_from < order.len() {
-            let stop =
-                (tier == Tier::Pruned).then(|| b.iter().copied().fold(f32::NEG_INFINITY, f32::max));
-            let swept = simd::sweep_scan_add_ge(
+            simd::sweep_scan_add_ge(
                 self.level,
                 &order[warm_from..],
                 a,
                 b,
                 heap.floor(),
-                stop,
                 &mut |o, d, s| {
                     if d != o {
                         heap.push(o as u64 * n as u64 + d as u64, s);
@@ -323,20 +337,16 @@ impl Retriever {
                     heap.floor()
                 },
             );
-            stats.scanned += swept as u64 * n as u64;
         }
-        let pairs = heap
-            .into_sorted()
-            .into_iter()
+        *entries = heap.into_sorted();
+        entries
+            .iter()
             .map(|e| ScoredPair {
                 origin: CityId((e.idx / n as u64) as u32),
                 dest: CityId((e.idx % n as u64) as u32),
                 score: e.score,
             })
-            .collect();
-        stats.select_ns = t.elapsed().as_nanos() as u64;
-
-        Retrieved { pairs, stats }
+            .collect()
     }
 }
 

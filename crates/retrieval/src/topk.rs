@@ -42,6 +42,7 @@ pub(crate) struct PairHeap {
 }
 
 impl PairHeap {
+    #[cfg(test)]
     pub fn new(k: usize) -> PairHeap {
         PairHeap {
             k,
@@ -71,11 +72,6 @@ impl PairHeap {
             heap.sift_down_from(i);
         }
         heap
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     #[inline]

@@ -23,7 +23,7 @@
 //!
 //! The funnel owns the `od_retrieval_*` series (see
 //! [`FunnelMetrics`](struct@FunnelMetrics)): per-stage timing histograms
-//! (scan/select), a scanned-candidates counter and tier-labeled request
+//! (scan/select), a pair-sums-computed counter and tier-labeled request
 //! counters. Both tiers return the exact top-k, so there is no recall to
 //! watch.
 
@@ -44,7 +44,7 @@ pub struct FunnelConfig {
     /// Retrieval stage configuration (SIMD level).
     pub retrieval: RetrievalConfig,
     /// Tier served by [`Funnel::recommend`]. Both return the same pairs;
-    /// `Pruned` scans fewer.
+    /// `Pruned` computes far fewer pair sums.
     pub tier: Tier,
     /// Inert: nothing reads it but `benchmark/`'s echo of the server
     /// configuration, which a product change may not edit. There is no
@@ -120,16 +120,13 @@ impl FunnelMetrics {
             requests_pruned: requests("pruned"),
             scanned: reg.counter(
                 "od_retrieval_scanned_total",
-                "OD pair candidates examined by the retrieval scan",
+                "OD pair sums computed by retrieval top-k selection",
             ),
             scan_ns: reg.histogram(
                 "od_retrieval_scan_ns",
                 "Affinity GEMV time over the candidate tables",
             ),
-            select_ns: reg.histogram(
-                "od_retrieval_select_ns",
-                "Pair sweep + top-k selection time",
-            ),
+            select_ns: reg.histogram("od_retrieval_select_ns", "Top-k pair selection time"),
         }
     }
 
@@ -329,7 +326,9 @@ impl Funnel {
                 rank_score: theta * p_origin + (1.0 - theta) * p_dest,
             })
             .collect();
-        pairs.sort_by(|x, y| {
+        // `(origin, dest)` is unique, so the key is total and an unstable
+        // sort (no merge buffer) gives the one order there is.
+        pairs.sort_unstable_by(|x, y| {
             y.rank_score
                 .total_cmp(&x.rank_score)
                 .then_with(|| (x.origin.0, x.dest.0).cmp(&(y.origin.0, y.dest.0)))

@@ -4,7 +4,7 @@
 //! publishes, racing ones included, after which both stages serve the
 //! engine's live generation.
 
-use od_retrieval::Tier;
+use od_retrieval::{Retriever, Tier};
 use od_serve::{EngineConfig, Funnel, FunnelConfig};
 use odnet_core::{FeatureExtractor, FrozenOdNet, GroupInput, OdNetModel, OdnetConfig, Variant};
 use std::sync::{Arc, Barrier, OnceLock};
@@ -156,6 +156,41 @@ fn a_pruned_funnel_recommends_exactly_what_an_exact_funnel_does() {
     assert!(rp.retrieval.scanned <= re.retrieval.scanned);
     exact.shutdown();
     pruned.shutdown();
+}
+
+/// The rank key is total — `rank_score` descending, then the unique
+/// `(origin, dest)` — so tied scores come out in `(origin, dest)` order,
+/// whatever order retrieval delivered them in. A featurizer that gives
+/// every candidate the donor's features makes the ranker tie them all.
+#[test]
+fn tied_rank_scores_come_out_in_origin_dest_order() {
+    let fix = fixture();
+    let funnel = funnel_over(&fix.model, Tier::Pruned);
+    let template = &fix.templates[0];
+    let k = 24;
+    let rec = funnel
+        .recommend(template.user, k, |pairs| {
+            let mut g = template.clone();
+            g.candidates = vec![template.candidates[0]; pairs.len()];
+            g
+        })
+        .expect("funnel request");
+    assert_eq!(rec.pairs.len(), k);
+    let tie = rec.pairs[0].rank_score.to_bits();
+    assert!(rec.pairs.iter().all(|p| p.rank_score.to_bits() == tie));
+    let served: Vec<(u32, u32)> = rec.pairs.iter().map(|p| (p.origin.0, p.dest.0)).collect();
+    let mut ordered = served.clone();
+    ordered.sort_unstable();
+    assert_eq!(served, ordered);
+    // Retrieval order is by retrieval score, so the rank sort did the work.
+    let retrieved: Vec<(u32, u32)> = Retriever::build(Arc::clone(&fix.model), Default::default())
+        .top_k(template.user, k, Tier::Pruned)
+        .pairs
+        .iter()
+        .map(|p| (p.origin.0, p.dest.0))
+        .collect();
+    assert_ne!(retrieved, ordered);
+    funnel.shutdown();
 }
 
 #[test]

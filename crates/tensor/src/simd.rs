@@ -193,12 +193,6 @@ pub fn table_scores(
 /// before visiting), so selection downstream is deterministic and
 /// level-independent.
 ///
-/// When `stop_margin` is `Some(m)`, the sweep stops *before* the first
-/// origin with `biases[o] + m < threshold` (the caller passes `m =
-/// max(xs)`, making that origin — and, with `order` sorted by descending
-/// bias, every later one — provably unable to produce a survivor).
-/// Returns the number of origins actually swept.
-///
 /// The row loop lives inside the kernel because the per-row entry cost
 /// is not free: a `#[target_feature]` kernel cannot inline into its
 /// caller, so a row-at-a-time loop would pay call + register setup per
@@ -209,18 +203,12 @@ pub fn sweep_scan_add_ge<F: FnMut(u32, u32, f32) -> f32>(
     biases: &[f32],
     xs: &[f32],
     mut threshold: f32,
-    stop_margin: Option<f32>,
     visit: &mut F,
-) -> usize {
+) {
     match level.effective() {
         SimdLevel::Scalar => {
-            for (swept, &o) in order.iter().enumerate() {
+            for &o in order {
                 let bias = biases[o as usize];
-                if let Some(m) = stop_margin {
-                    if bias + m < threshold {
-                        return swept;
-                    }
-                }
                 for (j, &x) in xs.iter().enumerate() {
                     let s = bias + x;
                     if s >= threshold {
@@ -228,18 +216,13 @@ pub fn sweep_scan_add_ge<F: FnMut(u32, u32, f32) -> f32>(
                     }
                 }
             }
-            order.len()
         }
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 presence established by `effective()`.
-        SimdLevel::Avx2 => unsafe {
-            avx2::sweep_scan_add_ge(order, biases, xs, threshold, stop_margin, visit)
-        },
+        SimdLevel::Avx2 => unsafe { avx2::sweep_scan_add_ge(order, biases, xs, threshold, visit) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: NEON is baseline on aarch64.
-        SimdLevel::Neon => unsafe {
-            neon::sweep_scan_add_ge(order, biases, xs, threshold, stop_margin, visit)
-        },
+        SimdLevel::Neon => unsafe { neon::sweep_scan_add_ge(order, biases, xs, threshold, visit) },
         #[allow(unreachable_patterns)]
         _ => unreachable!("effective() only returns host-supported levels"),
     }
@@ -340,9 +323,8 @@ mod avx2 {
         biases: &[f32],
         xs: &[f32],
         mut threshold: f32,
-        stop_margin: Option<f32>,
         visit: &mut F,
-    ) -> usize {
+    ) {
         let n = xs.len();
         let n8 = n / 8 * 8;
         let n16 = n / 16 * 16;
@@ -350,13 +332,8 @@ mod avx2 {
         // The threshold register survives across rows; it is reloaded
         // only when a survivor raises the scalar value.
         let mut vt = _mm256_set1_ps(threshold);
-        for (swept, &o) in order.iter().enumerate() {
+        for &o in order {
             let bias = biases[o as usize];
-            if let Some(m) = stop_margin {
-                if bias + m < threshold {
-                    return swept;
-                }
-            }
             let vb = _mm256_set1_ps(bias);
             let visit_row = &mut |j: u32, s: f32| visit(o, j, s);
             let mut i = 0;
@@ -408,7 +385,6 @@ mod avx2 {
                 vt = _mm256_set1_ps(threshold);
             }
         }
-        order.len()
     }
 }
 
@@ -479,22 +455,16 @@ mod neon {
         biases: &[f32],
         xs: &[f32],
         mut threshold: f32,
-        stop_margin: Option<f32>,
         visit: &mut F,
-    ) -> usize {
+    ) {
         let n = xs.len();
         let n4 = n / 4 * 4;
         let p = xs.as_ptr();
         // The threshold register survives across rows; it is reloaded
         // only when a survivor raises the scalar value.
         let mut vt = vdupq_n_f32(threshold);
-        for (swept, &o) in order.iter().enumerate() {
+        for &o in order {
             let bias = biases[o as usize];
-            if let Some(m) = stop_margin {
-                if bias + m < threshold {
-                    return swept;
-                }
-            }
             let vb = vdupq_n_f32(bias);
             let mut i = 0;
             while i < n4 {
@@ -532,7 +502,6 @@ mod neon {
                 vt = vdupq_n_f32(threshold);
             }
         }
-        order.len()
     }
 }
 
@@ -612,10 +581,9 @@ mod tests {
         threshold: f32,
         visit: &mut F,
     ) {
-        let swept = sweep_scan_add_ge(level, &[0], &[bias], xs, threshold, None, &mut |_, j, s| {
+        sweep_scan_add_ge(level, &[0], &[bias], xs, threshold, &mut |_, j, s| {
             visit(j, s)
         });
-        assert_eq!(swept, 1);
     }
 
     #[test]
