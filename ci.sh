@@ -12,11 +12,13 @@ cargo fmt --all --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> benchmark harness builds (the API surface benchmark/ pins)"
+echo "==> benchmark harness builds and passes its unit tests (the API surface benchmark/ pins)"
 # benchmark/ is its own package and may not change with the product, so a
-# product change that breaks one of its calls fails here, in seconds, under
-# this step's name. run.sh --smoke below reuses this build.
+# product change that breaks one of its calls, or changes what its ledger
+# reads out of a serde_json::Value, fails here, in seconds, under this
+# step's name. run.sh --smoke below reuses this build.
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo doc (-D broken intra-doc links)"
 # Docs name code by path; a deleted or renamed item must take its mentions
@@ -72,13 +74,13 @@ rm -f vendor/serde_json/Cargo.lock
 
 echo "==> vendored serde + serde_json tests"
 # vendor/ is outside the workspace, so the run above never builds these:
-#   serde        Content accessors and the tree sink (derive on)
+#   serde        Content accessors (derive on)
 #   serde_json   emitter and pull-decoder units (integer rules, fixed-length
 #                sequences, unknown / repeated / missing struct keys, packing
 #                of dynamic values), f32_format (the f32 printer == Display
 #                and encode -> decode == identity over a ~1M-pattern sweep
-#                of all bit patterns), shapes (streamed text == tree text for
-#                every derive shape, compact and pretty)
+#                of all bit patterns), shapes (every derive shape prints its
+#                pinned text, compact and pretty, and reads back as itself)
 # Build output goes under target/; the lockfile cargo writes beside a
 # manifest that is its own root is removed again, so vendor/ stays source.
 cargo test -q --offline --manifest-path vendor/serde/Cargo.toml --features derive \
@@ -113,11 +115,10 @@ echo "==> online loop smoke (drift -> retrain -> freeze -> publish)"
 cargo run --release --bin odnet -- online --rounds 2 --panel 10 --users 40 \
     --cities 12 --out-dir target/ci_online --metrics-jsonl target/ci_online/rounds.jsonl
 
-echo "==> serving benchmark (smoke scale) + harness self-tests"
+echo "==> serving benchmark (smoke scale)"
 # All four wire workloads, untraced then traced, on a 20k-user universe:
 # every response verified, every BENCHMARK.json metric printed by name.
 # Checks the harness and the pinned API surface, not the numbers.
 benchmark/run.sh --smoke
-cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "CI OK"

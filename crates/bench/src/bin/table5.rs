@@ -13,25 +13,7 @@ fn load_table3(scale: Scale) -> Option<Vec<MethodResult>> {
         .unwrap_or_else(|_| PathBuf::from("."));
     let path = root.join(format!("results/table3_{}.json", scale.name()));
     let content = std::fs::read_to_string(path).ok()?;
-    // MethodResult is Serialize-only; re-parse the fields we need manually.
-    let value: serde_json::Value = serde_json::from_str(&content).ok()?;
-    let rows = value.as_array()?;
-    let mut out = Vec::new();
-    for row in rows {
-        out.push(MethodResult {
-            name: row.get("name")?.as_str()?.to_string(),
-            auc_o: row.get("auc_o")?.as_f64(),
-            auc_d: row.get("auc_d")?.as_f64(),
-            hr1: row.get("hr1")?.as_f64()?,
-            hr5: row.get("hr5")?.as_f64()?,
-            hr10: row.get("hr10")?.as_f64()?,
-            mrr5: row.get("mrr5")?.as_f64()?,
-            mrr10: row.get("mrr10")?.as_f64()?,
-            train_secs: row.get("train_secs")?.as_f64()?,
-            infer_ms: row.get("infer_ms")?.as_f64()?,
-        });
-    }
-    Some(out)
+    serde_json::from_str(&content).ok()
 }
 
 fn main() {

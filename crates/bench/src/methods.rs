@@ -11,7 +11,7 @@ use odnet_core::{
     evaluate_on_checkin, evaluate_on_fliggy, train, FeatureExtractor, FliggyEvaluation, GroupInput,
     OdNetModel, OdScorer, Variant,
 };
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Every method of the paper's comparison, in table order.
@@ -104,7 +104,7 @@ impl Method {
 }
 
 /// One table row: metrics + efficiency numbers.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct MethodResult {
     /// Method display name.
     pub name: String,

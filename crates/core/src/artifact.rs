@@ -51,7 +51,7 @@ use crate::intent::FrozenIntent;
 use crate::model::{CheckpointError, Variant};
 use crate::pec::FrozenPec;
 use od_tensor::{Shape, Tensor};
-use serde::Deserialize;
+use serde::{Deserialize, Serialize};
 use std::fs::File;
 use std::io::{BufWriter, Read as _, Seek, SeekFrom, Write as _};
 use std::path::Path;
@@ -521,7 +521,7 @@ fn variant_from_tag(tag: u32) -> Result<Variant, CheckpointError> {
 // Meta block: everything that is not a big table.
 
 /// Table directory entry inside the meta JSON.
-#[derive(Clone, Debug, serde::Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 struct OdzTableMeta {
     name: String,
     offset: u64,
@@ -530,10 +530,9 @@ struct OdzTableMeta {
     fnv: u32,
 }
 
-/// Deserialization target for the meta JSON. (Serialization is hand-built
-/// from borrows in [`FrozenOdNet::save_bin`]; the vendored serde derive
-/// cannot express a borrowing struct.)
-#[derive(Deserialize)]
+/// The meta JSON, both ways: [`FrozenOdNet::save_bin`] fills and writes
+/// it, [`parse_odz`] reads it. Field order is the on-disk key order.
+#[derive(Serialize, Deserialize)]
 struct OdzMeta {
     format_version: u32,
     variant: Variant,
@@ -710,23 +709,20 @@ impl FrozenOdNet {
             });
         }
 
-        // Meta JSON, hand-assembled from borrows (field names must match
-        // the `OdzMeta` deserialization struct above).
-        use serde::Serialize as _;
-        let meta = serde::Content::Map(vec![
-            ("format_version".into(), ODZ_VERSION.to_content()),
-            ("variant".into(), self.variant.to_content()),
-            ("config".into(), self.config.to_content()),
-            ("num_users".into(), (self.num_users as u64).to_content()),
-            ("num_cities".into(), (self.num_cities as u64).to_content()),
-            ("theta".into(), self.theta.to_content()),
-            ("tables".into(), directory.to_content()),
-            ("origin_pec".into(), self.origin.pec.to_content()),
-            ("origin_intent".into(), self.origin.intent.to_content()),
-            ("dest_pec".into(), self.dest.pec.to_content()),
-            ("dest_intent".into(), self.dest.intent.to_content()),
-            ("head".into(), self.head.to_content()),
-        ]);
+        let meta = OdzMeta {
+            format_version: ODZ_VERSION,
+            variant: self.variant,
+            config: self.config.clone(),
+            num_users: self.num_users as u64,
+            num_cities: self.num_cities as u64,
+            theta: self.theta,
+            tables: directory,
+            origin_pec: self.origin.pec.clone(),
+            origin_intent: self.origin.intent.clone(),
+            dest_pec: self.dest.pec.clone(),
+            dest_intent: self.dest.intent.clone(),
+            head: self.head.clone(),
+        };
         let meta_json = serde_json::to_string(&meta).map_err(CheckpointError::Parse)?;
         let meta_offset = pos;
         w.write_all(meta_json.as_bytes()).map_err(io)?;
@@ -848,6 +844,45 @@ mod tests {
                 OdzHeader::decode(&bad).is_err(),
                 "flipped header byte {i} went undetected"
             );
+        }
+    }
+
+    #[test]
+    fn the_meta_struct_is_the_meta_format_both_ways() {
+        use crate::model::OdNetModel;
+        let ds = od_data::FliggyDataset::generate(od_data::FliggyConfig::tiny());
+        let dir = std::env::temp_dir().join(format!("odz_meta_test_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for variant in [
+            Variant::Odnet,
+            Variant::OdnetG,
+            Variant::StlPlusG,
+            Variant::StlG,
+        ] {
+            let frozen = OdNetModel::new(
+                variant,
+                OdnetConfig::tiny(),
+                ds.world.num_users(),
+                ds.world.num_cities(),
+                variant.uses_graph().then(|| ds.hsg()),
+            )
+            .freeze();
+            let path = dir.join(format!("{}.odz", variant.name()));
+            frozen.save_bin(&path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            let header = OdzHeader::decode(&bytes).unwrap();
+            let start = header.meta_offset as usize;
+            let stored = std::str::from_utf8(&bytes[start..start + header.meta_len as usize])
+                .expect("meta block is UTF-8");
+            let meta: OdzMeta = serde_json::from_str(stored).unwrap();
+            assert_eq!(meta.variant, variant);
+            assert_eq!(
+                serde_json::to_string(&meta).unwrap(),
+                stored,
+                "{} meta block does not re-serialize to its own bytes",
+                variant.name()
+            );
+            let _ = std::fs::remove_file(&path);
         }
     }
 

@@ -1018,14 +1018,14 @@ fn gated_slow_request_is_tail_captured_with_its_span_chain_and_exports_to_chrome
     }
     let captured = doc
         .get("traces")
-        .and_then(|t| t.as_array())
+        .and_then(|t| t.as_seq())
         .expect("traces array")
         .iter()
         .find(|t| str_of(t, "request_id") == Some("gated-slow-1"))
         .expect("the gated request was not tail-captured");
     let spans = captured
         .get("spans")
-        .and_then(|s| s.as_array())
+        .and_then(|s| s.as_seq())
         .expect("captured spans");
     let names: Vec<&str> = spans.iter().filter_map(|s| str_of(s, "name")).collect();
     for want in [
@@ -1061,7 +1061,7 @@ fn gated_slow_request_is_tail_captured_with_its_span_chain_and_exports_to_chrome
     assert!(
         chrome
             .get("traceEvents")
-            .and_then(|e| e.as_array())
+            .and_then(|e| e.as_seq())
             .is_some_and(|events| events.len() >= names.len()),
         "Chrome export carries fewer events than the trace has spans"
     );
@@ -1079,7 +1079,7 @@ fn gated_slow_request_is_tail_captured_with_its_span_chain_and_exports_to_chrome
     let resp = http_request(&mut conn, "GET", "/healthz", &after, None).expect("answered");
     assert_eq!(resp.status, 200);
     let doc = json_of(&mut conn, "/debug/traces");
-    let traces = doc.get("traces").and_then(|t| t.as_array());
+    let traces = doc.get("traces").and_then(|t| t.as_seq());
     let root_ns = traces
         .expect("traces array")
         .iter()

@@ -9,7 +9,7 @@ use od_hsg::{CityId, UserId};
 use odnet_core::{CandidateInput, FeatureExtractor, GroupInput, XST_DIM};
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use serde::{Content, Serialize};
+use serde::Content;
 
 /// Float patterns the decoder must not bend: both zeros, both ends of the
 /// subnormals, both extremes, and ±`7.038531e-26`, which a parse through
@@ -155,7 +155,8 @@ fn decorate(node: &mut Content, rng: &mut Rng) {
 fn decorated(group: &GroupInput, seed: u64) -> String {
     const WS: [&str; 4] = [" ", "\n", "\t", "\r\n  "];
     let mut rng = Rng(seed);
-    let mut tree = group.to_content();
+    let text = serde_json::to_string(group).expect("group serializes");
+    let mut tree = serde_json::parse_content(&text).expect("its text parses");
     decorate(&mut tree, &mut rng);
     let compact = serde_json::to_string(&tree).expect("tree serializes");
     let mut out = String::with_capacity(2 * compact.len());
