@@ -37,12 +37,12 @@ echo "==> cargo test --workspace (every test binary, once)"
 #                head_equivalence
 #                (fused, prefix-seeded MMoE head vs the per-layer forward),
 #                artifact_corruption (.odz loader rejects tampered files)
-#   od-retrieval pair-sum selector vs a full sort (ties, ±0.0, twin runs
+#   od-retrieval both tiers' select vs a full sort (ties, ±0.0, twin runs
 #                across rank k+1, every n <= 40 and k), retrieval_equivalence
 #                (top-k bit-exact vs the scalar oracle at every SimdLevel,
 #                owned == mmap, pruned tier == exact tier incl. planted ties,
 #                pruned computes <= 1/50 of exact's pair sums at 200 cities
-#                and k = 64, and is no slower than exact at k = n²−n)
+#                and k = 64, both collect the n²−n universe at k = n²−n)
 #   od-obs       unit + property suites, exposition (render -> parse-back
 #                lint), trace hammer
 #   od-serve     engine_equivalence (engine vs direct scoring, coalescing
@@ -63,9 +63,9 @@ cargo test -q --workspace
 echo "==> bit-exactness gates again, optimized"
 # The suites whose subject is float bits the optimizer could reorder or
 # the decoder could round: what ships is the release build, so they also
-# run against it. od-retrieval runs whole: the selector's unit oracle and
-# retrieval_equivalence (pruned == exact bit for bit, pruned computes
-# <= 1/50 of exact's pair sums at k = 64, no slower at k = n²−n).
+# run against it. od-retrieval runs whole: the select stage's unit oracle
+# and retrieval_equivalence (pruned == exact bit for bit, pruned computes
+# <= 1/50 of exact's pair sums at k = 64).
 cargo test -q --release -p od-tensor --test kernel_equivalence
 cargo test -q --release -p od-retrieval
 cargo test -q --release --offline --manifest-path vendor/serde_json/Cargo.toml \

@@ -21,7 +21,7 @@
 
 use od_hsg::UserId;
 use od_http::{http_request, read_http_response, Featurizer, HttpResponse, Server, ServerConfig};
-use od_retrieval::{ScoredPair, Tier};
+use od_retrieval::ScoredPair;
 use od_serve::{EngineConfig, FailPoint, FailSite, Funnel, FunnelConfig};
 use odnet_core::{FeatureExtractor, FrozenOdNet, GroupInput, OdNetModel, OdnetConfig, Variant};
 use std::io::{Read, Write};
@@ -100,10 +100,7 @@ fn funnel_with(cfg: EngineConfig) -> Arc<Funnel> {
         Arc::clone(&fixture().model),
         0xF00D,
         cfg,
-        FunnelConfig {
-            tier: Tier::Exact,
-            ..FunnelConfig::default()
-        },
+        FunnelConfig::default(),
     ))
 }
 

@@ -23,11 +23,9 @@
 //! tiers return the same pairs, bit for bit, and differ only in how many
 //! pair sums they compute.
 //!
-//! - [`Tier::Exact`] — brute force over all `n²` sums: the SIMD threshold
-//!   sweep ([`od_tensor::simd::sweep_scan_add_ge`]) retires 8 lanes at a
-//!   time against a top-k heap floor. Bit-exact across SIMD levels and
-//!   artifact table modes (owned and mmap); the reference the tests and
-//!   the benchmark compare against.
+//! - [`Tier::Exact`] — a full sort: every valid pair's sum, ordered
+//!   canonically, cut at `k`. The reference the tests and the benchmark
+//!   hold the pruned tier to; `od-serve`'s default funnel serves pruned.
 //! - [`Tier::Pruned`] — a top-k-of-sums selector over the two lists
 //!   ranked by affinity: it finds the k-th largest pair sum on the grid
 //!   of the top `k+1` origins × destinations, then collects the
@@ -35,6 +33,10 @@
 //!   that is the exact tier's answer (the argument is in `pairsum.rs`).
 //!   At 200 cities and k = 64 it computes under 1/50 of the exact tier's
 //!   sums (gated, with pair equality, in `tests/retrieval_equivalence.rs`).
+//!
+//! Both tiers are bit-exact across SIMD levels and artifact table modes
+//! (owned and mmap): the level only dispatches the table GEMVs, whose
+//! levels agree to the bit.
 //!
 //! A [`Retriever`] holds no derived state beyond its artifact and a
 //! resolved SIMD level, so `od-serve`'s `Funnel` builds one per request
@@ -44,7 +46,6 @@
 #![warn(missing_docs)]
 
 mod pairsum;
-mod topk;
 
 use od_hsg::{CityId, UserId};
 use od_tensor::simd::{self, SimdLevel};
@@ -65,7 +66,7 @@ pub struct RetrievalConfig {
 /// Which retrieval tier serves a query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tier {
-    /// Brute-force scored top-k over every OD pair (the reference).
+    /// A full sort of every OD pair's sum (the reference).
     Exact,
     /// The same pairs from a top-k-of-sums selector over the two sorted
     /// affinity lists.
@@ -97,9 +98,10 @@ pub struct ScoredPair {
 /// the `retrieval.*` layer metrics of `BENCHMARK.json`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RetrievalStats {
-    /// Pair sums `a[o] + b[d]` computed by the select stage: `n²` for
-    /// the exact sweep, a few hundred at most for the pruned tier at the
-    /// served `k` (gated in `tests/retrieval_equivalence.rs`).
+    /// Pair sums `a[o] + b[d]` computed by the select stage: all `n²−n`
+    /// valid pairs for the exact tier, a few hundred at most for the
+    /// pruned tier at the served `k` (gated in
+    /// `tests/retrieval_equivalence.rs`).
     pub scanned: u64,
     /// Always 0: no tier routes. Kept so [`stages`](Self::stages) still
     /// has the three rows `benchmark/` lays out.
@@ -136,7 +138,7 @@ pub struct Retrieved {
 
 thread_local! {
     /// Reusable per-thread query buffers for [`Retriever::top_k`]: the
-    /// affinity tables and each tier's selection buffers. Queries take
+    /// affinity tables and the selection buffers. Queries take
     /// microseconds, so a handful of allocator round trips per call is
     /// real overhead.
     static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
@@ -148,11 +150,7 @@ struct Scratch {
     a: Vec<f32>,
     /// Destination affinities `b[d]`.
     b: Vec<f32>,
-    /// Exact tier: origin sweep order.
-    order: Vec<u32>,
-    /// Exact tier: the top-k heap's entries.
-    entries: Vec<topk::Entry>,
-    /// Pruned tier: the pair-sum selector's buffers.
+    /// The pair-sum selector's buffers.
     sums: pairsum::Buffers,
 }
 
@@ -199,13 +197,7 @@ impl Retriever {
 
     /// [`top_k`](Self::top_k) against caller-provided scratch buffers.
     fn top_k_into(&self, scratch: &mut Scratch, user: UserId, k: usize, tier: Tier) -> Retrieved {
-        let Scratch {
-            a,
-            b,
-            order,
-            entries,
-            sums,
-        } = scratch;
+        let Scratch { a, b, sums } = scratch;
         let ev = self.model.embeddings();
         let n = ev.num_cities;
         assert!(
@@ -250,103 +242,11 @@ impl Retriever {
         stats.scan_ns = t.elapsed().as_nanos() as u64;
 
         let t = Instant::now();
-        let (pairs, scanned) = match tier {
-            Tier::Exact => (self.sweep(a, b, order, entries, k), (n * n) as u64),
-            Tier::Pruned => pairsum::top_k(a, b, k, sums),
-        };
+        let (pairs, scanned) = pairsum::top_k(a, b, k, tier, sums);
         stats.scanned = scanned;
         stats.select_ns = t.elapsed().as_nanos() as u64;
 
         Retrieved { pairs, stats }
-    }
-
-    /// The exact tier's select: sweep `a[o] + b[d]` over every pair
-    /// through the bounded heap. Until the heap fills, every candidate
-    /// goes through the exact push; after that the SIMD threshold scan
-    /// discards lanes below the heap floor and the rare survivor takes
-    /// the exact order test.
-    ///
-    /// The heap's result is arrival-order independent, but the sweep
-    /// fronts the `LEAD` best origins (an O(n) partition, the rest in
-    /// index order): the floor is essentially final after those rows,
-    /// which puts the rest of the sweep on the scan's all-lanes-fail fast
-    /// path instead of flooding the heap with doomed survivors.
-    fn sweep(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        order: &mut Vec<u32>,
-        entries: &mut Vec<topk::Entry>,
-        k: usize,
-    ) -> Vec<ScoredPair> {
-        let n = a.len();
-        let by_affinity_desc = |&x: &u32, &y: &u32| {
-            a[y as usize]
-                .total_cmp(&a[x as usize])
-                .then_with(|| x.cmp(&y))
-        };
-        const LEAD: usize = 8;
-        order.clear();
-        order.extend(0..n as u32);
-        if n <= LEAD {
-            order.sort_unstable_by(by_affinity_desc);
-        } else {
-            order.select_nth_unstable_by(LEAD - 1, by_affinity_desc);
-            order[..LEAD].sort_unstable_by(by_affinity_desc);
-        }
-        let row = |o: u32| {
-            let (bias, idx_base) = (a[o as usize], o as u64 * n as u64);
-            b.iter()
-                .enumerate()
-                .filter(move |&(d, _)| d as u32 != o)
-                .map(move |(d, &bd)| topk::Entry {
-                    idx: idx_base + d as u64,
-                    score: bias + bd,
-                })
-        };
-        // Seed with the lead origin's canonical top-k in one partition
-        // pass instead of a sift per candidate, in the scratch buffer.
-        let mut seed = std::mem::take(entries);
-        seed.clear();
-        seed.extend(row(order[0]));
-        let mut heap = topk::PairHeap::from_candidates(k, seed);
-        // Cold phase: row-by-row until the heap fills and has a floor.
-        let mut warm_from = 1;
-        for &o in &order[1..] {
-            if heap.is_full() {
-                break;
-            }
-            row(o).for_each(|e| heap.push(e.idx, e.score));
-            warm_from += 1;
-        }
-        // Warm phase: one monomorphized kernel call sweeps every
-        // remaining row against the live heap floor — each survivor
-        // returns the updated floor, so a strong lane tightens the scan
-        // for the rest of the sweep immediately.
-        if heap.is_full() && warm_from < order.len() {
-            simd::sweep_scan_add_ge(
-                self.level,
-                &order[warm_from..],
-                a,
-                b,
-                heap.floor(),
-                &mut |o, d, s| {
-                    if d != o {
-                        heap.push(o as u64 * n as u64 + d as u64, s);
-                    }
-                    heap.floor()
-                },
-            );
-        }
-        *entries = heap.into_sorted();
-        entries
-            .iter()
-            .map(|e| ScoredPair {
-                origin: CityId((e.idx / n as u64) as u32),
-                dest: CityId((e.idx % n as u64) as u32),
-                score: e.score,
-            })
-            .collect()
     }
 }
 

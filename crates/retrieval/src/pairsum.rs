@@ -1,9 +1,11 @@
 //! Exact top-k of the pair sums `a[o] + b[d]` (`o ≠ d`) of two affinity
-//! lists: the selector behind [`Tier::Pruned`](crate::Tier::Pruned).
+//! lists: the select stage of both tiers.
 //!
 //! The result is the prefix of the crate's canonical order — score
 //! descending (`total_cmp`), then pair index `o·n + d` ascending — for
-//! `K = min(k, n²−n)`:
+//! `K = min(k, n²−n)`. [`Tier::Exact`] is the full sort that order
+//! stands for: collect every valid pair, sort, keep `K`.
+//! [`Tier::Pruned`] computes only the sums that can make the cut:
 //!
 //! 1. Rank the top `m = min(n, K+1)` origins and destinations: one
 //!    partition on `u64` keys (total-order score bits, then index), then
@@ -18,8 +20,8 @@
 //!    `t` past rank `m`).
 //! 4. Sort the collection canonically and keep `K`.
 //!
-//! With `K = n²−n` every pair is in the answer, so steps 1–3 reduce to
-//! collecting the universe.
+//! With `K = n²−n` every pair is in the answer, so the pruned tier
+//! collects the universe too.
 //!
 //! **Why this is exact.** f32 addition is monotone, so a valid pair off
 //! the grid is beaten or tied by at least `K` valid grid pairs: by the
@@ -29,7 +31,7 @@
 //! step 3 keeps every pair at `t`, so the index tie-break sees the same
 //! candidates as a full sort would.
 
-use crate::ScoredPair;
+use crate::{ScoredPair, Tier};
 use od_hsg::CityId;
 use std::collections::BinaryHeap;
 
@@ -82,9 +84,16 @@ pub(crate) struct Buffers {
 }
 
 /// Best `k` valid pairs of `a[o] + b[d]` in canonical order, plus the
-/// number of pair sums computed. `a` and `b` are equally long and hold
-/// no NaN.
-pub(crate) fn top_k(a: &[f32], b: &[f32], k: usize, buf: &mut Buffers) -> (Vec<ScoredPair>, u64) {
+/// number of pair sums computed: all `n²−n` for [`Tier::Exact`] (and for
+/// either tier at `k ≥ n²−n`), steps 1–3's for [`Tier::Pruned`]. `a` and
+/// `b` are equally long and hold no NaN.
+pub(crate) fn top_k(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    tier: Tier,
+    buf: &mut Buffers,
+) -> (Vec<ScoredPair>, u64) {
     let n = a.len();
     debug_assert_eq!(b.len(), n);
     let all = n * n.saturating_sub(1);
@@ -93,7 +102,7 @@ pub(crate) fn top_k(a: &[f32], b: &[f32], k: usize, buf: &mut Buffers) -> (Vec<S
         return (Vec::new(), 0);
     }
     buf.hits.clear();
-    let sums = if k == all {
+    let sums = if tier == Tier::Exact || k == all {
         for (o, &ao) in a.iter().enumerate() {
             for (d, &bd) in b.iter().enumerate() {
                 if d != o {
@@ -260,13 +269,20 @@ mod tests {
     }
 
     fn check(a: &[f32], b: &[f32], k: usize, buf: &mut Buffers, what: &str) {
-        let (got, sums) = top_k(a, b, k, buf);
-        let got: Vec<(u32, u32, u32)> = got
-            .iter()
-            .map(|p| (p.origin.0, p.dest.0, p.score.to_bits()))
-            .collect();
-        assert_eq!(got, oracle(a, b, k), "{what}: n={} k={k}", a.len());
-        assert!(sums > 0);
+        let n = a.len();
+        let want = oracle(a, b, k);
+        for tier in [Tier::Exact, Tier::Pruned] {
+            let (got, sums) = top_k(a, b, k, tier, buf);
+            let got: Vec<(u32, u32, u32)> = got
+                .iter()
+                .map(|p| (p.origin.0, p.dest.0, p.score.to_bits()))
+                .collect();
+            assert_eq!(got, want, "{what} {tier:?}: n={n} k={k}");
+            match tier {
+                Tier::Exact => assert_eq!(sums, (n * n - n) as u64),
+                Tier::Pruned => assert!(sums > 0),
+            }
+        }
     }
 
     /// splitmix64 stream.

@@ -7,7 +7,6 @@
 //! per-case nonce to filter its own traces out of the shared ring.
 
 use od_obs::trace::{self, check_well_formed, TraceConfig};
-use od_retrieval::Tier;
 use od_serve::{EngineConfig, Funnel, FunnelConfig};
 use odnet_core::{FeatureExtractor, FrozenOdNet, GroupInput, OdNetModel, OdnetConfig, Variant};
 use proptest::prelude::*;
@@ -102,10 +101,7 @@ fn funnel_over(model: &Arc<FrozenOdNet>, checksum: u32) -> Funnel {
             stage_timing: true,
             ..EngineConfig::default()
         },
-        FunnelConfig {
-            tier: Tier::Exact,
-            ..FunnelConfig::default()
-        },
+        FunnelConfig::default(),
     )
 }
 

@@ -1,19 +1,12 @@
-//! Runtime-dispatched SIMD kernels for the retrieval tier.
+//! Runtime-dispatched SIMD kernel for the retrieval tier.
 //!
 //! The retrieval stage (crate `od-retrieval`) reduces "best k OD pairs out
-//! of ~40k" to two dense primitives over the frozen artifact's embedding
-//! tables:
+//! of ~40k" to top-k of `a[o] + b[d]`, where `a` and `b` are per-city
+//! affinities from one dense primitive over the frozen artifact's
+//! embedding tables: [`table_scores`], a scaled GEMV — one dot product per
+//! table row against a query vector.
 //!
-//! - [`table_scores`] — a scaled GEMV: one dot product per table row
-//!   against a query vector (per-city origin/destination affinities),
-//! - [`sweep_scan_add_ge`] — a branch-light threshold sweep over
-//!   `biases[o] + xs[j]` (the separable pair score `a[o] + b[d]` against
-//!   the current top-k heap floor), reporting only the surviving lanes;
-//!   each survivor's callback returns the (monotonically rising)
-//!   threshold for the rest of the sweep, so a tightening heap floor
-//!   takes effect mid-row.
-//!
-//! Every kernel exists at three [`SimdLevel`]s — scalar, AVX2 (x86_64,
+//! It exists at three [`SimdLevel`]s — scalar, AVX2 (x86_64,
 //! runtime-detected via `is_x86_feature_detected!`), and NEON (aarch64,
 //! baseline) — and all three are **bit-identical** by construction, the
 //! same contract the rest of the repo's kernels keep (see
@@ -27,12 +20,12 @@
 //!
 //! Dispatch is explicit — callers pass the [`SimdLevel`] — so benchmarks
 //! and tests can pin a level; [`SimdLevel::detect`] picks the best level
-//! the host supports, and every entry point downgrades an unsupported
+//! the host supports, and [`table_scores`] downgrades an unsupported
 //! request to scalar instead of executing illegal instructions.
 
 use std::fmt;
 
-/// One instruction-set tier of the retrieval kernels.
+/// One instruction-set tier of the retrieval kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdLevel {
     /// Portable Rust with 8-lane strided accumulation — the bit-exact
@@ -171,63 +164,6 @@ pub fn table_scores(
     }
 }
 
-/// Threshold sweep: for each origin `o` in `order`, scan
-/// `biases[o] + xs[j]` for every `j` and call `visit(o, j, s)` for
-/// survivors `s >= threshold`, origins in `order` sequence and lanes in
-/// ascending `j`. Each call returns the threshold for the rest of the
-/// sweep, which **must be ≥ the value it replaces** — the caller is
-/// tracking a top-k heap floor, which only rises as survivors displace
-/// entries.
-///
-/// This is the inner loop of the pair scan: `biases` are the origin
-/// affinities `a`, `xs` the destination affinities `b`, and `threshold`
-/// the current top-k heap floor — with a warm heap almost every lane
-/// fails the compare, so the vector levels retire 8 candidate pairs per
-/// compare+movemask and only survivors take the call. Letting a survivor
-/// raise the threshold mid-row keeps the floor *live*: a strong early
-/// lane immediately disqualifies the rest of the sweep instead of
-/// flooding the heap with doomed candidates. The comparison is IEEE `>=`
-/// at every level (quiet-NaN lanes never survive), and survivors are
-/// visited in the same sequence against the identical live threshold at
-/// every level (the vector paths re-test block survivors against it
-/// before visiting), so selection downstream is deterministic and
-/// level-independent.
-///
-/// The row loop lives inside the kernel because the per-row entry cost
-/// is not free: a `#[target_feature]` kernel cannot inline into its
-/// caller, so a row-at-a-time loop would pay call + register setup per
-/// origin instead of once per query.
-pub fn sweep_scan_add_ge<F: FnMut(u32, u32, f32) -> f32>(
-    level: SimdLevel,
-    order: &[u32],
-    biases: &[f32],
-    xs: &[f32],
-    mut threshold: f32,
-    visit: &mut F,
-) {
-    match level.effective() {
-        SimdLevel::Scalar => {
-            for &o in order {
-                let bias = biases[o as usize];
-                for (j, &x) in xs.iter().enumerate() {
-                    let s = bias + x;
-                    if s >= threshold {
-                        threshold = visit(o, j as u32, s);
-                    }
-                }
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 presence established by `effective()`.
-        SimdLevel::Avx2 => unsafe { avx2::sweep_scan_add_ge(order, biases, xs, threshold, visit) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64.
-        SimdLevel::Neon => unsafe { neon::sweep_scan_add_ge(order, biases, xs, threshold, visit) },
-        #[allow(unreachable_patterns)]
-        _ => unreachable!("effective() only returns host-supported levels"),
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     //! AVX2 kernels. Eight f32 lanes per register — the same partial-sum
@@ -283,107 +219,6 @@ mod avx2 {
         for (r, o) in out.iter_mut().enumerate() {
             // SAFETY: row r is in range by the table.len() precondition.
             *o = scale * dot_row(query, &table[r * dim..(r + 1) * dim]);
-        }
-    }
-
-    /// Drain one 8-lane block's survivors in index order, re-testing
-    /// each against the live threshold (an earlier lane in the block may
-    /// have raised it) — exactly the lane sequence the scalar oracle
-    /// visits.
-    ///
-    /// # Safety
-    /// Caller guarantees AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn drain_block<F: FnMut(u32, f32) -> f32>(
-        base: u32,
-        s: __m256,
-        mask: u32,
-        threshold: &mut f32,
-        visit: &mut F,
-    ) {
-        let mut lanes = [0.0f32; 8];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), s);
-        let mut m = mask;
-        // Lowest set bit first keeps survivors in index order.
-        while m != 0 {
-            let j = m.trailing_zeros();
-            if lanes[j as usize] >= *threshold {
-                *threshold = visit(base + j, lanes[j as usize]);
-            }
-            m &= m - 1;
-        }
-    }
-
-    /// # Safety
-    /// Caller guarantees AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sweep_scan_add_ge<F: FnMut(u32, u32, f32) -> f32>(
-        order: &[u32],
-        biases: &[f32],
-        xs: &[f32],
-        mut threshold: f32,
-        visit: &mut F,
-    ) {
-        let n = xs.len();
-        let n8 = n / 8 * 8;
-        let n16 = n / 16 * 16;
-        let p = xs.as_ptr();
-        // The threshold register survives across rows; it is reloaded
-        // only when a survivor raises the scalar value.
-        let mut vt = _mm256_set1_ps(threshold);
-        for &o in order {
-            let bias = biases[o as usize];
-            let vb = _mm256_set1_ps(bias);
-            let visit_row = &mut |j: u32, s: f32| visit(o, j, s);
-            let mut i = 0;
-            // Two blocks per iteration: with a warm heap floor the OR'd
-            // movemask almost always tests zero, so the all-fail fast
-            // path pays one branch per 16 lanes. The second block's
-            // pre-filter may use a threshold that block-one survivors
-            // have since raised — harmless, because the pre-filter only
-            // ever over-approximates and the drain re-tests every lane
-            // against the live value.
-            while i < n16 {
-                // SAFETY: i + 16 <= n16 <= n keeps both loads in bounds.
-                let s0 = _mm256_add_ps(vb, _mm256_loadu_ps(p.add(i)));
-                let s1 = _mm256_add_ps(vb, _mm256_loadu_ps(p.add(i + 8)));
-                // GE, ordered+quiet: NaN lanes compare false, like
-                // scalar >=.
-                let m0 = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(s0, vt)) as u32;
-                let m1 = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(s1, vt)) as u32;
-                if (m0 | m1) != 0 {
-                    if m0 != 0 {
-                        drain_block(i as u32, s0, m0, &mut threshold, visit_row);
-                    }
-                    if m1 != 0 {
-                        drain_block(i as u32 + 8, s1, m1, &mut threshold, visit_row);
-                    }
-                    vt = _mm256_set1_ps(threshold);
-                }
-                i += 16;
-            }
-            if i < n8 {
-                // SAFETY: i + 8 <= n8 <= n keeps the load in bounds.
-                let s = _mm256_add_ps(vb, _mm256_loadu_ps(p.add(i)));
-                let mask = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(s, vt)) as u32;
-                if mask != 0 {
-                    drain_block(i as u32, s, mask, &mut threshold, visit_row);
-                    vt = _mm256_set1_ps(threshold);
-                }
-                i += 8;
-            }
-            let mut tail_raised = false;
-            for (j, &x) in xs.iter().enumerate().skip(i) {
-                let s = bias + x;
-                if s >= threshold {
-                    threshold = visit(o, j as u32, s);
-                    tail_raised = true;
-                }
-            }
-            if tail_raised {
-                vt = _mm256_set1_ps(threshold);
-            }
         }
     }
 }
@@ -444,63 +279,6 @@ mod neon {
         for (r, o) in out.iter_mut().enumerate() {
             // SAFETY: row r is in range by the table.len() precondition.
             *o = scale * dot_row(query, &table[r * dim..(r + 1) * dim]);
-        }
-    }
-
-    /// # Safety
-    /// NEON is the aarch64 baseline; no further preconditions.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn sweep_scan_add_ge<F: FnMut(u32, u32, f32) -> f32>(
-        order: &[u32],
-        biases: &[f32],
-        xs: &[f32],
-        mut threshold: f32,
-        visit: &mut F,
-    ) {
-        let n = xs.len();
-        let n4 = n / 4 * 4;
-        let p = xs.as_ptr();
-        // The threshold register survives across rows; it is reloaded
-        // only when a survivor raises the scalar value.
-        let mut vt = vdupq_n_f32(threshold);
-        for &o in order {
-            let bias = biases[o as usize];
-            let vb = vdupq_n_f32(bias);
-            let mut i = 0;
-            while i < n4 {
-                // SAFETY: i + 4 <= n4 <= n keeps the load in bounds.
-                let s = vaddq_f32(vb, vld1q_f32(p.add(i)));
-                let ge = vcgeq_f32(s, vt);
-                // Any lane set? maxv over the mask is cheap on aarch64.
-                if vmaxvq_u32(ge) != 0 {
-                    let mut lanes = [0.0f32; 4];
-                    let mut mask = [0u32; 4];
-                    vst1q_f32(lanes.as_mut_ptr(), s);
-                    vst1q_u32(mask.as_mut_ptr(), ge);
-                    // The block compared against the threshold as of
-                    // block entry; re-test survivors against the live
-                    // one so the visit sequence matches the scalar
-                    // oracle exactly.
-                    for j in 0..4 {
-                        if mask[j] != 0 && lanes[j] >= threshold {
-                            threshold = visit(o, (i + j) as u32, lanes[j]);
-                        }
-                    }
-                    vt = vdupq_n_f32(threshold);
-                }
-                i += 4;
-            }
-            let mut tail_raised = false;
-            for j in n4..n {
-                let s = bias + xs[j];
-                if s >= threshold {
-                    threshold = visit(o, j as u32, s);
-                    tail_raised = true;
-                }
-            }
-            if tail_raised {
-                vt = vdupq_n_f32(threshold);
-            }
         }
     }
 }
@@ -569,92 +347,6 @@ mod tests {
                     "table_scores({level}) differs at dim {dim}"
                 );
             }
-        }
-    }
-
-    /// The sweep over a one-row `order`: `bias + xs[j]` against
-    /// `threshold`, survivors as `(j, score)`.
-    fn scan_row<F: FnMut(u32, f32) -> f32>(
-        level: SimdLevel,
-        bias: f32,
-        xs: &[f32],
-        threshold: f32,
-        visit: &mut F,
-    ) {
-        sweep_scan_add_ge(level, &[0], &[bias], xs, threshold, &mut |_, j, s| {
-            visit(j, s)
-        });
-    }
-
-    #[test]
-    fn scan_survivors_are_identical_and_in_order() {
-        for n in [0usize, 1, 5, 8, 13, 64, 257] {
-            let xs = noise(n, 7 + n as u64);
-            for threshold in [-10.0f32, -0.1, 0.0, 0.1, 10.0] {
-                let mut want = Vec::new();
-                scan_row(SimdLevel::Scalar, 0.05, &xs, threshold, &mut |i, s| {
-                    want.push((i, s.to_bits()));
-                    threshold
-                });
-                for level in SimdLevel::available() {
-                    let mut got = Vec::new();
-                    scan_row(level, 0.05, &xs, threshold, &mut |i, s| {
-                        got.push((i, s.to_bits()));
-                        threshold
-                    });
-                    assert_eq!(got, want, "sweep({level}) differs at n={n}");
-                    assert!(
-                        got.windows(2).all(|w| w[0].0 < w[1].0),
-                        "not in index order"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn raising_the_threshold_mid_scan_prunes_identically_across_levels() {
-        // A top-1 style callback: every survivor raises the bar to its
-        // own score. The visit sequence (running maxima, in index order)
-        // must agree bitwise at every level — the vector paths re-test
-        // block survivors against the live threshold.
-        for n in [1usize, 8, 13, 64, 257] {
-            let xs = noise(n, 19 + n as u64);
-            let run = |level: SimdLevel| {
-                let mut seen = Vec::new();
-                scan_row(level, 0.05, &xs, f32::NEG_INFINITY, &mut |i, s| {
-                    seen.push((i, s.to_bits()));
-                    s
-                });
-                seen
-            };
-            let want = run(SimdLevel::Scalar);
-            assert!(!want.is_empty(), "a finite lane always beats -inf");
-            for level in SimdLevel::available() {
-                assert_eq!(
-                    run(level),
-                    want,
-                    "live-threshold scan differs at {level}, n={n}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn nan_lanes_never_survive() {
-        let mut xs = noise(16, 3);
-        xs[4] = f32::NAN;
-        xs[11] = f32::NAN;
-        for level in SimdLevel::available() {
-            let mut got = Vec::new();
-            scan_row(level, 0.0, &xs, f32::NEG_INFINITY, &mut |i, _| {
-                got.push(i);
-                f32::NEG_INFINITY
-            });
-            assert!(
-                !got.contains(&4) && !got.contains(&11),
-                "NaN survived at {level}"
-            );
         }
     }
 
