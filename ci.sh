@@ -31,10 +31,12 @@ echo "==> cargo test --workspace (every test binary, once)"
 #   od-tensor    kernel_equivalence (GEMM tiles bit-exact vs an ascending-
 #                index triple loop at every SimdLevel; seeded continuation
 #                == one-shot product)
-#   odnet-core   frozen_equivalence (artifact vs live tape; .odz owned/mmap
+#   odnet-core   batched_equivalence (tape logits, probabilities and loss
+#                vs the f64 reference of Algorithm 1 and Eqs. 3–11),
+#                frozen_equivalence (artifact == live tape by to_bits and
+#                within the reference's tolerance; .odz owned/mmap
 #                bit-identity; checkpoint reload + freeze == in-process
-#                freeze, .odz byte for byte), batched_equivalence,
-#                head_equivalence
+#                freeze, .odz byte for byte), head_equivalence
 #                (fused, prefix-seeded MMoE head vs the per-layer forward),
 #                artifact_corruption (.odz loader rejects tampered files)
 #   od-retrieval both tiers' select vs a full sort (ties, ±0.0, twin runs
@@ -63,10 +65,14 @@ cargo test -q --workspace
 echo "==> bit-exactness gates again, optimized"
 # The suites whose subject is float bits the optimizer could reorder or
 # the decoder could round: what ships is the release build, so they also
-# run against it. od-retrieval runs whole: the select stage's unit oracle
-# and retrieval_equivalence (pruned == exact bit for bit, pruned computes
-# <= 1/50 of exact's pair sums at k = 64).
+# run against it. The core forward suites: frozen == tape by to_bits, the
+# fused head == the per-layer forward, and both forwards within the f64
+# reference's tolerance. od-retrieval runs whole: the select stage's unit
+# oracle and retrieval_equivalence (pruned == exact bit for bit, pruned
+# computes <= 1/50 of exact's pair sums at k = 64).
 cargo test -q --release -p od-tensor --test kernel_equivalence
+cargo test -q --release -p odnet-core --test batched_equivalence \
+    --test frozen_equivalence --test head_equivalence
 cargo test -q --release -p od-retrieval
 cargo test -q --release --offline --manifest-path vendor/serde_json/Cargo.toml \
     --target-dir target/vendor --test f32_format

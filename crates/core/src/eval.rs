@@ -6,9 +6,8 @@
 //! A/B simulator.
 //!
 //! ODNET implements it once, on the artifact it serves
-//! ([`FrozenOdNet`](crate::FrozenOdNet)): evaluate `model.freeze()`. The
-//! live tape's inherent `OdNetModel::score_group` stays as the reference
-//! the equivalence suites compare that artifact against, bit for bit.
+//! ([`FrozenOdNet`](crate::FrozenOdNet)): evaluate `model.freeze()`, whose
+//! scores equal the live tape's bit for bit.
 
 use crate::features::{FeatureExtractor, GroupInput};
 use od_data::{auc, rank_of_truth, RankingAccumulator, RankingMetrics};

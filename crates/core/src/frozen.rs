@@ -14,10 +14,9 @@
 //!
 //! Scoring then runs the tape-free forward from `od_tensor::infer`: no
 //! `Graph`, no `Value`s, and — once the [`Workspace`] pool is warm — no
-//! per-request allocation. Every kernel mirrors the live batched forward op
-//! for op, so frozen scores are bit-identical to the live tape (the live
-//! path remains the correctness oracle; see
-//! `tests/frozen_equivalence.rs`).
+//! per-request allocation. Every kernel mirrors the live forward op for op,
+//! so frozen scores are bit-identical to the live tape, and both are held
+//! to an independent `f64` reference (see `tests/frozen_equivalence.rs`).
 //!
 //! This is also the one ODNET [`OdScorer`]: every offline number — the
 //! paper-table binaries, `odnet eval`, the examples — is computed by

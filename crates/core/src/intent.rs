@@ -67,17 +67,6 @@ impl IntentModule {
         g.reshape(mixed, Shape::Vector(self.dim))
     }
 
-    /// The soft assignment weights alone (diagnostics: which intent a
-    /// click stream expresses). Row of `num_intents` probabilities.
-    pub fn assignment(&self, g: &mut Graph, store: &ParamStore, short_emb: Value) -> Value {
-        let all: Vec<usize> = (0..self.num_intents).collect();
-        let protos = self.prototypes.forward(g, store, &all);
-        let query = g.mean_rows(short_emb);
-        let protos_t = g.transpose(protos);
-        let scores = g.matmul(query, protos_t);
-        g.softmax_rows(scores)
-    }
-
     /// Snapshot the prototype bank into a [`FrozenIntent`].
     pub fn freeze(&self, store: &ParamStore) -> FrozenIntent {
         FrozenIntent {
@@ -162,7 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn output_is_a_convex_prototype_mix() {
+    fn output_is_a_d_vector() {
         let mut store = ParamStore::new();
         let m = module(&mut store);
         assert_eq!(m.num_intents(), 4);
@@ -173,11 +162,6 @@ mod tests {
             0.5,
             &mut StdRng::seed_from_u64(9),
         ));
-        let a = m.assignment(&mut g, &store, clicks);
-        let t = g.value(a);
-        assert_eq!(t.len(), 4);
-        assert!((t.sum() - 1.0).abs() < 1e-5);
-        assert!(t.as_slice().iter().all(|&w| w >= 0.0));
         let intent = m.forward(&mut g, &store, Some(clicks));
         assert_eq!(g.value(intent).shape(), Shape::Vector(D));
     }

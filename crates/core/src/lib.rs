@@ -7,18 +7,17 @@
 //! - [`hsgc`] — the Heterogeneous Spatial Graph Component (Algorithm 1 with
 //!   the Eq. 1 attention and Eq. 2 spatial weights), run per-sample with
 //!   memoized neighborhood recursion;
-//! - `frozen` — the tape-free serving artifact ([`FrozenOdNet`]): training
-//!   happens on the autograd tape, serving *and every offline evaluation*
-//!   on dense materialized tables and plain matrix kernels (see
-//!   `OdNetModel::freeze`);
+//! - `frozen` — the tape-free serving artifact ([`FrozenOdNet`]) and its
+//!   Eq. 11 serving score: training happens on the autograd tape, serving
+//!   *and every offline evaluation* on dense materialized tables and plain
+//!   matrix kernels (see `OdNetModel::freeze`);
 //! - `pec` — the Preference Extraction Component (Eq. 3 multi-head
 //!   encoding, Eq. 4–5 bilinear attention over long-term behaviour queried
 //!   by short-term intent);
 //! - `mmoe` — the O&D Joint Learning Component (Eqs. 6–7 MMoE) and the
 //!   single-task head of the STL variants;
 //! - `model` — the assembled network, its four variants (ODNET, ODNET−G,
-//!   STL+G, STL−G), the Eq. 8 joint loss with learnable θ, and the Eq. 11
-//!   serving score;
+//!   STL+G, STL−G) and the Eq. 8 joint loss with learnable θ;
 //! - `trainer` — synchronous data-parallel mini-batch training;
 //! - `eval` — the shared evaluation harness ([`OdScorer`]) used by the
 //!   baselines too;
@@ -73,7 +72,7 @@ pub use features::{
 pub use frozen::{EmbeddingView, FrozenOdNet};
 pub use intent::IntentModule;
 pub use mmoe::{MmoeHead, SingleTaskHead};
-pub use model::{CheckpointError, GroupForward, GroupForwardBatched, OdNetModel, Variant};
+pub use model::{CheckpointError, GroupForward, OdNetModel, Variant};
 pub use pec::PecModule;
 pub use trainer::{
     train, try_train, EpochMetrics, TrainError, TrainHyper, TrainReport, TrainableModel,

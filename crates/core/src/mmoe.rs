@@ -98,43 +98,12 @@ impl MmoeHead {
         }
     }
 
-    /// Forward `q⊕` (a `1×2d_q` row or vector) to the pair of task logits
-    /// `(logit_O, logit_D)`, each `1×1`.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, q_cat: Value) -> (Value, Value) {
-        // Expert outputs stacked into [experts × d_r].
-        let outs: Vec<Value> = self
-            .experts
-            .iter()
-            .map(|e| {
-                let lin = e.forward(g, store, q_cat);
-                g.relu(lin)
-            })
-            .collect();
-        let expert_matrix = g.concat_rows(&outs);
-        let mix = |g: &mut Graph, gate: &Linear, tower: &Mlp| -> Value {
-            let gate_logits = gate.forward(g, store, q_cat); // 1×experts
-            let weights = g.softmax_rows(gate_logits);
-            // Sum pooling with gate weights (Fig. 5): weights · experts.
-            let r = g.matmul(weights, expert_matrix); // 1×d_r
-            tower.forward(g, store, r) // 1×1 logit
-        };
-        let logit_o = mix(g, &self.gate_o, &self.tower_o);
-        let logit_d = mix(g, &self.gate_d, &self.tower_d);
-        (logit_o, logit_d)
-    }
-
-    /// Batched forward: `q_cat` is `[n × 2d_q]` with one row per candidate;
+    /// Forward `q⊕`: `q_cat` is `[n × 2d_q]` with one row per candidate;
     /// output is the pair of `n×1` logit columns. Each expert, gate, and
-    /// tower runs one matmul for the whole group. The gate mixing unrolls
-    /// the `weights · experts` product over experts in ascending order —
-    /// per element the same f32 accumulation order as [`MmoeHead::forward`],
-    /// so the two paths agree to rounding.
-    pub fn forward_batched(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        q_cat: Value,
-    ) -> (Value, Value) {
+    /// tower runs one matmul for the whole group. The gate mix (sum pooling
+    /// with gate weights, Fig. 5) accumulates experts in ascending order,
+    /// one scaled add per expert.
+    pub fn forward(&self, g: &mut Graph, store: &ParamStore, q_cat: Value) -> (Value, Value) {
         // Expert outputs, each [n × d_r].
         let outs: Vec<Value> = self
             .experts
@@ -167,16 +136,6 @@ impl MmoeHead {
     /// Expert output width `d_r`.
     pub fn expert_dim(&self) -> usize {
         self.expert_dim
-    }
-
-    /// Gate weights for diagnostics/tests: `(gate_O, gate_D)` rows over
-    /// experts (each sums to 1).
-    pub fn gate_weights(&self, g: &mut Graph, store: &ParamStore, q_cat: Value) -> (Value, Value) {
-        let lo = self.gate_o.forward(g, store, q_cat);
-        let go = g.softmax_rows(lo);
-        let ld = self.gate_d.forward(g, store, q_cat);
-        let gd = g.softmax_rows(ld);
-        (go, gd)
     }
 
     /// Snapshot the head's current weights into a [`FrozenMmoeHead`].
@@ -289,7 +248,7 @@ impl FrozenMmoeHead {
         })
     }
 
-    /// Tape-free counterpart of [`MmoeHead::forward_batched`] over `n`
+    /// Tape-free counterpart of [`MmoeHead::forward`] over `n`
     /// candidates whose `q⊕` rows are `prefix ⊕ tail[i]`: `prefix` holds the
     /// leading columns every row shares (possibly none), `tail` is
     /// `n × (2d_q − prefix.len())`. Returns the `(logit_O, logit_D)` columns
@@ -509,33 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn gate_outputs_sum_to_one() {
-        let mut store = ParamStore::new();
-        let h = head(&mut store);
-        let mut g = Graph::new();
-        let qv = q(&mut g, 3);
-        let (go, gd) = h.gate_weights(&mut g, &store, qv);
-        for gate in [go, gd] {
-            let t = g.value(gate);
-            assert_eq!(t.len(), 3);
-            assert!((t.sum() - 1.0).abs() < 1e-5);
-            assert!(t.as_slice().iter().all(|&w| w >= 0.0));
-        }
-    }
-
-    #[test]
-    fn tasks_see_different_mixtures() {
-        // The whole point of MMoE: the two gates can weight experts
-        // differently for the two tasks.
-        let mut store = ParamStore::new();
-        let h = head(&mut store);
-        let mut g = Graph::new();
-        let qv = q(&mut g, 4);
-        let (go, gd) = h.gate_weights(&mut g, &store, qv);
-        assert_ne!(g.value(go).as_slice(), g.value(gd).as_slice());
-    }
-
-    #[test]
     fn gradients_reach_both_towers_and_all_experts() {
         let mut store = ParamStore::new();
         let h = head(&mut store);
@@ -603,7 +535,7 @@ mod tests {
         );
         let mut g = Graph::new();
         let xv = g.input(x.clone());
-        let (lo, ld) = h.forward_batched(&mut g, &store, xv);
+        let (lo, ld) = h.forward(&mut g, &store, xv);
         let mut ws = Workspace::new();
         let (fo, fd) = frozen.forward_batched(&mut ws, &[], x.as_slice(), 4);
         assert_eq!(fo.as_slice(), g.value(lo).as_slice());

@@ -90,17 +90,9 @@ enum Head {
     Single(SingleTaskHead),
 }
 
-/// Per-candidate output logits of a group forward pass.
+/// Output logits of a group forward pass: each field is an `n×1` column
+/// with one logit per candidate, in candidate order.
 pub struct GroupForward {
-    /// O-task logit node per candidate.
-    pub logits_o: Vec<Value>,
-    /// D-task logit node per candidate.
-    pub logits_d: Vec<Value>,
-}
-
-/// Output logits of a batched group forward pass: each field is an `n×1`
-/// column with one logit per candidate, in candidate order.
-pub struct GroupForwardBatched {
     /// O-task logit column.
     pub logits_o: Value,
     /// D-task logit column.
@@ -257,13 +249,24 @@ impl OdNetModel {
         self.store.num_weights()
     }
 
-    /// Shared setup of a group forward: both branch embedding sources plus
-    /// their candidate-independent trunks.
-    fn branch_setup<'m>(
-        &'m self,
-        g: &mut Graph,
-        group: &GroupInput,
-    ) -> (BranchSource<'m>, BranchSource<'m>, Trunk, Trunk) {
+    /// The HSG and its sampled ρ₁ (origin branch) and ρ₂ (destination
+    /// branch) neighbour tables — Algorithm 1's `N_ρ` inputs. `None` for
+    /// the variants without an HSGC.
+    pub fn graph_context(&self) -> Option<(&Hsg, &NeighborTable, &NeighborTable)> {
+        self.graph_ctx
+            .as_ref()
+            .map(|ctx| (&ctx.hsg, &ctx.table_o, &ctx.table_d))
+    }
+
+    /// Forward one group: all `n` candidates are stacked into `n×d`
+    /// matrices, so the PEC concat, every expert/gate/tower layer, and the
+    /// candidate-embedding gather each run once per group. The shared
+    /// user-side trunk (HSGC closure + PEC summary) is computed once and its
+    /// rows are broadcast down the batch by [`Graph::concat_cols_bcast`]
+    /// without materializing tiled copies.
+    pub fn forward_group(&self, g: &mut Graph, group: &GroupInput) -> GroupForward {
+        let n = group.candidates.len();
+        assert!(n > 0, "forward_group needs at least one candidate");
         let store = &self.store;
         let mut origin_src =
             BranchSource::new(&self.origin_branch, self.graph_ctx.as_ref(), true, g, store);
@@ -289,57 +292,6 @@ impl OdNetModel {
             &group.lt_dests,
             &group.st_dests,
         );
-        (origin_src, dest_src, trunk_o, trunk_d)
-    }
-
-    /// Forward one group, producing per-candidate logit nodes. The shared
-    /// user-side trunk (HSGC closure + PEC summary) is computed once. This
-    /// is the reference path; [`OdNetModel::forward_group_batched`] computes
-    /// the same logits with one matmul per layer per group.
-    pub fn forward_group(&self, g: &mut Graph, group: &GroupInput) -> GroupForward {
-        let store = &self.store;
-        let (mut origin_src, mut dest_src, trunk_o, trunk_d) = self.branch_setup(g, group);
-
-        let mut logits_o = Vec::with_capacity(group.candidates.len());
-        let mut logits_d = Vec::with_capacity(group.candidates.len());
-        for cand in &group.candidates {
-            let e_co = origin_src.city(g, store, cand.origin);
-            let e_cd = dest_src.city(g, store, cand.dest);
-            let xst_o = g.input(Tensor::vector(&cand.xst_o));
-            let xst_d = g.input(Tensor::vector(&cand.xst_d));
-            let mut parts_o = vec![trunk_o.v_l, trunk_o.e_user, trunk_o.e_lbs, e_co, xst_o];
-            if let Some(intent) = trunk_o.intent {
-                parts_o.push(intent);
-            }
-            let q_o = g.concat_cols(&parts_o);
-            let mut parts_d = vec![trunk_d.v_l, trunk_d.e_user, trunk_d.e_lbs, e_cd, xst_d];
-            if let Some(intent) = trunk_d.intent {
-                parts_d.push(intent);
-            }
-            let q_d = g.concat_cols(&parts_d);
-            let (lo, ld) = match &self.head {
-                Head::Joint(mmoe) => {
-                    let q_cat = g.concat_cols(&[q_o, q_d]);
-                    mmoe.forward(g, store, q_cat)
-                }
-                Head::Single(stl) => stl.forward(g, store, q_o, q_d),
-            };
-            logits_o.push(lo);
-            logits_d.push(ld);
-        }
-        GroupForward { logits_o, logits_d }
-    }
-
-    /// Batched group forward: all `n` candidates are stacked into `n×d`
-    /// matrices, so the PEC concat, every expert/gate/tower layer, and the
-    /// candidate-embedding gather each run once per group instead of once
-    /// per candidate. The shared trunk rows are broadcast down the batch by
-    /// [`Graph::concat_cols_bcast`] without materializing tiled copies.
-    pub fn forward_group_batched(&self, g: &mut Graph, group: &GroupInput) -> GroupForwardBatched {
-        let n = group.candidates.len();
-        assert!(n > 0, "forward_group_batched needs at least one candidate");
-        let store = &self.store;
-        let (mut origin_src, mut dest_src, trunk_o, trunk_d) = self.branch_setup(g, group);
 
         let origin_ids: Vec<CityId> = group.candidates.iter().map(|c| c.origin).collect();
         let dest_ids: Vec<CityId> = group.candidates.iter().map(|c| c.dest).collect();
@@ -360,7 +312,8 @@ impl OdNetModel {
         let xst_o = g.input(xst_o);
         let xst_d = g.input(xst_d);
 
-        // Same part order as the per-candidate path; trunk rows broadcast.
+        // q = [v_L | e_user | e_lbs | e_cand | x_st (| intent)]; trunk rows
+        // broadcast.
         let mut parts_o = vec![trunk_o.v_l, trunk_o.e_user, trunk_o.e_lbs, e_co, xst_o];
         if let Some(intent) = trunk_o.intent {
             parts_o.push(intent);
@@ -375,31 +328,17 @@ impl OdNetModel {
         let (logits_o, logits_d) = match &self.head {
             Head::Joint(mmoe) => {
                 let q_cat = g.concat_cols(&[q_o, q_d]);
-                mmoe.forward_batched(g, store, q_cat)
+                mmoe.forward(g, store, q_cat)
             }
             Head::Single(stl) => stl.forward(g, store, q_o, q_d),
         };
-        GroupForwardBatched { logits_o, logits_d }
+        GroupForward { logits_o, logits_d }
     }
 
     /// Forward a group and attach the joint loss (Eq. 8 over Eqs. 9–10),
     /// returning the scalar loss node.
     pub fn group_loss(&self, g: &mut Graph, group: &GroupInput) -> Value {
-        let fwd = self.forward_group_batched(g, group);
-        self.loss_from_logits(g, group, fwd.logits_o, fwd.logits_d)
-    }
-
-    /// The joint loss over a group's stacked `n×1` logit columns — split
-    /// from [`group_loss`](Self::group_loss) so the equivalence tests can
-    /// feed it the per-candidate oracle's ([`forward_group`](Self::forward_group))
-    /// logits.
-    pub fn loss_from_logits(
-        &self,
-        g: &mut Graph,
-        group: &GroupInput,
-        logits_o: Value,
-        logits_d: Value,
-    ) -> Value {
+        let GroupForward { logits_o, logits_d } = self.forward_group(g, group);
         let labels_o: Vec<f32> = group.candidates.iter().map(|c| c.label_o).collect();
         let labels_d: Vec<f32> = group.candidates.iter().map(|c| c.label_d).collect();
         let n = labels_o.len();
@@ -445,9 +384,8 @@ impl OdNetModel {
     }
 
     /// Score a group on the live tape: per-candidate `(p^O, p^D)`
-    /// probabilities. This is the reference the equivalence suites hold the
-    /// artifact to; evaluation and serving score [`freeze`](Self::freeze)'s
-    /// output instead.
+    /// probabilities. The frozen artifact reproduces these bits; evaluation
+    /// and serving score [`freeze`](Self::freeze)'s output instead.
     pub fn score_group(&self, group: &GroupInput) -> Vec<(f32, f32)> {
         let mut g = Graph::new();
         self.score_group_with(&mut g, group)
@@ -461,19 +399,13 @@ impl OdNetModel {
         if group.candidates.is_empty() {
             return Vec::new();
         }
-        let fwd = self.forward_group_batched(g, group);
+        let fwd = self.forward_group(g, group);
         let lo = g.value(fwd.logits_o).as_slice();
         let ld = g.value(fwd.logits_d).as_slice();
         lo.iter()
             .zip(ld)
             .map(|(&a, &b)| (stable_sigmoid(a), stable_sigmoid(b)))
             .collect()
-    }
-
-    /// The serving score of Eq. 11: `θ·p^O + (1−θ)·p^D`.
-    pub fn serving_score(&self, p_o: f32, p_d: f32) -> f32 {
-        let theta = self.theta();
-        theta * p_o + (1.0 - theta) * p_d
     }
 
     /// Freeze the model into a tape-free [`FrozenOdNet`] serving artifact.
@@ -483,8 +415,8 @@ impl OdNetModel {
     /// lookup); plain variants snapshot their embedding tables directly.
     /// PEC/MMoE/tower weights are extracted from the [`ParamStore`] into
     /// plain row-major matrices and θ becomes a plain scalar. The frozen
-    /// forward mirrors the live batched tape op for op, so its scores are
-    /// bit-identical to [`OdNetModel::score_group`]'s batched path.
+    /// forward mirrors the live tape op for op, so its scores are
+    /// bit-identical to [`OdNetModel::score_group`]'s.
     pub fn freeze(&self) -> FrozenOdNet {
         let freeze_branch = |branch: &Branch, is_origin: bool| -> FrozenBranch {
             let (users, cities) = match (&branch.hsgc, self.graph_ctx.as_ref()) {
@@ -890,13 +822,6 @@ mod tests {
         assert!((model.theta() - 0.5).abs() < 1e-5);
         let stl = build_model(Variant::StlG, &ds);
         assert_eq!(stl.theta(), 0.5);
-    }
-
-    #[test]
-    fn serving_score_is_eq_11() {
-        let ds = dataset();
-        let model = build_model(Variant::StlG, &ds);
-        assert!((model.serving_score(0.8, 0.4) - 0.6).abs() < 1e-6);
     }
 
     #[test]

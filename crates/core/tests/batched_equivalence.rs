@@ -1,150 +1,123 @@
-//! The batched group forward must reproduce the per-candidate oracle.
+//! The training tape's group forward against the `f64` reference.
 //!
-//! `OdNetModel::forward_group` is the original one-candidate-at-a-time
-//! forward; `score_group` / `group_loss` stack the group into `n×d`
-//! matrices. Both run on the same model, so their scores must agree within
-//! float tolerance for any candidate set — across variants, with and
-//! without the HSGC, the MMoE head, and the intent extension.
+//! `OdNetModel::forward_group` stacks a group's candidates into `n×d`
+//! matrices; `tests/reference` computes the same network from the paper's
+//! equations in plain loops. Logits, probabilities and the joint loss must
+//! agree within the reference's stated tolerance for any candidate set,
+//! for every variant, with and without the HSGC (at K = 1 and K = 2), the
+//! MMoE head, and the intent extension.
 
-mod oracle;
+mod reference;
 
-use od_hsg::CityId;
-use odnet_core::{
-    CandidateInput, FeatureExtractor, GroupInput, OdNetModel, OdnetConfig, Variant, XST_DIM,
-};
-use oracle::oracle_scores;
+use od_tensor::Graph;
+use odnet_core::{GroupInput, OdNetModel};
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use proptest::TestCaseError;
+use reference::{fixture, logit_close, prob_close, reference, reference_loss, TOL};
 
-const TOL: f32 = 1e-5;
-
-struct Fixture {
-    /// One model per variant under test.
-    models: Vec<OdNetModel>,
-    /// A real group (with history) providing the user context.
-    template: GroupInput,
-    num_cities: usize,
-}
-
-fn fixture() -> &'static Fixture {
-    static FIX: OnceLock<Fixture> = OnceLock::new();
-    FIX.get_or_init(|| {
-        let ds = od_data::FliggyDataset::generate(od_data::FliggyConfig::tiny());
-        let build = |variant: Variant, intents: usize| {
-            let mut cfg = OdnetConfig::tiny();
-            cfg.intents = intents;
-            let g = variant.uses_graph().then(|| ds.hsg());
-            OdNetModel::new(variant, cfg, ds.world.num_users(), ds.world.num_cities(), g)
-        };
-        let models = vec![
-            build(Variant::Odnet, 0),
-            build(Variant::StlG, 0),
-            build(Variant::OdnetG, 3),
-        ];
-        let fx = FeatureExtractor::new(6, 4);
-        let template = fx
-            .groups_from_samples(&ds, &ds.train)
-            .into_iter()
-            .find(|g| !g.lt_origins.is_empty())
-            .expect("a group with history exists");
-        let num_cities = ds.world.num_cities();
-        Fixture {
-            models,
-            template,
-            num_cities,
+/// Compare one group's tape logits, probabilities and loss with the
+/// reference; `Err` names the first disagreement.
+fn check(model: &OdNetModel, group: &GroupInput) -> Result<(), String> {
+    let name = model.variant.name();
+    let want = reference(model, group);
+    let mut g = Graph::new();
+    let fwd = model.forward_group(&mut g, group);
+    let (lo, ld) = (
+        g.value(fwd.logits_o).as_slice(),
+        g.value(fwd.logits_d).as_slice(),
+    );
+    let probs = model.score_group(group);
+    let n = want.candidates.len();
+    if (lo.len(), ld.len(), probs.len()) != (n, n, n) {
+        return Err(format!("{name}: candidate counts differ"));
+    }
+    for (i, (r, ((&lo, &ld), &(po, pd)))) in want
+        .candidates
+        .iter()
+        .zip(lo.iter().zip(ld).zip(&probs))
+        .enumerate()
+    {
+        if !(logit_close(lo, r.logit_o) && logit_close(ld, r.logit_d)) {
+            return Err(format!(
+                "{name} candidate {i}: tape logits ({lo}, {ld}) vs reference ({}, {})",
+                r.logit_o, r.logit_d
+            ));
         }
-    })
-}
-
-/// A candidate drawn from arbitrary city pairs and feature values.
-fn candidates(num_cities: usize) -> impl Strategy<Value = Vec<CandidateInput>> {
-    let cand = (
-        0..num_cities as u32,
-        0..num_cities as u32,
-        prop::collection::vec(-1.0f32..3.0, 2 * XST_DIM),
-        prop::bool::ANY,
-    )
-        .prop_map(|(o, d, x, label)| {
-            let mut xst_o = [0.0f32; XST_DIM];
-            let mut xst_d = [0.0f32; XST_DIM];
-            xst_o.copy_from_slice(&x[..XST_DIM]);
-            xst_d.copy_from_slice(&x[XST_DIM..]);
-            CandidateInput {
-                origin: CityId(o),
-                dest: CityId(d),
-                xst_o,
-                xst_d,
-                label_o: if label { 1.0 } else { 0.0 },
-                label_d: if label { 0.0 } else { 1.0 },
-            }
-        });
-    prop::collection::vec(cand, 1..=64)
+        if !(prob_close(po, r.p_o) && prob_close(pd, r.p_d)) {
+            return Err(format!(
+                "{name} candidate {i}: tape (p^O, p^D) ({po}, {pd}) vs reference ({}, {})",
+                r.p_o, r.p_d
+            ));
+        }
+    }
+    let mut g = Graph::new();
+    let loss = model.group_loss(&mut g, group);
+    let (got, want) = (g.value(loss).item(), reference_loss(model, group, &want));
+    if (f64::from(got) - want).abs() > TOL * (1.0 + want.abs()) {
+        return Err(format!("{name} loss: tape {got} vs reference {want}"));
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn batched_scores_match_per_candidate_oracle(cands in candidates(fixture().num_cities)) {
+    fn tape_matches_the_reference(cands in reference::candidates(fixture().num_cities)) {
         let fix = fixture();
         let mut group = fix.template.clone();
         group.candidates = cands;
         for model in &fix.models {
-            let fast = model.score_group(&group);
-            let slow = oracle_scores(model, &group);
-            prop_assert_eq!(fast.len(), slow.len());
-            for (i, ((fo, fd), (so, sd))) in fast.iter().zip(&slow).enumerate() {
-                prop_assert!(
-                    (fo - so).abs() <= TOL && (fd - sd).abs() <= TOL,
-                    "{} candidate {i}: batched ({fo}, {fd}) vs oracle ({so}, {sd})",
-                    model.variant.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_loss_matches_per_candidate_oracle(cands in candidates(fixture().num_cities)) {
-        let fix = fixture();
-        let mut group = fix.template.clone();
-        group.candidates = cands;
-        for model in &fix.models {
-            let mut g1 = od_tensor::Graph::new();
-            let l1 = model.group_loss(&mut g1, &group);
-            // The oracle loss: the same joint loss over the per-candidate
-            // forward's logits, stacked into columns.
-            let mut g2 = od_tensor::Graph::new();
-            let fwd = model.forward_group(&mut g2, &group);
-            let (lo, ld) = (g2.concat_rows(&fwd.logits_o), g2.concat_rows(&fwd.logits_d));
-            let l2 = model.loss_from_logits(&mut g2, &group, lo, ld);
-            let (a, b) = (g1.value(l1).item(), g2.value(l2).item());
-            prop_assert!(
-                (a - b).abs() <= TOL,
-                "{} loss: batched {a} vs oracle {b}",
-                model.variant.name()
-            );
+            check(model, &group).map_err(TestCaseError::fail)?;
         }
     }
 }
 
+/// Real groups cover short, long, one-sided and missing histories.
+#[test]
+fn tape_matches_the_reference_on_real_groups() {
+    let fix = fixture();
+    for model in &fix.models {
+        for group in &fix.groups {
+            check(model, group).unwrap();
+        }
+    }
+}
+
+/// A cold user — no history on either branch — zeroes the PEC summary and
+/// the intent vector on every path.
+#[test]
+fn tape_matches_the_reference_without_history() {
+    let fix = fixture();
+    let mut group = fix.template.clone();
+    for seq in [
+        &mut group.lt_origins,
+        &mut group.st_origins,
+        &mut group.lt_dests,
+        &mut group.st_dests,
+    ] {
+        seq.clear();
+    }
+    group.lt_days.clear();
+    group.st_days.clear();
+    for model in &fix.models {
+        check(model, &group).unwrap();
+    }
+}
+
 /// Single-candidate groups hit the vector-shaped (rows == 1) corners of
-/// every batched op; exercise them deterministically too.
+/// every batched op.
 #[test]
 fn single_candidate_group_matches() {
     let fix = fixture();
     let mut group = fix.template.clone();
     group.candidates.truncate(1);
     for model in &fix.models {
-        let fast = model.score_group(&group);
-        let slow = oracle_scores(model, &group);
-        assert_eq!(fast.len(), 1);
-        assert!((fast[0].0 - slow[0].0).abs() <= TOL);
-        assert!((fast[0].1 - slow[0].1).abs() <= TOL);
+        check(model, &group).unwrap();
     }
 }
 
-/// Empty groups score to an empty vector on both paths (no panic from the
-/// batched assert).
+/// Empty groups score to an empty vector.
 #[test]
 fn empty_candidate_group_scores_empty() {
     let fix = fixture();
@@ -152,7 +125,43 @@ fn empty_candidate_group_scores_empty() {
     group.candidates.clear();
     for model in &fix.models {
         assert!(model.score_group(&group).is_empty());
-        assert!(oracle_scores(model, &group).is_empty());
+    }
+}
+
+/// The MMoE gates (Eq. 7) are distributions over the experts, and the two
+/// tasks mix the experts differently; the attention and intent weights
+/// are distributions too. The tape reads the same weights: it matches the
+/// reference's logits above.
+#[test]
+fn gates_and_attentions_are_distributions() {
+    let fix = fixture();
+    let is_distribution = |w: &[f64]| {
+        !w.is_empty() && w.iter().all(|&x| x >= 0.0) && (w.iter().sum::<f64>() - 1.0).abs() < 1e-12
+    };
+    for model in &fix.models {
+        let r = reference(model, &fix.template);
+        assert!((0.0..1.0).contains(&r.theta));
+        for w in &r.pec_attention {
+            assert!(is_distribution(w), "{}", model.variant.name());
+        }
+        if model.config.intents > 0 {
+            for a in &r.intent_assignment {
+                let a = a.as_ref().expect("the template has recent clicks");
+                assert_eq!(a.len(), model.config.intents);
+                assert!(is_distribution(a));
+            }
+        }
+        if model.variant.joint() {
+            for c in &r.candidates {
+                assert_eq!(c.gate_o.len(), model.config.experts);
+                assert!(is_distribution(&c.gate_o) && is_distribution(&c.gate_d));
+            }
+            assert!(
+                r.candidates.iter().any(|c| c.gate_o != c.gate_d),
+                "{}: the two tasks see one mixture",
+                model.variant.name()
+            );
+        }
     }
 }
 
@@ -161,14 +170,14 @@ fn empty_candidate_group_scores_empty() {
 #[test]
 fn graph_reuse_is_stateless_across_groups() {
     let fix = fixture();
-    let batched = &fix.models[0];
+    let model = &fix.models[0];
     let mut a = fix.template.clone();
     a.candidates.truncate(3.min(a.candidates.len()));
     let mut b = fix.template.clone();
     b.candidates.reverse();
-    let mut tape = od_tensor::Graph::new();
-    let first = batched.score_group_with(&mut tape, &a);
-    let _ = batched.score_group_with(&mut tape, &b);
-    let again = batched.score_group_with(&mut tape, &a);
+    let mut tape = Graph::new();
+    let first = model.score_group_with(&mut tape, &a);
+    let _ = model.score_group_with(&mut tape, &b);
+    let again = model.score_group_with(&mut tape, &a);
     assert_eq!(first, again);
 }

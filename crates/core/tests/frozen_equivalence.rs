@@ -1,61 +1,41 @@
-//! The frozen serving artifact must reproduce the live tape.
+//! The frozen serving artifact must reproduce the live tape bit for bit,
+//! and the `f64` reference within its tolerance.
 //!
 //! `OdNetModel::freeze` materializes the HSGC closure into dense tables and
 //! extracts every weight into plain matrices; its tape-free forward mirrors
-//! the live batched forward op for op. The live model stays the correctness
-//! oracle: frozen scores must agree within float tolerance with both the
-//! batched path and the original per-candidate path, for every variant,
-//! with and without the HSGC, the MMoE head, and the intent extension.
+//! the live forward op for op, so frozen scores equal the tape's by
+//! `to_bits`, for every variant, with and without the HSGC, the MMoE head,
+//! and the intent extension. Both are held to `tests/reference`, which
+//! shares no numeric code with either.
 
-mod oracle;
+mod reference;
 
-use od_hsg::CityId;
 use od_tensor::infer::Workspace;
 use odnet_core::{
-    CandidateInput, CheckpointError, FeatureExtractor, FrozenOdNet, GroupInput, OdNetModel,
-    OdnetConfig, Variant, XST_DIM,
+    CheckpointError, FeatureExtractor, FrozenOdNet, GroupInput, OdNetModel, OdnetConfig, Variant,
 };
-use oracle::oracle_scores;
 use proptest::prelude::*;
+use proptest::TestCaseError;
+use reference::{fixture, prob_close, reference};
 use std::sync::OnceLock;
 
-const TOL: f32 = 1e-5;
-
-struct Fixture {
-    /// `(frozen, live)` pairs: the artifact and the model it was frozen
-    /// from.
-    pairs: Vec<(FrozenOdNet, OdNetModel)>,
-    /// Per-pair reloads of the frozen artifact through both `.odz` load
-    /// modes: `[owned read, zero-copy mmap]`. Both must score
-    /// bit-identically to the original.
+struct Frozen {
+    /// The artifact of each fixture model, in fixture order.
+    frozen: Vec<FrozenOdNet>,
+    /// Per artifact, its reloads through both `.odz` load modes:
+    /// `[owned read, zero-copy mmap]`. Both must score bit-identically to
+    /// the original.
     reloaded: Vec<[FrozenOdNet; 2]>,
-    /// A real group (with history) providing the user context.
-    template: GroupInput,
-    num_cities: usize,
 }
 
-fn fixture() -> &'static Fixture {
-    static FIX: OnceLock<Fixture> = OnceLock::new();
-    FIX.get_or_init(|| {
-        let ds = od_data::FliggyDataset::generate(od_data::FliggyConfig::tiny());
-        let build = |variant: Variant, intents: usize| {
-            let mut cfg = OdnetConfig::tiny();
-            cfg.intents = intents;
-            let g = variant.uses_graph().then(|| ds.hsg());
-            let live =
-                OdNetModel::new(variant, cfg, ds.world.num_users(), ds.world.num_cities(), g);
-            (live.freeze(), live)
-        };
-        let pairs = vec![
-            build(Variant::Odnet, 0),
-            build(Variant::StlG, 0),
-            build(Variant::OdnetG, 3),
-            build(Variant::StlPlusG, 0),
-        ];
-        let reloaded = pairs
+fn frozen() -> &'static Frozen {
+    static FROZEN: OnceLock<Frozen> = OnceLock::new();
+    FROZEN.get_or_init(|| {
+        let frozen: Vec<FrozenOdNet> = fixture().models.iter().map(OdNetModel::freeze).collect();
+        let reloaded = frozen
             .iter()
             .enumerate()
-            .map(|(i, (frozen, _))| {
+            .map(|(i, frozen)| {
                 let path = std::env::temp_dir()
                     .join(format!("odnet_equiv_{}_{i}.odz", std::process::id()));
                 frozen.save_bin(&path).expect("save .odz");
@@ -67,75 +47,57 @@ fn fixture() -> &'static Fixture {
                 [bin, mapped]
             })
             .collect();
-        let fx = FeatureExtractor::new(6, 4);
-        let template = fx
-            .groups_from_samples(&ds, &ds.train)
-            .into_iter()
-            .find(|g| !g.lt_origins.is_empty())
-            .expect("a group with history exists");
-        Fixture {
-            pairs,
-            reloaded,
-            template,
-            num_cities: ds.world.num_cities(),
-        }
+        Frozen { frozen, reloaded }
     })
 }
 
-/// A candidate drawn from arbitrary city pairs and feature values.
-fn candidates(num_cities: usize) -> impl Strategy<Value = Vec<CandidateInput>> {
-    let cand = (
-        0..num_cities as u32,
-        0..num_cities as u32,
-        prop::collection::vec(-1.0f32..3.0, 2 * XST_DIM),
-        prop::bool::ANY,
-    )
-        .prop_map(|(o, d, x, label)| {
-            let mut xst_o = [0.0f32; XST_DIM];
-            let mut xst_d = [0.0f32; XST_DIM];
-            xst_o.copy_from_slice(&x[..XST_DIM]);
-            xst_d.copy_from_slice(&x[XST_DIM..]);
-            CandidateInput {
-                origin: CityId(o),
-                dest: CityId(d),
-                xst_o,
-                xst_d,
-                label_o: if label { 1.0 } else { 0.0 },
-                label_d: if label { 0.0 } else { 1.0 },
-            }
-        });
-    prop::collection::vec(cand, 1..=64)
+/// Compare one group's frozen scores with the tape's bits and the
+/// reference's probabilities; `Err` names the first disagreement.
+fn check(frozen: &FrozenOdNet, live: &OdNetModel, group: &GroupInput) -> Result<(), String> {
+    let name = live.variant.name();
+    let cold = frozen.score_group(group);
+    let tape = live.score_group(group);
+    let bits = |s: &[(f32, f32)]| -> Vec<(u32, u32)> {
+        s.iter().map(|(o, d)| (o.to_bits(), d.to_bits())).collect()
+    };
+    if bits(&cold) != bits(&tape) {
+        return Err(format!(
+            "{name}: frozen {cold:?} is not the tape's {tape:?}"
+        ));
+    }
+    let want = reference(live, group);
+    for (i, (&(po, pd), r)) in cold.iter().zip(&want.candidates).enumerate() {
+        if !(prob_close(po, r.p_o) && prob_close(pd, r.p_d)) {
+            return Err(format!(
+                "{name} candidate {i}: frozen ({po}, {pd}) vs reference ({}, {})",
+                r.p_o, r.p_d
+            ));
+        }
+        let score = f64::from(frozen.serving_score(po, pd));
+        if (score - r.score).abs() > reference::TOL {
+            return Err(format!(
+                "{name} candidate {i}: frozen Eq. 11 score {score} vs reference {}",
+                r.score
+            ));
+        }
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Frozen scores agree with both live paths (batched and the original
-    /// per-candidate oracle) for arbitrary candidate sets of size 1–64.
+    /// Frozen scores equal the tape's bits and sit within the reference's
+    /// tolerance for arbitrary candidate sets of size 1–64.
     #[test]
-    fn frozen_scores_match_live_oracles(cands in candidates(fixture().num_cities)) {
+    fn frozen_scores_match_the_tape_and_the_reference(
+        cands in reference::candidates(fixture().num_cities)
+    ) {
         let fix = fixture();
         let mut group = fix.template.clone();
         group.candidates = cands;
-        for (frozen, live) in &fix.pairs {
-            let cold = frozen.score_group(&group);
-            let live_b = live.score_group(&group);
-            let live_p = oracle_scores(live, &group);
-            prop_assert_eq!(cold.len(), live_b.len());
-            for (i, ((fo, fd), ((bo, bd), (po, pd)))) in
-                cold.iter().zip(live_b.iter().zip(&live_p)).enumerate()
-            {
-                prop_assert!(
-                    (fo - bo).abs() <= TOL && (fd - bd).abs() <= TOL,
-                    "{} candidate {i}: frozen ({fo}, {fd}) vs batched ({bo}, {bd})",
-                    frozen.variant().name()
-                );
-                prop_assert!(
-                    (fo - po).abs() <= TOL && (fd - pd).abs() <= TOL,
-                    "{} candidate {i}: frozen ({fo}, {fd}) vs per-candidate ({po}, {pd})",
-                    frozen.variant().name()
-                );
-            }
+        for (frozen, live) in frozen().frozen.iter().zip(&fix.models) {
+            check(frozen, live, &group).map_err(TestCaseError::fail)?;
         }
     }
 
@@ -145,11 +107,13 @@ proptest! {
     /// tolerance): all three serve the same IEEE-754 bit patterns through
     /// the same kernels.
     #[test]
-    fn persistence_paths_score_bit_identically(cands in candidates(fixture().num_cities)) {
-        let fix = fixture();
-        let mut group = fix.template.clone();
+    fn persistence_paths_score_bit_identically(
+        cands in reference::candidates(fixture().num_cities)
+    ) {
+        let mut group = fixture().template.clone();
         group.candidates = cands;
-        for ((frozen, _), reloaded) in fix.pairs.iter().zip(&fix.reloaded) {
+        let fz = frozen();
+        for (frozen, reloaded) in fz.frozen.iter().zip(&fz.reloaded) {
             let expected = frozen.score_group(&group);
             for (path, other) in ["bin", "mmap"].iter().zip(reloaded.iter()) {
                 let got = other.score_group(&group);
@@ -168,8 +132,8 @@ proptest! {
 /// Reloaded artifacts carry identical metadata on every path.
 #[test]
 fn persistence_paths_preserve_metadata() {
-    let fix = fixture();
-    for ((frozen, _), reloaded) in fix.pairs.iter().zip(&fix.reloaded) {
+    let fz = frozen();
+    for (frozen, reloaded) in fz.frozen.iter().zip(&fz.reloaded) {
         for other in reloaded {
             assert_eq!(other.variant(), frozen.variant());
             assert_eq!(other.theta().to_bits(), frozen.theta().to_bits());
@@ -180,29 +144,23 @@ fn persistence_paths_preserve_metadata() {
     }
 }
 
-/// On the template group the frozen path reproduces the live batched tape
-/// *bitwise* — the kernels are mirrored op for op, not merely approximated.
+/// Real groups cover short, long, one-sided and missing histories.
 #[test]
-fn frozen_matches_batched_bitwise_on_template() {
+fn frozen_matches_the_tape_and_the_reference_on_real_groups() {
     let fix = fixture();
-    let group = &fix.template;
-    for (frozen, batched) in &fix.pairs {
-        assert_eq!(
-            frozen.score_group(group),
-            batched.score_group(group),
-            "{} frozen diverged from the live batched tape",
-            frozen.variant().name()
-        );
+    for (frozen, live) in frozen().frozen.iter().zip(&fix.models) {
+        for group in &fix.groups {
+            check(frozen, live, group).unwrap();
+        }
     }
 }
 
 /// Empty groups score to an empty vector without touching the workspace.
 #[test]
 fn empty_candidate_group_scores_empty() {
-    let fix = fixture();
-    let mut group = fix.template.clone();
+    let mut group = fixture().template.clone();
     group.candidates.clear();
-    for (frozen, _) in &fix.pairs {
+    for frozen in &frozen().frozen {
         assert!(frozen.score_group(&group).is_empty());
     }
 }
@@ -213,7 +171,7 @@ fn empty_candidate_group_scores_empty() {
 #[test]
 fn workspace_reuse_is_stateless_across_groups() {
     let fix = fixture();
-    let (frozen, _) = &fix.pairs[0];
+    let frozen = &frozen().frozen[0];
     let mut a = fix.template.clone();
     a.candidates.truncate(3.min(a.candidates.len()));
     let mut b = fix.template.clone();

@@ -31,9 +31,8 @@
 //! The frozen forward's cost is `trunk + n·per_candidate`: the user-side
 //! trunk (PEC attention over the history sequences) is independent of the
 //! candidate count, and the per-candidate head runs as one batched matmul
-//! whose efficiency *grows* with `n` (PR 1 measured the batched path at
-//! 8.7× the per-candidate oracle for n = 1 but only 2.3× at n = 64 — small
-//! requests leave most of the batched win on the table). Concurrent
+//! whose efficiency *grows* with `n` — small requests leave most of the
+//! batched win on the table. Concurrent
 //! requests that share a context template (same user, day, and history
 //! sequences — retries, pagination, parallel widgets of one session) can
 //! therefore be merged into a single `FrozenOdNet` forward: one trunk

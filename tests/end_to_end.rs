@@ -182,9 +182,9 @@ fn all_four_variants_complete_the_pipeline() {
     }
 }
 
-/// The live tape behind the scorer interface: the reference the served
-/// artifact is compared against. Product code implements `OdScorer` for
-/// the artifact only.
+/// The live tape behind the scorer interface, which the served artifact is
+/// compared against. Product code implements `OdScorer` for the artifact
+/// only.
 struct Tape<'m>(&'m OdNetModel);
 
 impl OdScorer for Tape<'_> {
@@ -192,8 +192,10 @@ impl OdScorer for Tape<'_> {
         self.0.score_group(group)
     }
 
+    /// Eq. 11 with the tape's θ.
     fn serving_score(&self, p_o: f32, p_d: f32) -> f32 {
-        self.0.serving_score(p_o, p_d)
+        let theta = self.0.theta();
+        theta * p_o + (1.0 - theta) * p_d
     }
 
     fn name(&self) -> String {
